@@ -26,21 +26,9 @@ void L2Normalize(Vector& v) {
 float Cosine(std::span<const float> a, std::span<const float> b) {
   if (a.size() != b.size() || a.empty()) return 0.0f;
   float na = Norm(a);
-  if (na <= 0.0f) return 0.0f;
-  return CosineWithNorm(a, na, b);
-}
-
-float DotNormalized(std::span<const float> a, std::span<const float> b) {
-  if (a.size() != b.size() || a.empty()) return 0.0f;
-  return simd::Dot(a.data(), b.data(), a.size());
-}
-
-float CosineWithNorm(std::span<const float> a, float norm_a,
-                     std::span<const float> b) {
-  if (a.size() != b.size() || a.empty() || norm_a <= 0.0f) return 0.0f;
   float nb = Norm(b);
-  if (nb <= 0.0f) return 0.0f;
-  return simd::Dot(a.data(), b.data(), a.size()) / (norm_a * nb);
+  if (na <= 0.0f || nb <= 0.0f) return 0.0f;
+  return simd::Dot(a.data(), b.data(), a.size()) / (na * nb);
 }
 
 std::string ToJson(const Vector& v) {

@@ -2,7 +2,6 @@
 // simulators (UnixcoderSim, ReaccSim) and the semantic search service.
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
@@ -14,17 +13,8 @@ namespace laminar::embed {
 
 using Vector = std::vector<float>;
 
-/// The portable 4x-unrolled scalar dot kernel — now an alias of the
-/// laminar::simd scalar tier, retained under its historical name for the
-/// parity tests and as the reference implementation. The hot paths
-/// (VectorIndex scan, HNSW traversal, Dot/DotNormalized below) instead call
-/// simd::Dot, which runtime-dispatches to AVX2/AVX-512/NEON and falls back
-/// to exactly this loop on hosts without vector units (or under the
-/// LAMINAR_SIMD=scalar override).
-inline float DotUnrolled(const float* a, const float* b, size_t n) {
-  return simd::DotScalar(a, b, n);
-}
-
+/// Runs on simd::Dot, which dispatches to AVX2/AVX-512/NEON and falls back
+/// to the simd::DotScalar reference loop; 0 if sizes differ.
 float Dot(std::span<const float> a, std::span<const float> b);
 float Norm(std::span<const float> a);
 
@@ -33,17 +23,6 @@ void L2Normalize(Vector& v);
 
 /// Cosine similarity in [-1, 1]; 0 if either vector is zero or sizes differ.
 float Cosine(std::span<const float> a, std::span<const float> b);
-
-/// Cosine for pre-normalized (unit-length) vectors: a single dot-product
-/// pass, no norm recomputation. 0 if sizes differ. Use wherever one query
-/// is compared against many stored targets.
-float DotNormalized(std::span<const float> a, std::span<const float> b);
-
-/// Cosine with a caller-precomputed norm for `a` — avoids recomputing the
-/// query norm once per target when only the targets vary. `norm_a` must be
-/// Norm(a); 0 if either norm is zero or sizes differ.
-float CosineWithNorm(std::span<const float> a, float norm_a,
-                     std::span<const float> b);
 
 /// Serializes to the JSON array Laminar stores in the registry's
 /// 'descriptionEmbedding' CLOB column.

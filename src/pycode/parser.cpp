@@ -1,6 +1,7 @@
 #include "pycode/parser.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "pycode/lexer.hpp"
@@ -47,6 +48,33 @@ class Parser {
                        " '" + t.text + "' at line " + std::to_string(t.line) +
                        ")");
   }
+
+  /// Levels of nesting held for its scope; past kMaxNesting the input
+  /// fails like any other syntax error. A left-deep chain (a + b + c,
+  /// f()(), a.b.c) adds a level per link: each link wraps the tree so far
+  /// one level deeper, and every later tree walk recurses through it.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser, bool deepen = true) : parser_(parser) {
+      if (deepen) Deepen();
+    }
+    ~Nested() { parser_.depth_ -= held_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+    void Deepen() {
+      if (parser_.depth_ >= kMaxNesting) {
+        parser_.Fail("nesting deeper than " + std::to_string(kMaxNesting) +
+                     " levels");
+      }
+      ++parser_.depth_;
+      ++held_;
+    }
+
+   private:
+    Parser& parser_;
+    int held_ = 0;
+  };
 
   Token ExpectOp(std::string_view op) {
     if (!AtOp(op)) Fail("expected '" + std::string(op) + "'");
@@ -106,6 +134,7 @@ class Parser {
 
   // ---- statements ----
   NodePtr ParseStatement() {
+    Nested nested(*this);
     if (AtOp("@")) return ParseDecorated();
     if (AtKw("def")) return ParseFuncDef();
     if (AtKw("class")) return ParseClassDef();
@@ -541,6 +570,7 @@ class Parser {
   NodePtr ParseTargetList() {
     auto list = Node::Internal("target_list");
     if (AtOp("(")) {  // tuple-target in parens
+      Nested nested(*this);
       list->AddLeaf(Take());
       list->Add(ParseTargetList());
       list->AddLeaf(ExpectOp(")"));
@@ -600,6 +630,7 @@ class Parser {
   }
 
   NodePtr ParseTest() {
+    Nested nested(*this);
     if (AtKw("lambda")) return ParseLambda();
     NodePtr expr = ParseOrTest();
     if (AtKw("if")) {
@@ -651,7 +682,9 @@ class Parser {
 
   NodePtr ParseOrTest() {
     NodePtr left = ParseAndTest();
+    Nested chain(*this, /*deepen=*/false);
     while (AtKw("or")) {
+      chain.Deepen();
       auto node = Node::Internal("or_expr");
       node->Add(std::move(left));
       node->AddLeaf(Take());
@@ -663,7 +696,9 @@ class Parser {
 
   NodePtr ParseAndTest() {
     NodePtr left = ParseNotTest();
+    Nested chain(*this, /*deepen=*/false);
     while (AtKw("and")) {
+      chain.Deepen();
       auto node = Node::Internal("and_expr");
       node->Add(std::move(left));
       node->AddLeaf(Take());
@@ -675,6 +710,7 @@ class Parser {
 
   NodePtr ParseNotTest() {
     if (AtKw("not")) {
+      Nested nested(*this);
       auto node = Node::Internal("not_expr");
       node->AddLeaf(Take());
       node->Add(ParseNotTest());
@@ -712,10 +748,12 @@ class Parser {
   NodePtr ParseBinaryLevel(const std::vector<std::string_view>& ops,
                            NodePtr (Parser::*next)()) {
     NodePtr left = (this->*next)();
+    Nested chain(*this, /*deepen=*/false);
     while (true) {
       bool matched = false;
       for (std::string_view op : ops) {
         if (AtOp(op)) {
+          chain.Deepen();
           auto node = Node::Internal("bin_op");
           node->Add(std::move(left));
           node->AddLeaf(Take());
@@ -744,6 +782,7 @@ class Parser {
 
   NodePtr ParseFactor() {
     if (AtOp("+") || AtOp("-") || AtOp("~")) {
+      Nested nested(*this);
       auto node = Node::Internal("unary_op");
       node->AddLeaf(Take());
       node->Add(ParseFactor());
@@ -755,6 +794,7 @@ class Parser {
   NodePtr ParsePower() {
     NodePtr base = ParseAwait();
     if (AtOp("**")) {
+      Nested nested(*this);
       auto node = Node::Internal("power");
       node->Add(std::move(base));
       node->AddLeaf(Take());
@@ -776,7 +816,10 @@ class Parser {
 
   NodePtr ParseAtomExpr() {
     NodePtr atom = ParseAtom();
-    while (true) {
+    Nested chain(*this, /*deepen=*/false);
+    while (AtOp("(") || AtOp("[") ||
+           (AtOp(".") && Peek(1).Is(TokenType::kName))) {
+      chain.Deepen();
       if (AtOp("(")) {
         auto call = Node::Internal("call");
         call->Add(std::move(atom));
@@ -789,16 +832,15 @@ class Parser {
         sub->Add(ParseSubscriptList());
         sub->AddLeaf(ExpectOp("]"));
         atom = std::move(sub);
-      } else if (AtOp(".") && Peek(1).Is(TokenType::kName)) {
+      } else {
         auto attr = Node::Internal("attribute");
         attr->Add(std::move(atom));
         attr->AddLeaf(Take());
         attr->AddLeaf(Take());
         atom = std::move(attr);
-      } else {
-        return atom;
       }
     }
+    return atom;
   }
 
   NodePtr ParseCallArgs() {
@@ -1053,6 +1095,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< current nesting, bounded by kMaxNesting
   bool lenient_;
 };
 

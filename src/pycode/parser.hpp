@@ -20,6 +20,13 @@
 
 namespace laminar::pycode {
 
+/// Deepest nesting of statements, brackets and other recursive expression
+/// forms the parser follows; deeper input is a parse error (ParseLenient
+/// turns that region into a fragment). CPython also stops at 200 nested
+/// brackets. A bracket costs about 17 C++ frames, so the bound keeps one
+/// hostile request body inside a thread's stack, under sanitizers too.
+inline constexpr int kMaxNesting = 200;
+
 /// Strict parse of a complete module.
 Result<NodePtr> Parse(std::string_view source);
 

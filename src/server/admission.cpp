@@ -12,22 +12,6 @@ std::string TenantLabel(const std::string& tenant) {
   return "tenant=\"" + tenant + '"';
 }
 
-telemetry::Counter& RequestCounter(const std::string& tenant) {
-  return telemetry::MetricsRegistry::Global().GetCounter(
-      "laminar_tenant_requests_total", TenantLabel(tenant));
-}
-
-telemetry::Counter& ThrottledCounter(const std::string& tenant) {
-  return telemetry::MetricsRegistry::Global().GetCounter(
-      "laminar_tenant_throttled_total", TenantLabel(tenant));
-}
-
-telemetry::Gauge& RowGauge(const std::string& tenant, const char* kind) {
-  return telemetry::MetricsRegistry::Global().GetGauge(
-      "laminar_tenant_rows",
-      TenantLabel(tenant) + ",kind=\"" + kind + '"');
-}
-
 }  // namespace
 
 bool ValidTenantName(std::string_view name) {
@@ -50,13 +34,34 @@ const TenantQuotas& AdmissionController::QuotasFor(
   return it != overrides_.end() ? it->second : defaults_;
 }
 
+AdmissionController::TenantCounters& AdmissionController::Tenant(
+    const std::string& tenant) {
+  TenantCounters& c = tenants_[tenant];
+  if (c.requests_total == nullptr) {
+    auto& reg = telemetry::MetricsRegistry::Global();
+    const std::string label = TenantLabel(tenant);
+    c.requests_total = &reg.GetCounter("laminar_tenant_requests_total", label);
+    c.throttled_total =
+        &reg.GetCounter("laminar_tenant_throttled_total", label);
+    c.pe_rows = &reg.GetGauge("laminar_tenant_rows", label + ",kind=\"pe\"");
+    c.workflow_rows =
+        &reg.GetGauge("laminar_tenant_rows", label + ",kind=\"workflow\"");
+    c.runs_ok_total = &reg.GetCounter("laminar_tenant_exec_total",
+                                      label + ",outcome=\"ok\"");
+    c.runs_error_total = &reg.GetCounter("laminar_tenant_exec_total",
+                                         label + ",outcome=\"error\"");
+  }
+  return c;
+}
+
 Status AdmissionController::AdmitRequest(const std::string& tenant,
                                          double* retry_after_ms) {
   const TenantQuotas& quotas = QuotasFor(tenant);
   {
     std::scoped_lock lock(mu_);
-    TenantCounters& c = tenants_[tenant];
+    TenantCounters& c = Tenant(tenant);
     ++c.requests;
+    c.requests_total->Inc();
     if (quotas.requests_per_sec > 0.0) {
       const double capacity = quotas.burst > 0.0 ? quotas.burst
                                                  : quotas.requests_per_sec;
@@ -77,15 +82,13 @@ Status AdmissionController::AdmitRequest(const std::string& tenant,
           *retry_after_ms =
               (1.0 - c.tokens) / quotas.requests_per_sec * 1000.0;
         }
-        ThrottledCounter(tenant).Inc();
-        RequestCounter(tenant).Inc();
+        c.throttled_total->Inc();
         return Status::ResourceExhausted("tenant '" + tenant +
                                          "' request rate limit exceeded");
       }
       c.tokens -= 1.0;
     }
   }
-  RequestCounter(tenant).Inc();
   return Status::Ok();
 }
 
@@ -122,22 +125,18 @@ Status AdmissionController::AdmitWorkflows(const std::string& tenant,
 
 void AdmissionController::OnPesChanged(const std::string& tenant,
                                        int64_t delta) {
-  {
-    std::scoped_lock lock(mu_);
-    TenantCounters& c = tenants_[tenant];
-    c.pes = std::max<int64_t>(0, c.pes + delta);
-  }
-  RowGauge(tenant, "pe").Add(delta);
+  std::scoped_lock lock(mu_);
+  TenantCounters& c = Tenant(tenant);
+  c.pes = std::max<int64_t>(0, c.pes + delta);
+  c.pe_rows->Add(delta);
 }
 
 void AdmissionController::OnWorkflowsChanged(const std::string& tenant,
                                              int64_t delta) {
-  {
-    std::scoped_lock lock(mu_);
-    TenantCounters& c = tenants_[tenant];
-    c.workflows = std::max<int64_t>(0, c.workflows + delta);
-  }
-  RowGauge(tenant, "workflow").Add(delta);
+  std::scoped_lock lock(mu_);
+  TenantCounters& c = Tenant(tenant);
+  c.workflows = std::max<int64_t>(0, c.workflows + delta);
+  c.workflow_rows->Add(delta);
 }
 
 void AdmissionController::ResetRowCounts(
@@ -145,36 +144,31 @@ void AdmissionController::ResetRowCounts(
         pe_and_workflow_counts) {
   std::scoped_lock lock(mu_);
   for (auto& [tenant, c] : tenants_) {
-    RowGauge(tenant, "pe").Set(0);
-    RowGauge(tenant, "workflow").Set(0);
+    c.pe_rows->Set(0);
+    c.workflow_rows->Set(0);
     c.pes = 0;
     c.workflows = 0;
   }
   for (const auto& [tenant, counts] : pe_and_workflow_counts) {
-    TenantCounters& c = tenants_[tenant];
+    TenantCounters& c = Tenant(tenant);
     c.pes = counts.first;
     c.workflows = counts.second;
-    RowGauge(tenant, "pe").Set(counts.first);
-    RowGauge(tenant, "workflow").Set(counts.second);
+    c.pe_rows->Set(counts.first);
+    c.workflow_rows->Set(counts.second);
   }
 }
 
 void AdmissionController::RecordRunOutcome(const std::string& tenant,
                                            bool ok) {
-  {
-    std::scoped_lock lock(mu_);
-    TenantCounters& c = tenants_[tenant];
-    if (ok) {
-      ++c.runs_succeeded;
-    } else {
-      ++c.runs_failed;
-    }
+  std::scoped_lock lock(mu_);
+  TenantCounters& c = Tenant(tenant);
+  if (ok) {
+    ++c.runs_succeeded;
+    c.runs_ok_total->Inc();
+  } else {
+    ++c.runs_failed;
+    c.runs_error_total->Inc();
   }
-  telemetry::MetricsRegistry::Global()
-      .GetCounter("laminar_tenant_exec_total",
-                  TenantLabel(tenant) + ",outcome=\"" +
-                      (ok ? "ok" : "error") + '"')
-      .Inc();
 }
 
 Value AdmissionController::StatsJson() const {

@@ -32,6 +32,11 @@
 #include "common/status.hpp"
 #include "common/value.hpp"
 
+namespace laminar::telemetry {
+class Counter;
+class Gauge;
+}  // namespace laminar::telemetry
+
 namespace laminar::server {
 
 /// Implicit namespace of requests that do not name a tenant.
@@ -98,7 +103,17 @@ class AdmissionController {
     int64_t workflows = 0;
     uint64_t runs_succeeded = 0;
     uint64_t runs_failed = 0;
+    /// This tenant's metric handles, resolved when it is first seen so no
+    /// request looks a metric up under the registry's mutex.
+    telemetry::Counter* requests_total = nullptr;
+    telemetry::Counter* throttled_total = nullptr;
+    telemetry::Gauge* pe_rows = nullptr;
+    telemetry::Gauge* workflow_rows = nullptr;
+    telemetry::Counter* runs_ok_total = nullptr;
+    telemetry::Counter* runs_error_total = nullptr;
   };
+  /// The tenant's entry, created with its metric handles. Requires mu_.
+  TenantCounters& Tenant(const std::string& tenant);
 
   const TenantQuotas defaults_;
   const std::map<std::string, TenantQuotas> overrides_;

@@ -30,6 +30,19 @@ telemetry::Gauge& LagSeqGauge() {
   return g;
 }
 
+/// Counts records shipped by a leader's /replication/fetch, with the metric
+/// handles resolved once rather than on every fetch.
+void CountShipped(const std::vector<std::string>& lines) {
+  static telemetry::Counter& records =
+      ReplCounter("laminar_repl_records_total", "leader");
+  static telemetry::Counter& bytes =
+      ReplCounter("laminar_repl_bytes_total", "leader");
+  size_t total = 0;
+  for (const std::string& line : lines) total += line.size();
+  records.Inc(lines.size());
+  bytes.Inc(total);
+}
+
 }  // namespace
 
 // ---- ReplicationHub (leader) ---------------------------------------------
@@ -84,10 +97,7 @@ ReplicationHub::FetchResult ReplicationHub::Fetch(uint64_t from_seq,
       if (out.lines.size() >= max_records) break;
     }
     records_shipped_ += out.lines.size();
-    for (const std::string& line : out.lines) {
-      ReplCounter("laminar_repl_bytes_total", "leader").Inc(line.size());
-    }
-    ReplCounter("laminar_repl_records_total", "leader").Inc(out.lines.size());
+    CountShipped(out.lines);
     return out;
   }
   // Ring miss: the requested suffix starts behind the buffered window. The
@@ -130,12 +140,7 @@ ReplicationHub::FetchResult ReplicationHub::Fetch(uint64_t from_seq,
   lock.lock();
   out.head_seq = head_seq_;
   records_shipped_ += out.lines.size();
-  if (!out.lines.empty()) {
-    size_t bytes = 0;
-    for (const std::string& l : out.lines) bytes += l.size();
-    ReplCounter("laminar_repl_bytes_total", "leader").Inc(bytes);
-    ReplCounter("laminar_repl_records_total", "leader").Inc(out.lines.size());
-  }
+  CountShipped(out.lines);
   return out;
 }
 

@@ -1,7 +1,9 @@
 #include "server/server.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <mutex>
+#include <type_traits>
 
 #include "common/clock.hpp"
 #include "common/json.hpp"
@@ -160,63 +162,87 @@ std::string ExtractClassName(const std::string& code) {
   return name;
 }
 
-/// Per-phase ingest instrumentation (ISSUE 5): encode = the off-lock
-/// prepare work (summaries, embeddings, SPT featurization), commit = the
-/// exclusive-lock row insert + index upsert.
-telemetry::Histogram& IngestHistogram(const char* phase) {
-  return telemetry::MetricsRegistry::Global().GetHistogram(
-      "laminar_server_ingest_ms",
-      std::string("phase=\"") + phase + "\"");
+/// A JSON reply.
+LaminarServer::Response Json(const Value& body, int status = 200) {
+  return {status, body.ToJson()};
 }
 
-telemetry::Counter& IngestCounter(const char* phase) {
-  return telemetry::MetricsRegistry::Global().GetCounter(
-      "laminar_server_ingest_total",
-      std::string("phase=\"") + phase + "\"");
+Status NoReplicationLog() {
+  return Status::Unavailable(
+      "replication requires a write-ahead log (start the leader with a "
+      "wal_path)");
 }
 
-/// Endpoints that only read registry/search state. These run under a shared
-/// lock so any number of them proceed concurrently; everything else takes
-/// the lock exclusively. /users/login is a mutation (it mints a token).
-/// The ingest endpoints (/pes/register, /workflows/register,
-/// /registry/bulk_register, the update_description pair) and /registry/save
-/// never reach this routing: they manage their own two-phase locking in
-/// HandleInternal (prepare under a shared lock, disk writes off-lock,
-/// short exclusive commit).
-bool IsReadOnlyEndpoint(const std::string& path) {
-  static constexpr std::string_view kReadOnly[] = {
-      "/pes/get", "/pes/describe", "/workflows/get", "/workflows/describe",
-      "/workflows/pes", "/workflows/executions", "/registry/list",
-      "/search/literal", "/search/semantic", "/search/code",
-      "/search/complete", "/stats"};
-  for (std::string_view ro : kReadOnly) {
-    if (path == ro) return true;
-  }
-  return false;
-}
-
-/// Label value for per-endpoint metrics: the path itself for known
-/// endpoints, "other" for the rest so unknown paths cannot grow the label
-/// set without bound.
-std::string_view CanonicalPath(const std::string& path) {
-  static constexpr std::string_view kKnown[] = {
-      "/health", "/metrics", "/stats", "/execute", "/resources/upload",
-      "/users/register", "/users/login", "/pes/register", "/pes/get",
-      "/pes/describe", "/pes/update_description", "/pes/remove",
-      "/workflows/register", "/workflows/get", "/workflows/describe",
-      "/workflows/pes", "/workflows/executions",
-      "/workflows/update_description", "/workflows/remove",
-      "/registry/list", "/registry/remove_all", "/registry/save",
-      "/registry/load", "/registry/bulk_register", "/search/literal",
-      "/search/semantic", "/search/code", "/search/complete",
-      "/replication/snapshot", "/replication/fetch", "/replication/status"};
-  for (std::string_view known : kKnown) {
-    if (path == known) return known;
-  }
-  return "other";
-}
+using Server = LaminarServer;
+constexpr auto kJson = Server::Body::kJson;
+constexpr auto kRaw = Server::Body::kRaw;
+constexpr auto kRedirect = Server::Replica::kRedirect;
+constexpr auto kRead = Server::Replica::kRead;
+constexpr auto kAlways = Server::Replica::kAlways;
+constexpr auto kTenant = Server::Admission::kTenant;
+constexpr auto kExempt = Server::Admission::kExempt;
+constexpr auto kNone = Server::Lock::kNone;
+constexpr auto kShared = Server::Lock::kShared;
+constexpr auto kExclusive = Server::Lock::kExclusive;
 
 }  // namespace
+
+/// One request as its handler sees it, after Dispatch() parsed, gated and
+/// admitted it.
+struct LaminarServer::Call {
+  const net::HttpRequest& request;
+  /// The parsed JSON body; an empty object for raw-body routes.
+  Value body = Value::MakeObject();
+  /// The resolved tenant; the default tenant on admission-exempt routes.
+  std::string tenant = std::string(kDefaultTenant);
+  /// /execute streams its stdout lines here ahead of its reply.
+  net::StreamResponder& out;
+};
+
+// The route table. Every endpoint the server answers is one row here; its
+// columns are applied by Dispatch() in order: body parse, replica gate,
+// tenant admission, lock. Read rows must only read registry state (they run
+// concurrently under the shared lock and are served by followers).
+// clang-format off
+const LaminarServer::Route LaminarServer::kRoutes[] = {
+    // path                           body   replica    admission lock        handler
+    {"/health",                       kJson, kAlways,   kExempt,  kNone,      &Server::Health},
+    {"/metrics",                      kRaw,  kAlways,   kExempt,  kNone,      &Server::Metrics},
+    {"/replication/status",           kJson, kAlways,   kExempt,  kNone,      &Server::ReplicationStatus},
+    {"/replication/snapshot",         kJson, kRedirect, kExempt,  kNone,      &Server::ReplicationSnapshot},
+    {"/replication/fetch",            kJson, kRedirect, kExempt,  kNone,      &Server::ReplicationFetch},
+    {"/resources/upload",             kRaw,  kRedirect, kTenant,  kNone,      &Server::UploadResources},
+    {"/execute",                      kJson, kRedirect, kTenant,  kNone,      &Server::Execute},
+    {"/users/register",               kJson, kRedirect, kTenant,  kExclusive, &Server::RegisterUser},
+    {"/users/login",                  kJson, kRedirect, kTenant,  kExclusive, &Server::Login},
+    {"/pes/register",                 kJson, kRedirect, kTenant,  kNone,      &Server::RegisterPe},
+    {"/pes/get",                      kJson, kRead,     kTenant,  kShared,    &Server::GetPe},
+    {"/pes/describe",                 kJson, kRead,     kTenant,  kShared,    &Server::GetPe},
+    {"/pes/update_description",       kJson, kRedirect, kTenant,  kNone,      &Server::UpdatePeDescription},
+    {"/pes/remove",                   kJson, kRedirect, kTenant,  kExclusive, &Server::RemovePe},
+    {"/workflows/register",           kJson, kRedirect, kTenant,  kNone,      &Server::RegisterWorkflow},
+    {"/workflows/get",                kJson, kRead,     kTenant,  kShared,    &Server::GetWorkflow},
+    {"/workflows/describe",           kJson, kRead,     kTenant,  kShared,    &Server::GetWorkflow},
+    {"/workflows/pes",                kJson, kRead,     kTenant,  kShared,    &Server::WorkflowPes},
+    {"/workflows/executions",         kJson, kRead,     kTenant,  kShared,    &Server::WorkflowExecutions},
+    {"/workflows/update_description", kJson, kRedirect, kTenant,  kNone,      &Server::UpdateWorkflowDescription},
+    {"/workflows/remove",             kJson, kRedirect, kTenant,  kExclusive, &Server::RemoveWorkflow},
+    {"/registry/list",                kJson, kRead,     kTenant,  kShared,    &Server::ListRegistry},
+    {"/registry/remove_all",          kJson, kRedirect, kTenant,  kExclusive, &Server::RemoveAll},
+    {"/registry/save",                kJson, kRedirect, kTenant,  kNone,      &Server::SaveRegistry},
+    {"/registry/load",                kJson, kRedirect, kTenant,  kExclusive, &Server::LoadRegistry},
+    {"/registry/bulk_register",       kJson, kRedirect, kTenant,  kNone,      &Server::BulkRegister},
+    {"/search/literal",               kJson, kRead,     kTenant,  kShared,    &Server::LiteralSearch},
+    {"/search/semantic",              kJson, kRead,     kTenant,  kShared,    &Server::SemanticSearch},
+    {"/search/code",                  kJson, kRead,     kTenant,  kShared,    &Server::CodeSearch},
+    {"/search/complete",              kJson, kRead,     kTenant,  kShared,    &Server::CodeCompletion},
+    {"/stats",                        kJson, kRead,     kTenant,  kShared,    &Server::Stats},
+};
+// clang-format on
+
+std::span<const LaminarServer::Route> LaminarServer::Routes() {
+  return kRoutes;
+}
 
 LaminarServer::LaminarServer(ServerConfig config)
     : config_(std::move(config)),
@@ -227,6 +253,28 @@ LaminarServer::LaminarServer(ServerConfig config)
       run_queue_(config_.run_workers > 0 ? config_.run_workers
                                          : config_.engine.max_concurrent,
                  config_.run_queue_depth) {
+  auto& reg = telemetry::MetricsRegistry::Global();
+  auto timed = [&reg](std::string_view counter, std::string_view histogram,
+                      const std::string& labels) {
+    return Timed{&reg.GetCounter(counter, labels),
+                 &reg.GetHistogram(histogram, labels)};
+  };
+  for (const Route& route : kRoutes) {
+    route_metrics_.push_back(
+        timed("laminar_server_requests_total", "laminar_server_request_ms",
+              "path=\"" + std::string(route.path) + '"'));
+  }
+  route_metrics_.push_back(timed("laminar_server_requests_total",
+                                 "laminar_server_request_ms",
+                                 "path=\"other\""));
+  // Per-phase ingest instrumentation: encode = the shared-lock
+  // prepare work (summaries, embeddings, SPT featurization), commit = the
+  // exclusive-lock row insert + index upsert.
+  ingest_encode_ = timed("laminar_server_ingest_total",
+                         "laminar_server_ingest_ms", "phase=\"encode\"");
+  ingest_commit_ = timed("laminar_server_ingest_total",
+                         "laminar_server_ingest_ms", "phase=\"commit\"");
+  bulk_build_ms_ = &reg.GetGauge("laminar_search_bulk_build_ms");
   if (config_.ingest_threads > 0) {
     ingest_pool_ = std::make_unique<ThreadPool>(config_.ingest_threads);
   }
@@ -312,12 +360,6 @@ net::StreamHandler LaminarServer::HandlerFn() {
   return [this](const net::HttpRequest& req, net::StreamResponder& out) {
     Handle(req, out);
   };
-}
-
-void LaminarServer::Reply(net::StreamResponder& out, int status,
-                          const Value& body) {
-  out.SendChunk(body.ToJson());
-  out.End(status);
 }
 
 int64_t LaminarServer::AuthUser(const net::HttpRequest& request) {
@@ -524,40 +566,245 @@ Value LaminarServer::ReplicationStatusJson() const {
   return v;
 }
 
-void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
-                                  const std::string& tenant,
-                                  net::StreamResponder& out) {
-  // Parse-boundary validation (bugfix): reject malformed run options with
-  // 400 + the field name before anything is cast into RunOptions.
-  if (Status valid = ValidateRunOptions(body); !valid.ok()) {
-    Reply(out, 400, ErrorBody(valid));
-    return;
+void LaminarServer::Handle(const net::HttpRequest& request,
+                           net::StreamResponder& out) {
+  const Route* route = nullptr;
+  for (const Route& r : kRoutes) {
+    if (r.path == request.path) {
+      route = &r;
+      break;
+    }
   }
+  // Unknown paths share the path="other" series (the label set stays
+  // bounded) and get their 404 before any parse, admission or lock.
+  const Timed& metrics =
+      route_metrics_[route != nullptr ? static_cast<size_t>(route - kRoutes)
+                                      : std::size(kRoutes)];
+  metrics.count->Inc();
+  telemetry::ScopedSpan span("server.request", metrics.ms);
+  Call call{.request = request, .out = out};
+  Result<Response> response =
+      route != nullptr
+          ? Dispatch(*route, call)
+          : Status::NotFound("unknown endpoint '" + request.path + "'");
+  if (!response.ok()) {
+    response = Json(ErrorBody(response.status()),
+                    StatusToHttp(response.status()));
+  }
+  out.SendChunk(response->body);
+  out.End(response->status);
+}
+
+Result<LaminarServer::Response> LaminarServer::Dispatch(const Route& route,
+                                                        Call& call) {
+  if (route.body == Body::kJson && !call.request.body.empty()) {
+    Result<Value> parsed = json::Parse(call.request.body);
+    if (!parsed.ok()) return parsed.status();
+    call.body = std::move(parsed.value());
+  }
+
+  // A follower serves reads only. Everything else gets 421 + the leader's
+  // address (the client maps it to a retry against the leader; chained
+  // replication is not supported either, as a follower has no WAL of its
+  // own to ship). Under a bounded-staleness contract, reads get 503 until
+  // the follower has confirmed it is caught up within the window.
+  if (repl_follower_ != nullptr && route.replica == Replica::kRedirect) {
+    Value err = ErrorBody(Status::FailedPrecondition(
+        "replica is read-only; send this request to the leader"));
+    err["leader"] = config_.replica_of;
+    return Json(err, 421);
+  }
+  if (repl_follower_ != nullptr && route.replica == Replica::kRead &&
+      config_.max_replica_lag_ms > 0 &&
+      !repl_follower_->IsFresh(config_.max_replica_lag_ms)) {
+    ReplicationFollower::StatusSnapshot s = repl_follower_->status();
+    Value err = ErrorBody(
+        Status::Unavailable("replica staleness exceeds maxReplicaLagMs"));
+    err["maxReplicaLagMs"] = config_.max_replica_lag_ms;
+    err["appliedSeq"] = static_cast<int64_t>(s.applied_seq);
+    err["leaderSeq"] = static_cast<int64_t>(s.leader_seq);
+    return Json(err, 503);
+  }
+
+  // The token bucket refuses with 429 + retryAfterMs before any lock is
+  // taken, so a flooding tenant burns its own budget, not server threads.
+  if (route.admission == Admission::kTenant) {
+    Result<std::string> tenant = ResolveTenant(call.request, call.body);
+    if (!tenant.ok()) return tenant.status();
+    call.tenant = std::move(tenant.value());
+    double retry_after_ms = 0.0;
+    if (Status admit = admission_.AdmitRequest(call.tenant, &retry_after_ms);
+        !admit.ok()) {
+      Value err = ErrorBody(admit);
+      err["retryAfterMs"] = retry_after_ms;
+      return Json(err, 429);
+    }
+  }
+
+  switch (route.lock) {
+    case Lock::kShared: {
+      std::shared_lock lock(mu_);
+      return (this->*route.handler)(call);
+    }
+    case Lock::kExclusive: {
+      std::scoped_lock lock(mu_);
+      return (this->*route.handler)(call);
+    }
+    case Lock::kNone:
+      break;
+  }
+  return (this->*route.handler)(call);
+}
+
+template <typename Prepare, typename Commit>
+Result<LaminarServer::Response> LaminarServer::Ingest(Prepare&& prepare,
+                                                      Commit&& commit) {
+  {
+    telemetry::ScopedSpan span("ingest.encode", ingest_encode_.ms);
+    ingest_encode_.count->Inc();
+    // The encoders are const, but /registry/load and /registry/remove_all
+    // replace them via search_.Clear() under the exclusive lock; the shared
+    // hold keeps that swap out of the prepare.
+    std::shared_lock lock(mu_);
+    if (Status st = prepare(); !st.ok()) return st;
+  }
+  telemetry::ScopedSpan span("ingest.commit", ingest_commit_.ms);
+  ingest_commit_.count->Inc();
+  std::scoped_lock lock(mu_);
+  return commit();
+}
+
+template <typename Hit>
+Value LaminarServer::VisibleHits(const std::vector<Hit>& hits,
+                                 const std::string& tenant,
+                                 search::SearchTarget target) const {
+  auto visible = [&](int64_t id) {
+    if (tenant == kDefaultTenant) return true;
+    if (target == search::SearchTarget::kWorkflow) {
+      Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
+      return wf.ok() && TenantCanSee(tenant, wf->tenant);
+    }
+    Result<registry::PeRecord> pe = repo_.GetPe(id);
+    return pe.ok() && TenantCanSee(tenant, pe->tenant);
+  };
+  Value arr = Value::MakeArray();
+  for (const Hit& hit : hits) {
+    if (!visible(hit.id)) continue;
+    Value h = Value::MakeObject();
+    h["id"] = hit.id;
+    h["name"] = hit.name;
+    h["description"] = hit.description;
+    h["score"] = hit.score;
+    if constexpr (std::is_same_v<Hit, search::RecommendationHit>) {
+      h["similarCode"] = hit.similar_code;
+      h["occurrences"] = static_cast<int64_t>(hit.occurrences);
+    }
+    arr.push_back(std::move(h));
+  }
+  Value resp = Value::MakeObject();
+  resp["hits"] = std::move(arr);
+  return resp;
+}
+
+// ── Route handlers ────────────────────────────────────────────────────────
+
+/// Liveness probe: admission-exempt, so monitors keep working when a tenant
+/// floods the server. {} -> {status:"ok"}
+Result<LaminarServer::Response> LaminarServer::Health(Call&) {
+  Value resp = Value::MakeObject();
+  resp["status"] = "ok";
+  return Json(resp);
+}
+
+/// Prometheus text exposition (GET; text/plain, not JSON).
+Result<LaminarServer::Response> LaminarServer::Metrics(Call&) {
+  return Response{200, telemetry::MetricsRegistry::Global().RenderPrometheus()};
+}
+
+/// {} -> role, and the follower's lag or the leader's shipping counters.
+Result<LaminarServer::Response> LaminarServer::ReplicationStatus(Call&) {
+  return Json(ReplicationStatusJson());
+}
+
+/// {} -> the raw snapshot document: the exact bytes WriteSnapshot would
+/// persist, so followers reuse Database::LoadFromText unchanged. Captured
+/// under a shared lock (cheap copy-on-read) and serialized off-lock.
+Result<LaminarServer::Response> LaminarServer::ReplicationSnapshot(Call&) {
+  if (repl_hub_ == nullptr) return NoReplicationLog();
+  registry::Database::Snapshot snapshot;
+  {
+    std::shared_lock lock(mu_);
+    snapshot = db_.CaptureSnapshot();
+  }
+  return Response{200, db_.SerializeSnapshot(snapshot)};
+}
+
+/// {fromSeq,maxRecords?,waitMs?} -> {lines,headSeq,needSnapshot}
+Result<LaminarServer::Response> LaminarServer::ReplicationFetch(Call& c) {
+  if (repl_hub_ == nullptr) return NoReplicationLog();
+  const uint64_t from_seq =
+      static_cast<uint64_t>(c.body.GetInt("fromSeq", 0));
+  const size_t max_records =
+      static_cast<size_t>(c.body.GetInt("maxRecords", 512));
+  const int wait_ms = static_cast<int>(c.body.GetInt("waitMs", 0));
+  ReplicationHub::FetchResult fetched =
+      repl_hub_->Fetch(from_seq, max_records, wait_ms);
+  Value resp = Value::MakeObject();
+  Value lines = Value::MakeArray();
+  for (std::string& line : fetched.lines) {
+    lines.push_back(Value(std::move(line)));
+  }
+  resp["lines"] = std::move(lines);
+  resp["headSeq"] = static_cast<int64_t>(fetched.head_seq);
+  resp["needSnapshot"] = fetched.need_snapshot;
+  return Json(resp);
+}
+
+/// Multipart body -> {stored}. The tenant comes from the header alone:
+/// there is no JSON body to carry the field.
+Result<LaminarServer::Response> LaminarServer::UploadResources(Call& c) {
+  Result<std::vector<net::FilePart>> parts =
+      net::DecodeMultipart(c.request.body);
+  if (!parts.ok()) return parts.status();
+  Value resp = Value::MakeObject();
+  int64_t stored = 0;
+  for (net::FilePart& part : parts.value()) {
+    engine_.PutResource(part.name, std::move(part.content));
+    ++stored;
+  }
+  resp["stored"] = stored;
+  return Json(resp);
+}
+
+/// {workflowId|spec,mapping,input,processes,resources,verbose,...}
+///   -> streamed stdout lines, then a "##END## {stats}" chunk whose "totals"
+///      object is read from the telemetry registry (428 + {missing:[...]}
+///      when resources must be uploaded first).
+Result<LaminarServer::Response> LaminarServer::Execute(Call& c) {
+  const Value& body = c.body;
+  // Parse-boundary validation: reject malformed run options with
+  // 400 + the field name before anything is cast into RunOptions.
+  if (Status valid = ValidateRunOptions(body); !valid.ok()) return valid;
   engine::ExecuteRequest req;
+  int64_t user_id = 0;
   int64_t workflow_id = body.GetInt("workflowId", 0);
   {
-    std::shared_lock lock(mu_);  // only reads the workflow record
+    std::shared_lock lock(mu_);  // only reads the caller and the workflow
+    user_id = AuthUser(c.request);
     if (workflow_id != 0) {
       Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(workflow_id);
-      if (!wf.ok()) {
-        Reply(out, 404, ErrorBody(wf.status()));
-        return;
-      }
+      if (!wf.ok()) return Json(ErrorBody(wf.status()), 404);
       Result<Value> spec = json::Parse(wf->entry_point);
       if (!spec.ok()) {
-        Reply(out, 500,
-              ErrorBody(Status::Internal("workflow has no executable spec")));
-        return;
+        return Status::Internal("workflow has no executable spec");
       }
       req.workflow_spec = std::move(spec.value());
       req.workflow_code = wf->code;
     } else if (body.contains("spec")) {
       req.workflow_spec = body.at("spec");
     } else {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument(
-                "execute requires 'workflowId' or 'spec'")));
-      return;
+      return Status::InvalidArgument(
+          "execute requires 'workflowId' or 'spec'");
     }
   }
   req.mapping = body.GetString("mapping", "simple");
@@ -602,14 +849,13 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
       arr.push_back(std::move(e));
     }
     resp["missing"] = std::move(arr);
-    Reply(out, 428, resp);
-    return;
+    return Json(resp, 428);
   }
 
   // Tenant-fair bounded dispatch: acquire a run slot before touching the
   // engine. Rejections (queue depth / concurrency caps) come back as 429
   // with a retryAfterMs hint; a deadline that expires while queued is 408.
-  const TenantQuotas& quotas = admission_.QuotasFor(tenant);
+  const TenantQuotas& quotas = admission_.QuotasFor(c.tenant);
   engine::FairRunQueue::AcquireOptions acquire;
   acquire.weight = quotas.weight;
   acquire.max_concurrent = quotas.max_concurrent_runs;
@@ -619,20 +865,19 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
       dataflow::DeadlineMicrosFromNow(req.run_options.deadline_ms);
   double retry_after_ms = 0.0;
   Result<engine::FairRunQueue::Ticket> ticket =
-      run_queue_.Acquire(tenant, acquire, &retry_after_ms);
+      run_queue_.Acquire(c.tenant, acquire, &retry_after_ms);
   if (!ticket.ok()) {
     Value err = ErrorBody(ticket.status());
     if (ticket.status().code() == StatusCode::kResourceExhausted) {
       err["retryAfterMs"] = retry_after_ms;
     }
-    Reply(out, StatusToHttp(ticket.status()), err);
-    return;
+    return Json(err, StatusToHttp(ticket.status()));
   }
   // Non-default tenants get their broker run keys under t:<tenant>:wf:N:*,
   // so DelPrefix cleanup and any future per-tenant introspection can never
   // cross namespaces. The default tenant keeps the legacy wf:N:* keys.
-  if (tenant != kDefaultTenant) {
-    req.run_options.run_scope = "t:" + tenant + ":";
+  if (c.tenant != kDefaultTenant) {
+    req.run_options.run_scope = "t:" + c.tenant + ":";
   }
 
   int64_t execution_id = 0;
@@ -647,9 +892,9 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
   engine::ExecuteStats stats;
   Result<dataflow::RunResult> result = engine_.Execute(
       req,
-      [&out](const std::string& line) { out.SendChunk(line + "\n"); },
+      [&c](const std::string& line) { c.out.SendChunk(line + "\n"); },
       &stats);
-  admission_.RecordRunOutcome(tenant, result.ok());
+  admission_.RecordRunOutcome(c.tenant, result.ok());
   ticket->Release();  // free the run slot before the (possibly slow) reply
 
   Value end = Value::MakeObject();
@@ -674,9 +919,8 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
       (void)repo_.FinishExecution(execution_id, "failed",
                                   result.status().ToString(), 0);
     }
-    out.SendChunk(std::string(kEndMarker) + end.ToJson());
-    out.End(StatusToHttp(result.status()));
-    return;
+    return Response{StatusToHttp(result.status()),
+                    std::string(kEndMarker) + end.ToJson()};
   }
   end["tuples"] = static_cast<int64_t>(stats.tuples);
   end["lines"] = static_cast<int64_t>(stats.lines);
@@ -695,946 +939,589 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
         execution_id, "succeeded", output,
         static_cast<int64_t>(result->output_lines.size()));
   }
-  out.SendChunk(std::string(kEndMarker) + end.ToJson());
-  out.End(200);
+  return Response{200, std::string(kEndMarker) + end.ToJson()};
 }
 
-void LaminarServer::Handle(const net::HttpRequest& request,
-                           net::StreamResponder& out) {
-  auto& reg = telemetry::MetricsRegistry::Global();
-  std::string label = "path=\"";
-  label += CanonicalPath(request.path);
-  label += '"';
-  reg.GetCounter("laminar_server_requests_total", label).Inc();
-  telemetry::ScopedSpan span(
-      "server.request", &reg.GetHistogram("laminar_server_request_ms", label));
-  HandleInternal(request, out);
+/// {userName,password} -> {userId}
+Result<LaminarServer::Response> LaminarServer::RegisterUser(Call& c) {
+  Result<int64_t> id = repo_.CreateUser(c.body.GetString("userName"),
+                                        c.body.GetString("password"));
+  if (!id.ok()) return id.status();
+  Value resp = Value::MakeObject();
+  resp["userId"] = id.value();
+  return Json(resp);
 }
 
-void LaminarServer::HandleInternal(const net::HttpRequest& request,
-                                   net::StreamResponder& out) {
-  const std::string& path = request.path;
-
-  // Prometheus text exposition (plain text, not a JSON reply).
-  if (path == "/metrics") {
-    out.SendChunk(telemetry::MetricsRegistry::Global().RenderPrometheus());
-    out.End(200);
-    return;
+/// {userName,password} -> {token,userId}. A mutation: it mints a token.
+Result<LaminarServer::Response> LaminarServer::Login(Call& c) {
+  Result<registry::UserRecord> user =
+      repo_.GetUserByName(c.body.GetString("userName"));
+  if (!user.ok() || user->password != c.body.GetString("password")) {
+    return Status::PermissionDenied("bad username or password");
   }
+  std::string token = "tok-" + std::to_string(next_token_++);
+  tokens_[token] = user->id;
+  Value resp = Value::MakeObject();
+  resp["token"] = token;
+  resp["userId"] = user->id;
+  return Json(resp);
+}
 
-  // Multipart endpoint first (binary body, not JSON). Tenant comes from the
-  // header alone here — there is no JSON body to carry the field.
-  if (path == "/resources/upload") {
-    if (repl_follower_ != nullptr) {
-      Value err = ErrorBody(Status::FailedPrecondition(
-          "replica is read-only; upload resources to the leader"));
-      err["leader"] = config_.replica_of;
-      Reply(out, 421, err);
-      return;
-    }
-    Result<std::string> upload_tenant =
-        ResolveTenant(request, Value::MakeObject());
-    if (!upload_tenant.ok()) {
-      Reply(out, 400, ErrorBody(upload_tenant.status()));
-      return;
-    }
-    double retry_after_ms = 0.0;
-    if (Status admit = admission_.AdmitRequest(upload_tenant.value(),
-                                               &retry_after_ms);
-        !admit.ok()) {
-      Value err = ErrorBody(admit);
-      err["retryAfterMs"] = retry_after_ms;
-      Reply(out, 429, err);
-      return;
-    }
-    Result<std::vector<net::FilePart>> parts =
-        net::DecodeMultipart(request.body);
-    if (!parts.ok()) {
-      Reply(out, 400, ErrorBody(parts.status()));
-      return;
-    }
-    Value resp = Value::MakeObject();
-    int64_t stored = 0;
-    for (net::FilePart& part : parts.value()) {
-      engine_.PutResource(part.name, std::move(part.content));
-      ++stored;
-    }
-    resp["stored"] = stored;
-    Reply(out, 200, resp);
-    return;
+/// {name?,code,description?,type?} -> {peId,peName,description,peType}
+Result<LaminarServer::Response> LaminarServer::RegisterPe(Call& c) {
+  // Advisory quota check before the expensive encode; the commit re-checks
+  // authoritatively under the exclusive lock.
+  if (Status quota = admission_.AdmitPes(c.tenant, 1); !quota.ok()) {
+    return quota;
   }
-
-  Value body = Value::MakeObject();
-  if (!request.body.empty()) {
-    Result<Value> parsed = json::Parse(request.body);
-    if (!parsed.ok()) {
-      Reply(out, 400, ErrorBody(parsed.status()));
-      return;
-    }
-    body = std::move(parsed.value());
-  }
-
-  // Liveness probe: never rate-limited, so monitors keep working when a
-  // tenant floods the server.
-  if (path == "/health") {
-    Value resp = Value::MakeObject();
-    resp["status"] = "ok";
-    Reply(out, 200, resp);
-    return;
-  }
-
-  // ── Replication (admission-exempt like /health: per-tenant rate caps
-  // must never throttle the shipping stream that keeps replicas fresh, and
-  // status must stay observable under load).
-  if (path == "/replication/status") {
-    Reply(out, 200, ReplicationStatusJson());
-    return;
-  }
-  if (path == "/replication/snapshot" || path == "/replication/fetch") {
-    if (repl_follower_ != nullptr) {
-      // Chained replication is not supported: a follower has no WAL of its
-      // own to ship, so it points would-be followers at the real leader.
-      Value err = ErrorBody(Status::FailedPrecondition(
-          "this node is itself a replica; replicate from the leader"));
-      err["leader"] = config_.replica_of;
-      Reply(out, 421, err);
-      return;
-    }
-    if (repl_hub_ == nullptr) {
-      Reply(out, 503,
-            ErrorBody(Status::Unavailable(
-                "replication requires a write-ahead log (start the leader "
-                "with a wal_path)")));
-      return;
-    }
-    if (path == "/replication/snapshot") {
-      // Same two-phase discipline as /registry/save: capture under a shared
-      // lock (cheap copy-on-read), serialize off-lock, and the response body
-      // IS the raw snapshot document — the exact bytes WriteSnapshot would
-      // persist, so followers reuse Database::LoadFromText unchanged.
-      registry::Database::Snapshot snapshot;
-      {
-        std::shared_lock lock(mu_);
-        snapshot = db_.CaptureSnapshot();
-      }
-      out.SendChunk(db_.SerializeSnapshot(snapshot));
-      out.End(200);
-      return;
-    }
-    const uint64_t from_seq =
-        static_cast<uint64_t>(body.GetInt("fromSeq", 0));
-    const size_t max_records =
-        static_cast<size_t>(body.GetInt("maxRecords", 512));
-    const int wait_ms = static_cast<int>(body.GetInt("waitMs", 0));
-    ReplicationHub::FetchResult fetched =
-        repl_hub_->Fetch(from_seq, max_records, wait_ms);
-    Value resp = Value::MakeObject();
-    Value lines = Value::MakeArray();
-    for (std::string& line : fetched.lines) {
-      lines.push_back(Value(std::move(line)));
-    }
-    resp["lines"] = std::move(lines);
-    resp["headSeq"] = static_cast<int64_t>(fetched.head_seq);
-    resp["needSnapshot"] = fetched.need_snapshot;
-    Reply(out, 200, resp);
-    return;
-  }
-
-  // ── Follower gate: a replica serves reads only. Mutations and /execute
-  // get 421 + the leader's address (the client maps it to a retry against
-  // the leader); when a bounded-staleness contract is configured, reads are
-  // refused with 503 until the follower has confirmed it is caught up
-  // within the window.
-  if (repl_follower_ != nullptr) {
-    if (!IsReadOnlyEndpoint(path)) {
-      Value err = ErrorBody(Status::FailedPrecondition(
-          "replica is read-only; send mutations and /execute to the leader"));
-      err["leader"] = config_.replica_of;
-      Reply(out, 421, err);
-      return;
-    }
-    if (config_.max_replica_lag_ms > 0 &&
-        !repl_follower_->IsFresh(config_.max_replica_lag_ms)) {
-      ReplicationFollower::StatusSnapshot s = repl_follower_->status();
-      Value err = ErrorBody(Status::Unavailable(
-          "replica staleness exceeds maxReplicaLagMs"));
-      err["maxReplicaLagMs"] = config_.max_replica_lag_ms;
-      err["appliedSeq"] = static_cast<int64_t>(s.applied_seq);
-      err["leaderSeq"] = static_cast<int64_t>(s.leader_seq);
-      Reply(out, 503, err);
-      return;
-    }
-  }
-
-  // Every remaining endpoint is tenant-attributed and rate-gated: the
-  // token bucket refuses with 429 + retryAfterMs before any lock is taken,
-  // so a flooding tenant burns its own budget, not server threads.
-  Result<std::string> tenant_r = ResolveTenant(request, body);
-  if (!tenant_r.ok()) {
-    Reply(out, 400, ErrorBody(tenant_r.status()));
-    return;
-  }
-  const std::string& tenant = tenant_r.value();
-  {
-    double retry_after_ms = 0.0;
-    if (Status admit = admission_.AdmitRequest(tenant, &retry_after_ms);
-        !admit.ok()) {
-      Value err = ErrorBody(admit);
-      err["retryAfterMs"] = retry_after_ms;
-      Reply(out, 429, err);
-      return;
-    }
-  }
-
-  if (path == "/execute") {
-    int64_t user_id;
-    {
-      std::shared_lock lock(mu_);
-      user_id = AuthUser(request);
-    }
-    HandleExecute(body, user_id, tenant, out);
-    return;
-  }
-
-  // ── Ingest endpoints: two-phase (ISSUE 5). The expensive phase — CodeT5
-  // summaries, UniXcoder/ReACC encodes, SPT parse+featurization — runs on
-  // this request thread under only a *shared* lock, so concurrent
-  // registrations overlap their model inference (and every search) and
-  // serialize only on the short exclusive commit (row insert +
-  // precomputed-vector upsert). The shared hold is still required: the
-  // encoders are const, but /registry/load and /registry/remove_all
-  // replace them via search_.Clear() under the exclusive lock, and the
-  // prepare must not overlap that swap.
-
-  if (path == "/pes/register") {
-    // Advisory quota check before the expensive encode; the commit
-    // re-checks authoritatively under the exclusive lock.
-    if (Status quota = admission_.AdmitPes(tenant, 1); !quota.ok()) {
-      Reply(out, StatusToHttp(quota), ErrorBody(quota));
-      return;
-    }
-    Result<PreparedPeReg> prepared = [&] {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      std::shared_lock lock(mu_);
-      return PreparePeRegistration(body, tenant);
-    }();
-    if (!prepared.ok()) {
-      Reply(out, StatusToHttp(prepared.status()),
-            ErrorBody(prepared.status()));
-      return;
-    }
-    // Response fields, captured before the commit consumes the record: the
-    // exclusive lock drops before the reply, so a repository read-back here
-    // could race a concurrent /pes/remove of the freshly minted id.
-    registry::PeRecord reply_record;
-    reply_record.name = prepared->record.name;
-    reply_record.description = prepared->record.description;
-    reply_record.type = prepared->record.type;
-    Result<int64_t> id = [&]() -> Result<int64_t> {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
-      return CommitPeRegistration(std::move(prepared.value()));
-    }();
-    if (!id.ok()) {
-      Reply(out, StatusToHttp(id.status()), ErrorBody(id.status()));
-      return;
-    }
-    reply_record.id = id.value();
-    Reply(out, 200, PeToJson(reply_record, /*with_code=*/false));
-    return;
-  }
-
-  if (path == "/workflows/register") {
-    registry::WorkflowRecord wf;
-    {
-      std::shared_lock lock(mu_);
-      wf.user_id = AuthUser(request);
-    }
-    wf.tenant = tenant;
-    // Advisory quota checks before any model inference runs; the exclusive
-    // commit section re-checks both authoritatively.
-    if (Status quota = admission_.AdmitWorkflows(tenant, 1); !quota.ok()) {
-      Reply(out, StatusToHttp(quota), ErrorBody(quota));
-      return;
-    }
-    if (Status quota = admission_.AdmitPes(
-            tenant, static_cast<int64_t>(body.at("pes").size()));
-        !quota.ok()) {
-      Reply(out, StatusToHttp(quota), ErrorBody(quota));
-      return;
-    }
-    wf.name = body.GetString("name");
-    wf.code = body.GetString("code");
-    wf.entry_point = body.at("spec").is_object()
-                         ? body.at("spec").ToJson()
-                         : body.GetString("spec");
-    if (wf.name.empty()) {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument("workflow requires 'name'")));
-      return;
-    }
-    // Phase 1: prepare every member PE, synthesize the workflow description
-    // from the *prepared* PE descriptions (identical to what the commit
-    // will store), then encode/featurize the workflow itself.
-    std::vector<PreparedPeReg> member_pes;
-    std::vector<std::string> pe_descriptions;
-    search::SearchService::PreparedWorkflow wf_index;
-    {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      std::shared_lock lock(mu_);  // excludes Clear()'s engine swap
-      for (const Value& pe_obj : body.at("pes").as_array()) {
-        Result<PreparedPeReg> prepared = PreparePeRegistration(pe_obj, tenant);
-        if (!prepared.ok()) {
-          Reply(out, StatusToHttp(prepared.status()),
-                ErrorBody(prepared.status()));
-          return;
-        }
-        pe_descriptions.push_back(prepared->record.description);
-        member_pes.push_back(std::move(prepared.value()));
-      }
-      wf.description = body.GetString("description");
-      if (wf.description.empty()) {
-        // §IV-C: workflow descriptions synthesized from their PEs.
-        wf.description = codet5_.SummarizeWorkflow(wf.name, pe_descriptions);
-      }
-      wf_index = search_.PrepareWorkflow(wf.name, wf.description,
-                                         /*stored_embedding_json=*/"",
-                                         wf.code);
-      wf.description_embedding = embed::ToJson(wf_index.text_embedding);
-      if (!wf.code.empty()) {
-        Result<spt::FeatureBag> features = search_.aroma().Featurize(wf.code);
-        if (features.ok()) {
-          wf.spt_embedding = spt::FeatureBagToJson(features.value());
-        }
-      }
-    }
-    // Phase 2: one exclusive section commits the PEs, the workflow row, the
-    // membership links and the precomputed workflow vectors.
-    Value resp = Value::MakeObject();
-    {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
-      std::vector<int64_t> pe_ids;
-      pe_ids.reserve(member_pes.size());
-      for (PreparedPeReg& prepared : member_pes) {
-        Result<int64_t> pe_id = CommitPeRegistration(std::move(prepared));
-        if (!pe_id.ok()) {
-          Reply(out, StatusToHttp(pe_id.status()), ErrorBody(pe_id.status()));
-          return;
-        }
-        pe_ids.push_back(pe_id.value());
-      }
-      if (Status quota = admission_.AdmitWorkflows(tenant, 1); !quota.ok()) {
-        Reply(out, StatusToHttp(quota), ErrorBody(quota));
-        return;
-      }
-      Result<int64_t> wf_id = repo_.CreateWorkflow(wf);
-      if (!wf_id.ok()) {
-        Reply(out, StatusToHttp(wf_id.status()), ErrorBody(wf_id.status()));
-        return;
-      }
-      admission_.OnWorkflowsChanged(tenant, 1);
-      for (int64_t pe_id : pe_ids) {
-        (void)repo_.LinkPe(wf_id.value(), pe_id);  // both rows just created
-      }
-      search_.CommitWorkflow(wf_id.value(), std::move(wf_index));
-      resp["workflowId"] = wf_id.value();
-      Value ids = Value::MakeArray();
-      for (int64_t pe_id : pe_ids) ids.push_back(pe_id);
-      resp["peIds"] = std::move(ids);
-    }
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/registry/bulk_register") {
-    if (!body.at("pes").is_array() || body.at("pes").size() == 0) {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument(
-                "bulk_register requires a non-empty 'pes' array")));
-      return;
-    }
-    const auto& pe_objs = body.at("pes").as_array();
-    const size_t n = pe_objs.size();
-    std::vector<std::unique_ptr<PreparedPeReg>> prepared(n);
-    std::vector<std::string> prepare_errors(n);
-    {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      // Items are independent and prepare touches only const encoder state,
-      // so the fan-out needs no per-item locking. The shared lock held here
-      // across the whole fan-out is what makes that safe: it keeps the
-      // exclusive-lock holders that replace the engines (search_.Clear()
-      // from /registry/load and /registry/remove_all) out until every pool
-      // worker is done reading them.
-      std::shared_lock lock(mu_);
-      ParallelFor(ingest_pool_.get(), n, [&](size_t i) {
-        Result<PreparedPeReg> r = PreparePeRegistration(pe_objs[i], tenant);
-        if (r.ok()) {
-          prepared[i] = std::make_unique<PreparedPeReg>(std::move(r.value()));
-        } else {
-          prepare_errors[i] = r.status().ToString();
-        }
+  PreparedPeReg prepared;
+  return Ingest(
+      [&]() -> Status {
+        Result<PreparedPeReg> r = PreparePeRegistration(c.body, c.tenant);
+        if (!r.ok()) return r.status();
+        prepared = std::move(r.value());
+        return Status::Ok();
+      },
+      [&]() -> Result<Response> {
+        // Reply fields are taken before the commit consumes the record.
+        Value resp = PeToJson(prepared.record, /*with_code=*/false);
+        Result<int64_t> id = CommitPeRegistration(std::move(prepared));
+        if (!id.ok()) return id.status();
+        resp["peId"] = id.value();
+        return Json(resp);
       });
-    }
-    Value ids = Value::MakeArray();
-    Value errors = Value::MakeArray();
-    int64_t registered = 0;
-    int64_t quota_rejected = 0;
-    auto record_error = [&errors](size_t index, const std::string& message) {
-      Value e = Value::MakeObject();
-      e["index"] = static_cast<int64_t>(index);
-      e["error"] = message;
-      errors.push_back(std::move(e));
-    };
-    {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
-      // Bulk mode: the vector indexes defer per-Upsert ANN graph
-      // maintenance across the commit loop; EndBulkIndexing then builds
-      // each graph once, fanning the level inserts over the ingest pool.
-      search_.BeginBulkIndexing();
-      for (size_t i = 0; i < n; ++i) {
-        if (prepared[i] == nullptr) {
-          record_error(i, prepare_errors[i]);
-          continue;
-        }
-        Result<int64_t> id = CommitPeRegistration(std::move(*prepared[i]));
-        if (!id.ok()) {
-          if (id.status().code() == StatusCode::kResourceExhausted) {
-            ++quota_rejected;
-          }
-          record_error(i, id.status().ToString());
-          continue;
-        }
-        ids.push_back(id.value());
-        ++registered;
-      }
-      Stopwatch build_watch;
-      search_.EndBulkIndexing(ingest_pool_.get());
-      // Same gauge ReindexAll sets: the latest bulk index-build duration.
-      telemetry::MetricsRegistry::Global()
-          .GetGauge("laminar_search_bulk_build_ms")
-          .Set(static_cast<int64_t>(build_watch.ElapsedMillis()));
-    }
-    Value resp = Value::MakeObject();
-    resp["peIds"] = std::move(ids);
-    resp["registered"] = registered;
-    resp["errors"] = std::move(errors);
-    // Per-item quota errors ride in `errors`; only a batch where *nothing*
-    // registered because of quotas is itself a 429 (so partial successes
-    // stay 200 and the client can inspect which items were rejected).
-    Reply(out,
-          (registered == 0 && quota_rejected > 0) ? 429 : 200,
-          resp);
-    return;
-  }
+}
 
-  if (path == "/pes/update_description" ||
-      path == "/workflows/update_description") {
-    const int64_t id = body.GetInt("id");
-    std::string description = body.GetString("description");
-    // Phase 1: encode off-lock. The code and SPT indexes depend only on the
-    // unchanged code, so the commit is a row update plus one text upsert —
-    // no removal/re-add round trip.
-    embed::Vector embedding;
-    {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      std::shared_lock lock(mu_);  // excludes Clear()'s engine swap
-      embedding = search_.text_encoder().EncodeText(description);
-    }
-    Value fields = Value::MakeObject();
-    fields["description"] = description;
-    fields["descriptionEmbedding"] = embed::ToJson(embedding);
-    Status st;
-    {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
-      if (path == "/pes/update_description") {
-        st = repo_.UpdatePe(id, fields);
-        if (st.ok()) {
+/// {id|name} -> PE record with code (/pes/get and /pes/describe).
+Result<LaminarServer::Response> LaminarServer::GetPe(Call& c) {
+  Result<registry::PeRecord> pe =
+      c.body.contains("id") ? repo_.GetPe(c.body.GetInt("id"))
+                            : repo_.GetPeByName(c.body.GetString("name"));
+  if (!pe.ok() || !TenantCanSee(c.tenant, pe->tenant)) {
+    return Json(ErrorBody(pe.ok() ? Status::NotFound("no visible PE")
+                                  : pe.status()),
+                404);
+  }
+  return Json(PeToJson(pe.value(), /*with_code=*/true));
+}
+
+/// {id,description} -> {}
+Result<LaminarServer::Response> LaminarServer::UpdatePeDescription(Call& c) {
+  return UpdateDescription(c, search::SearchTarget::kPe);
+}
+
+/// {id} -> {}
+Result<LaminarServer::Response> LaminarServer::RemovePe(Call& c) {
+  int64_t id = c.body.GetInt("id");
+  // Look up the record first: cross-tenant removals 404 like any other
+  // invisible row, and a successful removal must decrement the *owning*
+  // tenant's row count, not the requester's.
+  Result<registry::PeRecord> pe = repo_.GetPe(id);
+  if (!pe.ok() || !TenantCanSee(c.tenant, pe->tenant)) {
+    return Json(
+        ErrorBody(pe.ok() ? Status::NotFound("no PE with id " +
+                                             std::to_string(id))
+                          : pe.status()),
+        404);
+  }
+  if (Status st = repo_.RemovePe(id); !st.ok()) return st;
+  search_.RemovePe(id);
+  admission_.OnPesChanged(std::string(RowTenant(pe->tenant)), -1);
+  return Json(Value::MakeObject());
+}
+
+/// {name,code?,spec,description?,pes:[...]} -> {workflowId,peIds}
+Result<LaminarServer::Response> LaminarServer::RegisterWorkflow(Call& c) {
+  const Value& body = c.body;
+  // Advisory quota checks before any model inference runs; the commit
+  // re-checks both authoritatively.
+  if (Status quota = admission_.AdmitWorkflows(c.tenant, 1); !quota.ok()) {
+    return quota;
+  }
+  if (Status quota = admission_.AdmitPes(
+          c.tenant, static_cast<int64_t>(body.at("pes").size()));
+      !quota.ok()) {
+    return quota;
+  }
+  registry::WorkflowRecord wf;
+  wf.tenant = c.tenant;
+  wf.name = body.GetString("name");
+  wf.code = body.GetString("code");
+  wf.entry_point = body.at("spec").is_object() ? body.at("spec").ToJson()
+                                               : body.GetString("spec");
+  if (wf.name.empty()) {
+    return Status::InvalidArgument("workflow requires 'name'");
+  }
+  std::vector<PreparedPeReg> member_pes;
+  search::SearchService::PreparedWorkflow wf_index;
+  return Ingest(
+      [&]() -> Status {
+        wf.user_id = AuthUser(c.request);
+        // Prepare every member PE, synthesize the workflow description from
+        // the *prepared* PE descriptions (identical to what the commit will
+        // store), then encode/featurize the workflow itself.
+        std::vector<std::string> pe_descriptions;
+        for (const Value& pe_obj : body.at("pes").as_array()) {
+          Result<PreparedPeReg> prepared =
+              PreparePeRegistration(pe_obj, c.tenant);
+          if (!prepared.ok()) return prepared.status();
+          pe_descriptions.push_back(prepared->record.description);
+          member_pes.push_back(std::move(prepared.value()));
+        }
+        wf.description = body.GetString("description");
+        if (wf.description.empty()) {
+          // §IV-C: workflow descriptions synthesized from their PEs.
+          wf.description = codet5_.SummarizeWorkflow(wf.name, pe_descriptions);
+        }
+        wf_index = search_.PrepareWorkflow(wf.name, wf.description,
+                                           /*stored_embedding_json=*/"",
+                                           wf.code);
+        wf.description_embedding = embed::ToJson(wf_index.text_embedding);
+        if (!wf.code.empty()) {
+          Result<spt::FeatureBag> features =
+              search_.aroma().Featurize(wf.code);
+          if (features.ok()) {
+            wf.spt_embedding = spt::FeatureBagToJson(features.value());
+          }
+        }
+        return Status::Ok();
+      },
+      [&]() -> Result<Response> {
+        // One exclusive section commits the PEs, the workflow row, the
+        // membership links and the precomputed workflow vectors.
+        Value ids = Value::MakeArray();
+        std::vector<int64_t> pe_ids;
+        for (PreparedPeReg& prepared : member_pes) {
+          Result<int64_t> pe_id = CommitPeRegistration(std::move(prepared));
+          if (!pe_id.ok()) return pe_id.status();
+          pe_ids.push_back(pe_id.value());
+          ids.push_back(pe_id.value());
+        }
+        if (Status quota = admission_.AdmitWorkflows(c.tenant, 1);
+            !quota.ok()) {
+          return quota;
+        }
+        Result<int64_t> wf_id = repo_.CreateWorkflow(wf);
+        if (!wf_id.ok()) return wf_id.status();
+        admission_.OnWorkflowsChanged(c.tenant, 1);
+        for (int64_t pe_id : pe_ids) {
+          (void)repo_.LinkPe(wf_id.value(), pe_id);  // both rows just created
+        }
+        search_.CommitWorkflow(wf_id.value(), std::move(wf_index));
+        Value resp = Value::MakeObject();
+        resp["workflowId"] = wf_id.value();
+        resp["peIds"] = std::move(ids);
+        return Json(resp);
+      });
+}
+
+/// {id|name} -> workflow record with code (/workflows/get and /describe).
+Result<LaminarServer::Response> LaminarServer::GetWorkflow(Call& c) {
+  Result<registry::WorkflowRecord> wf =
+      c.body.contains("id")
+          ? repo_.GetWorkflow(c.body.GetInt("id"))
+          : repo_.GetWorkflowByName(c.body.GetString("name"));
+  if (!wf.ok() || !TenantCanSee(c.tenant, wf->tenant)) {
+    return Json(ErrorBody(wf.ok() ? Status::NotFound("no visible workflow")
+                                  : wf.status()),
+                404);
+  }
+  return Json(WorkflowToJson(wf.value(), /*with_code=*/true));
+}
+
+/// {id} -> {pes:[...]}
+Result<LaminarServer::Response> LaminarServer::WorkflowPes(Call& c) {
+  Value resp = Value::MakeObject();
+  Value arr = Value::MakeArray();
+  for (const registry::PeRecord& pe : repo_.PesOfWorkflow(c.body.GetInt("id"))) {
+    arr.push_back(PeToJson(pe, /*with_code=*/false));
+  }
+  resp["pes"] = std::move(arr);
+  return Json(resp);
+}
+
+/// {id} -> {executions:[{executionId,mapping,status,startedAtMs,...}]}
+Result<LaminarServer::Response> LaminarServer::WorkflowExecutions(Call& c) {
+  Value resp = Value::MakeObject();
+  Value arr = Value::MakeArray();
+  for (const registry::ExecutionRecord& e :
+       repo_.ExecutionsOfWorkflow(c.body.GetInt("id"))) {
+    Value x = Value::MakeObject();
+    x["executionId"] = e.id;
+    x["mapping"] = e.mapping;
+    x["status"] = e.status;
+    x["startedAtMs"] = e.started_at_ms;
+    x["finishedAtMs"] = e.finished_at_ms;
+    arr.push_back(std::move(x));
+  }
+  resp["executions"] = std::move(arr);
+  return Json(resp);
+}
+
+/// {id,description} -> {}
+Result<LaminarServer::Response> LaminarServer::UpdateWorkflowDescription(
+    Call& c) {
+  return UpdateDescription(c, search::SearchTarget::kWorkflow);
+}
+
+Result<LaminarServer::Response> LaminarServer::UpdateDescription(
+    Call& c, search::SearchTarget target) {
+  const int64_t id = c.body.GetInt("id");
+  std::string description = c.body.GetString("description");
+  embed::Vector embedding;
+  Value fields = Value::MakeObject();
+  // The code and SPT indexes depend only on the unchanged code, so the
+  // commit is a row update plus one text upsert — no removal/re-add.
+  return Ingest(
+      [&] {
+        embedding = search_.text_encoder().EncodeText(description);
+        fields["description"] = description;
+        fields["descriptionEmbedding"] = embed::ToJson(embedding);
+        return Status::Ok();
+      },
+      [&]() -> Result<Response> {
+        if (target == search::SearchTarget::kPe) {
+          if (Status st = repo_.UpdatePe(id, fields); !st.ok()) return st;
           search_.UpdatePeDescription(id, std::move(description),
                                       std::move(embedding));
-        }
-      } else {
-        st = repo_.UpdateWorkflow(id, fields);
-        if (st.ok()) {
+        } else {
+          if (Status st = repo_.UpdateWorkflow(id, fields); !st.ok()) {
+            return st;
+          }
           search_.UpdateWorkflowDescription(id, std::move(description),
                                             std::move(embedding));
         }
-      }
-    }
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    Reply(out, 200, Value::MakeObject());
-    return;
-  }
+        return Json(Value::MakeObject());
+      });
+}
 
-  if (path == "/registry/save") {
-    std::string file = body.GetString("path");
-    if (file.empty()) {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument("save requires 'path'")));
-      return;
-    }
-    // Capture under a shared lock (row copies, or cached text for tables
-    // unchanged since the last save), then serialize and write with no lock
-    // held: searches and registrations keep flowing while disk I/O runs.
-    registry::Database::Snapshot snapshot;
-    {
-      std::shared_lock lock(mu_);
-      snapshot = db_.CaptureSnapshot();
-    }
-    Status st = db_.WriteSnapshot(std::move(snapshot), file);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    Reply(out, 200, Value::MakeObject());
-    return;
+/// {id} -> {}
+Result<LaminarServer::Response> LaminarServer::RemoveWorkflow(Call& c) {
+  int64_t id = c.body.GetInt("id");
+  Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
+  if (!wf.ok() || !TenantCanSee(c.tenant, wf->tenant)) {
+    return Json(
+        ErrorBody(wf.ok() ? Status::NotFound("no workflow with id " +
+                                             std::to_string(id))
+                          : wf.status()),
+        404);
   }
+  if (Status st = repo_.RemoveWorkflow(id); !st.ok()) return st;
+  search_.RemoveWorkflow(id);
+  admission_.OnWorkflowsChanged(std::string(RowTenant(wf->tenant)), -1);
+  return Json(Value::MakeObject());
+}
 
-  // Read-only endpoints share the lock (searches run concurrently with each
-  // other); mutations serialize behind an exclusive hold.
-  std::shared_lock<std::shared_mutex> read_lock(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> write_lock(mu_, std::defer_lock);
-  if (IsReadOnlyEndpoint(path)) {
-    read_lock.lock();
-  } else {
-    write_lock.lock();
+/// {} -> {pes,workflows}, the rows the tenant may see.
+Result<LaminarServer::Response> LaminarServer::ListRegistry(Call& c) {
+  Value resp = Value::MakeObject();
+  Value pes = Value::MakeArray();
+  for (const registry::PeRecord& pe : repo_.AllPes()) {
+    if (!TenantCanSee(c.tenant, pe.tenant)) continue;
+    pes.push_back(PeToJson(pe, /*with_code=*/false));
   }
-
-  if (path == "/users/register") {
-    Result<int64_t> id = repo_.CreateUser(body.GetString("userName"),
-                                          body.GetString("password"));
-    if (!id.ok()) {
-      Reply(out, StatusToHttp(id.status()), ErrorBody(id.status()));
-      return;
-    }
-    Value resp = Value::MakeObject();
-    resp["userId"] = id.value();
-    Reply(out, 200, resp);
-    return;
+  Value wfs = Value::MakeArray();
+  for (const registry::WorkflowRecord& wf : repo_.AllWorkflows()) {
+    if (!TenantCanSee(c.tenant, wf.tenant)) continue;
+    wfs.push_back(WorkflowToJson(wf, /*with_code=*/false));
   }
+  resp["pes"] = std::move(pes);
+  resp["workflows"] = std::move(wfs);
+  return Json(resp);
+}
 
-  if (path == "/users/login") {
-    Result<registry::UserRecord> user =
-        repo_.GetUserByName(body.GetString("userName"));
-    if (!user.ok() || user->password != body.GetString("password")) {
-      Reply(out, 401,
-            ErrorBody(Status::PermissionDenied("bad username or password")));
-      return;
-    }
-    std::string token = "tok-" + std::to_string(next_token_++);
-    tokens_[token] = user->id;
-    Value resp = Value::MakeObject();
-    resp["token"] = token;
-    resp["userId"] = user->id;
-    Reply(out, 200, resp);
-    return;
+/// {} -> {}
+Result<LaminarServer::Response> LaminarServer::RemoveAll(Call&) {
+  (void)repo_.RemoveAll();
+  search_.Clear();
+  ResetTenantRowCounts();  // everything gone -> all row quotas reset
+  return Json(Value::MakeObject());
+}
+
+/// {path} -> {}
+Result<LaminarServer::Response> LaminarServer::SaveRegistry(Call& c) {
+  std::string file = c.body.GetString("path");
+  if (file.empty()) return Status::InvalidArgument("save requires 'path'");
+  // Capture under a shared lock (row copies, or cached text for tables
+  // unchanged since the last save), then serialize and write with no lock
+  // held: searches and registrations keep flowing while disk I/O runs.
+  registry::Database::Snapshot snapshot;
+  {
+    std::shared_lock lock(mu_);
+    snapshot = db_.CaptureSnapshot();
   }
-
-  if (path == "/pes/get" || path == "/pes/describe") {
-    Result<registry::PeRecord> pe =
-        body.contains("id") ? repo_.GetPe(body.GetInt("id"))
-                            : repo_.GetPeByName(body.GetString("name"));
-    if (!pe.ok() || !TenantCanSee(tenant, pe->tenant)) {
-      Reply(out, 404,
-            ErrorBody(pe.ok() ? Status::NotFound("no visible PE")
-                              : pe.status()));
-      return;
-    }
-    Reply(out, 200, PeToJson(pe.value(), /*with_code=*/true));
-    return;
+  if (Status st = db_.WriteSnapshot(std::move(snapshot), file); !st.ok()) {
+    return st;
   }
+  return Json(Value::MakeObject());
+}
 
-  if (path == "/pes/remove") {
-    int64_t id = body.GetInt("id");
-    // Look up the record first: cross-tenant removals 404 like any other
-    // invisible row, and a successful removal must decrement the *owning*
-    // tenant's row count, not the requester's.
-    Result<registry::PeRecord> pe = repo_.GetPe(id);
-    if (!pe.ok() || !TenantCanSee(tenant, pe->tenant)) {
-      Reply(out, 404,
-            ErrorBody(pe.ok() ? Status::NotFound("no PE with id " +
-                                                 std::to_string(id))
-                              : pe.status()));
-      return;
-    }
-    Status st = repo_.RemovePe(id);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    search_.RemovePe(id);
-    admission_.OnPesChanged(std::string(RowTenant(pe->tenant)), -1);
-    Reply(out, 200, Value::MakeObject());
-    return;
+/// {path} -> {pes,workflows}
+Result<LaminarServer::Response> LaminarServer::LoadRegistry(Call& c) {
+  if (Status st = db_.LoadFromFile(c.body.GetString("path")); !st.ok()) {
+    return st;
   }
+  if (Status st = search_.ReindexAll(ingest_pool_.get()); !st.ok()) return st;
+  ResetTenantRowCounts();  // loaded rows replace all per-tenant counts
+  Value resp = Value::MakeObject();
+  resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
+  resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
+  return Json(resp);
+}
 
-  if (path == "/workflows/get" || path == "/workflows/describe") {
-    Result<registry::WorkflowRecord> wf =
-        body.contains("id")
-            ? repo_.GetWorkflow(body.GetInt("id"))
-            : repo_.GetWorkflowByName(body.GetString("name"));
-    if (!wf.ok() || !TenantCanSee(tenant, wf->tenant)) {
-      Reply(out, 404,
-            ErrorBody(wf.ok() ? Status::NotFound("no visible workflow")
-                              : wf.status()));
-      return;
-    }
-    Reply(out, 200, WorkflowToJson(wf.value(), /*with_code=*/true));
-    return;
+/// {pes:[{name?,code,description?},...]} -> {peIds,registered,errors}
+Result<LaminarServer::Response> LaminarServer::BulkRegister(Call& c) {
+  const Value& pes = c.body.at("pes");
+  if (!pes.is_array() || pes.size() == 0) {
+    return Status::InvalidArgument(
+        "bulk_register requires a non-empty 'pes' array");
   }
+  const auto& pe_objs = pes.as_array();
+  const size_t n = pe_objs.size();
+  std::vector<std::unique_ptr<PreparedPeReg>> prepared(n);
+  std::vector<std::string> prepare_errors(n);
+  return Ingest(
+      [&] {
+        // Items are independent and prepare touches only const encoder
+        // state, so the pool fan-out needs no per-item locking.
+        ParallelFor(ingest_pool_.get(), n, [&](size_t i) {
+          Result<PreparedPeReg> r = PreparePeRegistration(pe_objs[i], c.tenant);
+          if (r.ok()) {
+            prepared[i] = std::make_unique<PreparedPeReg>(std::move(r.value()));
+          } else {
+            prepare_errors[i] = r.status().ToString();
+          }
+        });
+        return Status::Ok();
+      },
+      [&]() -> Result<Response> {
+        Value ids = Value::MakeArray();
+        Value errors = Value::MakeArray();
+        int64_t registered = 0;
+        int64_t quota_rejected = 0;
+        auto record_error = [&errors](size_t index, const std::string& message) {
+          Value e = Value::MakeObject();
+          e["index"] = static_cast<int64_t>(index);
+          e["error"] = message;
+          errors.push_back(std::move(e));
+        };
+        // Bulk mode: the vector indexes defer per-Upsert ANN graph
+        // maintenance across the commit loop; EndBulkIndexing then builds
+        // each graph once, fanning the level inserts over the ingest pool.
+        search_.BeginBulkIndexing();
+        for (size_t i = 0; i < n; ++i) {
+          if (prepared[i] == nullptr) {
+            record_error(i, prepare_errors[i]);
+            continue;
+          }
+          Result<int64_t> id = CommitPeRegistration(std::move(*prepared[i]));
+          if (!id.ok()) {
+            if (id.status().code() == StatusCode::kResourceExhausted) {
+              ++quota_rejected;
+            }
+            record_error(i, id.status().ToString());
+            continue;
+          }
+          ids.push_back(id.value());
+          ++registered;
+        }
+        Stopwatch build_watch;
+        search_.EndBulkIndexing(ingest_pool_.get());
+        // Same gauge ReindexAll sets: the latest bulk index-build duration.
+        bulk_build_ms_->Set(static_cast<int64_t>(build_watch.ElapsedMillis()));
+        Value resp = Value::MakeObject();
+        resp["peIds"] = std::move(ids);
+        resp["registered"] = registered;
+        resp["errors"] = std::move(errors);
+        // Per-item quota errors ride in `errors`; only a batch where
+        // *nothing* registered because of quotas is itself a 429 (so
+        // partial successes stay 200 and the client can inspect which items
+        // were rejected).
+        return Json(resp, (registered == 0 && quota_rejected > 0) ? 429 : 200);
+      });
+}
 
-  if (path == "/workflows/pes") {
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const registry::PeRecord& pe :
-         repo_.PesOfWorkflow(body.GetInt("id"))) {
-      arr.push_back(PeToJson(pe, /*with_code=*/false));
-    }
-    resp["pes"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
+/// {target,term,limit?} -> {hits}
+Result<LaminarServer::Response> LaminarServer::LiteralSearch(Call& c) {
+  const search::SearchTarget target = ParseTarget(c.body);
+  return Json(VisibleHits(
+      search_.LiteralSearch(c.body.GetString("term"), target,
+                            static_cast<size_t>(c.body.GetInt("limit", 0))),
+      c.tenant, target));
+}
+
+/// {target,query,limit?} -> {hits}
+Result<LaminarServer::Response> LaminarServer::SemanticSearch(Call& c) {
+  const search::SearchTarget target = ParseTarget(c.body);
+  return Json(VisibleHits(
+      search_.SemanticSearch(c.body.GetString("query"), target,
+                             static_cast<size_t>(c.body.GetInt("limit", 0))),
+      c.tenant, target));
+}
+
+/// {target,code,embedding_type?,limit?} -> {hits}: Aroma structural
+/// recommendation over SPTs ("spt", the default) or code embeddings ("llm").
+Result<LaminarServer::Response> LaminarServer::CodeSearch(Call& c) {
+  const search::SearchTarget target = ParseTarget(c.body);
+  const std::string code = c.body.GetString("code");
+  const size_t limit = static_cast<size_t>(c.body.GetInt("limit", 0));
+  if (c.body.GetString("embedding_type", "spt") == "llm") {
+    return Json(VisibleHits(search_.CodeSearchLlm(code, target, limit),
+                            c.tenant, target));
   }
+  Result<std::vector<search::RecommendationHit>> recs =
+      search_.CodeRecommendation(code, target, limit);
+  if (!recs.ok()) return recs.status();
+  return Json(VisibleHits(recs.value(), c.tenant, target));
+}
 
-  if (path == "/workflows/executions") {
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const registry::ExecutionRecord& e :
-         repo_.ExecutionsOfWorkflow(body.GetInt("id"))) {
-      Value x = Value::MakeObject();
-      x["executionId"] = e.id;
-      x["mapping"] = e.mapping;
-      x["status"] = e.status;
-      x["startedAtMs"] = e.started_at_ms;
-      x["finishedAtMs"] = e.finished_at_ms;
-      arr.push_back(std::move(x));
-    }
-    resp["executions"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
+/// {code,limit?} -> {completions:[{id,name,score,continuation}]}
+Result<LaminarServer::Response> LaminarServer::CodeCompletion(Call& c) {
+  Result<std::vector<spt::Completion>> completions = search_.CodeCompletion(
+      c.body.GetString("code"),
+      static_cast<size_t>(c.body.GetInt("limit", 3)));
+  if (!completions.ok()) return completions.status();
+  Value resp = Value::MakeObject();
+  Value arr = Value::MakeArray();
+  for (const spt::Completion& completion : completions.value()) {
+    Value h = Value::MakeObject();
+    h["id"] = completion.snippet_id;
+    Result<registry::PeRecord> pe = repo_.GetPe(completion.snippet_id);
+    if (pe.ok() && !TenantCanSee(c.tenant, pe->tenant)) continue;
+    if (pe.ok()) h["name"] = pe->name;
+    h["score"] = completion.score;
+    h["continuation"] = completion.continuation;
+    arr.push_back(std::move(h));
   }
+  resp["completions"] = std::move(arr);
+  return Json(resp);
+}
 
-  if (path == "/workflows/remove") {
-    int64_t id = body.GetInt("id");
-    Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-    if (!wf.ok() || !TenantCanSee(tenant, wf->tenant)) {
-      Reply(out, 404,
-            ErrorBody(wf.ok() ? Status::NotFound("no workflow with id " +
-                                                 std::to_string(id))
-                              : wf.status()));
-      return;
-    }
-    Status st = repo_.RemoveWorkflow(id);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    search_.RemoveWorkflow(id);
-    admission_.OnWorkflowsChanged(std::string(RowTenant(wf->tenant)), -1);
-    Reply(out, 200, Value::MakeObject());
-    return;
+/// {} -> registry counts + cache/broker/engine stats + telemetry ("totals",
+/// "metrics", "trace") from the same registry the ##END## chunk reads, so
+/// the two cannot disagree.
+Result<LaminarServer::Response> LaminarServer::Stats(Call&) {
+  Value resp = Value::MakeObject();
+  resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
+  resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
+  auto cache = engine_.resource_cache().stats();
+  resp["cache"]["hits"] = static_cast<int64_t>(cache.hits);
+  resp["cache"]["misses"] = static_cast<int64_t>(cache.misses);
+  resp["cache"]["bytesStored"] = static_cast<int64_t>(cache.bytes_stored);
+  auto broker_stats = engine_.broker().stats();
+  resp["broker"]["pushes"] = static_cast<int64_t>(broker_stats.pushes);
+  resp["broker"]["pops"] = static_cast<int64_t>(broker_stats.pops);
+  resp["engine"]["warmInstances"] = engine_.warm_instances();
+  auto query_cache = search_.query_cache_stats();
+  resp["queryCache"]["hits"] = static_cast<int64_t>(query_cache.hits);
+  resp["queryCache"]["misses"] = static_cast<int64_t>(query_cache.misses);
+  resp["queryCache"]["entries"] =
+      static_cast<int64_t>(query_cache.entries);
+  // Vector-index tier: the configured scan/ANN knobs plus a
+  // per-index footprint snapshot, so operators can see which indexes have
+  // switched onto the ANN graph path and what it costs in memory.
+  const auto& vopts = search_.config().vector_index;
+  Value vi = Value::MakeObject();
+  vi["parallelThreshold"] =
+      static_cast<int64_t>(vopts.parallel_threshold);
+  vi["maxThreads"] = static_cast<int64_t>(vopts.max_threads);
+  vi["strategy"] = std::string(search::ToString(vopts.strategy));
+  vi["annThreshold"] = static_cast<int64_t>(vopts.ann_threshold);
+  vi["hnswM"] = static_cast<int64_t>(vopts.hnsw.M);
+  vi["hnswEfConstruction"] =
+      static_cast<int64_t>(vopts.hnsw.ef_construction);
+  vi["hnswEfSearch"] = static_cast<int64_t>(vopts.hnsw.ef_search);
+  vi["recallProbeInterval"] =
+      static_cast<int64_t>(vopts.recall_probe_interval);
+  vi["quantize"] = vopts.quantize;
+  vi["rerankOverfetch"] = vopts.rerank_overfetch;
+  resp["search"]["vectorIndex"] = std::move(vi);
+  // Which kernel tier the dispatched dot products run on.
+  resp["search"]["simd"]["tier"] =
+      std::string(simd::TierName(simd::ActiveTier()));
+  Value indexes = Value::MakeObject();
+  for (const auto& [name, istats] : search_.IndexStats()) {
+    Value one = Value::MakeObject();
+    one["rows"] = static_cast<int64_t>(istats.rows);
+    one["nodes"] = static_cast<int64_t>(istats.nodes);
+    one["dims"] = static_cast<int64_t>(istats.dims);
+    one["bytes"] = static_cast<int64_t>(istats.bytes);
+    one["graphBytes"] = static_cast<int64_t>(istats.graph_bytes);
+    one["quantBytes"] = static_cast<int64_t>(istats.quant_bytes);
+    one["ann"] = istats.ann;
+    one["quantized"] = istats.quantized;
+    one["compactions"] = static_cast<int64_t>(istats.compactions);
+    one["graphBuilds"] = static_cast<int64_t>(istats.graph_builds);
+    indexes[name] = std::move(one);
   }
-
-  if (path == "/registry/list") {
-    Value resp = Value::MakeObject();
-    Value pes = Value::MakeArray();
-    for (const registry::PeRecord& pe : repo_.AllPes()) {
-      if (!TenantCanSee(tenant, pe.tenant)) continue;
-      pes.push_back(PeToJson(pe, /*with_code=*/false));
-    }
-    Value wfs = Value::MakeArray();
-    for (const registry::WorkflowRecord& wf : repo_.AllWorkflows()) {
-      if (!TenantCanSee(tenant, wf.tenant)) continue;
-      wfs.push_back(WorkflowToJson(wf, /*with_code=*/false));
-    }
-    resp["pes"] = std::move(pes);
-    resp["workflows"] = std::move(wfs);
-    Reply(out, 200, resp);
-    return;
+  resp["search"]["indexes"] = std::move(indexes);
+  // Telemetry view: the same registry the /execute ##END## chunk reads,
+  // so streamed totals and /stats totals cannot disagree.
+  auto& reg = telemetry::MetricsRegistry::Global();
+  Value totals = engine::ExecutionTotalsJson();
+  // Ingest totals: per-phase op counts and mean latency, plus
+  // the duration of the last bulk index build.
+  totals["ingest"]["encodeOps"] =
+      static_cast<int64_t>(ingest_encode_.count->Value());
+  totals["ingest"]["commitOps"] =
+      static_cast<int64_t>(ingest_commit_.count->Value());
+  totals["ingest"]["encodeMsMean"] = ingest_encode_.ms->snapshot().Mean();
+  totals["ingest"]["commitMsMean"] = ingest_commit_.ms->snapshot().Mean();
+  totals["ingest"]["bulkBuildMs"] = bulk_build_ms_->Value();
+  resp["totals"] = std::move(totals);
+  // Transport tier: connection and byte counters from the TCP
+  // listener/stream instrumentation. All zero when every client is on the
+  // in-memory pipe transport.
+  Value netv = Value::MakeObject();
+  netv["openConnections"] =
+      reg.GetGauge("laminar_net_connections", "state=\"open\"").Value();
+  netv["accepted"] = static_cast<int64_t>(
+      reg.GetCounter("laminar_net_connections_total", "state=\"accepted\"")
+          .Value());
+  netv["rejected"] = static_cast<int64_t>(
+      reg.GetCounter("laminar_net_connections_total", "state=\"rejected\"")
+          .Value());
+  netv["bytesRead"] = static_cast<int64_t>(
+      reg.GetCounter("laminar_net_bytes_read_total").Value());
+  netv["bytesWritten"] = static_cast<int64_t>(
+      reg.GetCounter("laminar_net_bytes_written_total").Value());
+  netv["protocolErrors"] = static_cast<int64_t>(
+      reg.GetCounter("laminar_net_protocol_errors_total").Value());
+  resp["net"] = std::move(netv);
+  // Per-tenant slice: boundary-admission counters merged
+  // with the run queue's scheduling snapshot, keyed by tenant name. The
+  // runsSucceeded/runsFailed counters reconcile with the ##END## totals
+  // each tenant's /execute streams observed.
+  Value tenants = admission_.StatsJson();
+  for (const auto& [name, qs] : run_queue_.Snapshot()) {
+    Value& t = tenants[name];
+    t["runsAdmitted"] = static_cast<int64_t>(qs.admitted);
+    t["runsRejected"] = static_cast<int64_t>(qs.rejected);
+    t["runsDeadlineExpired"] = static_cast<int64_t>(qs.deadline_expired);
+    t["running"] = qs.running;
+    t["queued"] = qs.queued;
+    t["vtime"] = qs.vtime;
   }
-
-  if (path == "/registry/remove_all") {
-    (void)repo_.RemoveAll();
-    search_.Clear();
-    ResetTenantRowCounts();  // everything gone -> all row quotas reset
-    Reply(out, 200, Value::MakeObject());
-    return;
+  resp["tenants"] = std::move(tenants);
+  resp["runQueue"]["slots"] = run_queue_.slots();
+  resp["runQueue"]["queued"] = static_cast<int64_t>(run_queue_.queued());
+  {
+    // Durability visibility: how far the log has been
+    // appended vs how far it is known durable on disk.
+    registry::WalStatus ws = db_.wal_status();
+    Value wal = Value::MakeObject();
+    wal["enabled"] = ws.enabled;
+    wal["fsyncMode"] = ws.fsync_mode;
+    wal["appendedSeq"] = static_cast<int64_t>(ws.appended_seq);
+    wal["durableSeq"] = static_cast<int64_t>(ws.durable_seq);
+    wal["records"] = static_cast<int64_t>(ws.records);
+    wal["bytes"] = static_cast<int64_t>(ws.bytes);
+    resp["wal"] = std::move(wal);
   }
-
-  if (path == "/search/literal" || path == "/search/semantic") {
-    std::vector<search::SearchHit> hits;
-    const search::SearchTarget target = ParseTarget(body);
-    size_t limit = static_cast<size_t>(body.GetInt("limit", 0));
-    if (path == "/search/literal") {
-      hits = search_.LiteralSearch(body.GetString("term"), target, limit);
-    } else {
-      hits = search_.SemanticSearch(body.GetString("query"), target, limit);
-    }
-    // Post-filter hits to rows this tenant may see (the shared lock held
-    // here keeps the repo lookups consistent with the index results).
-    auto visible = [&](int64_t id) {
-      if (tenant == kDefaultTenant) return true;
-      if (target == search::SearchTarget::kWorkflow) {
-        Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-        return wf.ok() && TenantCanSee(tenant, wf->tenant);
-      }
-      Result<registry::PeRecord> pe = repo_.GetPe(id);
-      return pe.ok() && TenantCanSee(tenant, pe->tenant);
-    };
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const search::SearchHit& hit : hits) {
-      if (!visible(hit.id)) continue;
-      Value h = Value::MakeObject();
-      h["id"] = hit.id;
-      h["name"] = hit.name;
-      h["description"] = hit.description;
-      h["score"] = hit.score;
-      arr.push_back(std::move(h));
-    }
-    resp["hits"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/search/complete") {
-    Result<std::vector<spt::Completion>> completions = search_.CodeCompletion(
-        body.GetString("code"),
-        static_cast<size_t>(body.GetInt("limit", 3)));
-    if (!completions.ok()) {
-      Reply(out, StatusToHttp(completions.status()),
-            ErrorBody(completions.status()));
-      return;
-    }
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const spt::Completion& c : completions.value()) {
-      Value h = Value::MakeObject();
-      h["id"] = c.snippet_id;
-      Result<registry::PeRecord> pe = repo_.GetPe(c.snippet_id);
-      if (pe.ok() && !TenantCanSee(tenant, pe->tenant)) continue;
-      if (pe.ok()) h["name"] = pe->name;
-      h["score"] = c.score;
-      h["continuation"] = c.continuation;
-      arr.push_back(std::move(h));
-    }
-    resp["completions"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/registry/load") {
-    std::string file = body.GetString("path");
-    Status st = db_.LoadFromFile(file);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    st = search_.ReindexAll(ingest_pool_.get());
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    ResetTenantRowCounts();  // loaded rows replace all per-tenant counts
-    Value resp = Value::MakeObject();
-    resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
-    resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/stats") {
-    Value resp = Value::MakeObject();
-    resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
-    resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
-    auto cache = engine_.resource_cache().stats();
-    resp["cache"]["hits"] = static_cast<int64_t>(cache.hits);
-    resp["cache"]["misses"] = static_cast<int64_t>(cache.misses);
-    resp["cache"]["bytesStored"] = static_cast<int64_t>(cache.bytes_stored);
-    auto broker_stats = engine_.broker().stats();
-    resp["broker"]["pushes"] = static_cast<int64_t>(broker_stats.pushes);
-    resp["broker"]["pops"] = static_cast<int64_t>(broker_stats.pops);
-    resp["engine"]["warmInstances"] = engine_.warm_instances();
-    auto query_cache = search_.query_cache_stats();
-    resp["queryCache"]["hits"] = static_cast<int64_t>(query_cache.hits);
-    resp["queryCache"]["misses"] = static_cast<int64_t>(query_cache.misses);
-    resp["queryCache"]["entries"] =
-        static_cast<int64_t>(query_cache.entries);
-    // Vector-index tier (ISSUE 6): the configured scan/ANN knobs plus a
-    // per-index footprint snapshot, so operators can see which indexes have
-    // switched onto the ANN graph path and what it costs in memory.
-    const auto& vopts = search_.config().vector_index;
-    Value vi = Value::MakeObject();
-    vi["parallelThreshold"] =
-        static_cast<int64_t>(vopts.parallel_threshold);
-    vi["maxThreads"] = static_cast<int64_t>(vopts.max_threads);
-    vi["strategy"] = std::string(search::ToString(vopts.strategy));
-    vi["annThreshold"] = static_cast<int64_t>(vopts.ann_threshold);
-    vi["hnswM"] = static_cast<int64_t>(vopts.hnsw.M);
-    vi["hnswEfConstruction"] =
-        static_cast<int64_t>(vopts.hnsw.ef_construction);
-    vi["hnswEfSearch"] = static_cast<int64_t>(vopts.hnsw.ef_search);
-    vi["recallProbeInterval"] =
-        static_cast<int64_t>(vopts.recall_probe_interval);
-    vi["quantize"] = vopts.quantize;
-    vi["rerankOverfetch"] = vopts.rerank_overfetch;
-    resp["search"]["vectorIndex"] = std::move(vi);
-    // Which kernel tier the dispatched dot products run on (ISSUE 10).
-    resp["search"]["simd"]["tier"] =
-        std::string(simd::TierName(simd::ActiveTier()));
-    Value indexes = Value::MakeObject();
-    for (const auto& [name, istats] : search_.IndexStats()) {
-      Value one = Value::MakeObject();
-      one["rows"] = static_cast<int64_t>(istats.rows);
-      one["nodes"] = static_cast<int64_t>(istats.nodes);
-      one["dims"] = static_cast<int64_t>(istats.dims);
-      one["bytes"] = static_cast<int64_t>(istats.bytes);
-      one["graphBytes"] = static_cast<int64_t>(istats.graph_bytes);
-      one["quantBytes"] = static_cast<int64_t>(istats.quant_bytes);
-      one["ann"] = istats.ann;
-      one["quantized"] = istats.quantized;
-      one["compactions"] = static_cast<int64_t>(istats.compactions);
-      one["graphBuilds"] = static_cast<int64_t>(istats.graph_builds);
-      indexes[name] = std::move(one);
-    }
-    resp["search"]["indexes"] = std::move(indexes);
-    // Telemetry view: the same registry the /execute ##END## chunk reads,
-    // so streamed totals and /stats totals cannot disagree.
-    auto& reg = telemetry::MetricsRegistry::Global();
-    Value totals = engine::ExecutionTotalsJson();
-    // Ingest totals (ISSUE 5): per-phase op counts and mean latency, plus
-    // the duration of the last bulk index build.
-    const auto encode = IngestHistogram("encode").snapshot();
-    const auto commit = IngestHistogram("commit").snapshot();
-    totals["ingest"]["encodeOps"] =
-        static_cast<int64_t>(IngestCounter("encode").Value());
-    totals["ingest"]["commitOps"] =
-        static_cast<int64_t>(IngestCounter("commit").Value());
-    totals["ingest"]["encodeMsMean"] = encode.Mean();
-    totals["ingest"]["commitMsMean"] = commit.Mean();
-    totals["ingest"]["bulkBuildMs"] =
-        reg.GetGauge("laminar_search_bulk_build_ms").Value();
-    resp["totals"] = std::move(totals);
-    // Transport tier (ISSUE 7): connection and byte counters from the TCP
-    // listener/stream instrumentation. All zero when every client is on the
-    // in-memory pipe transport.
-    Value netv = Value::MakeObject();
-    netv["openConnections"] =
-        reg.GetGauge("laminar_net_connections", "state=\"open\"").Value();
-    netv["accepted"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_connections_total", "state=\"accepted\"")
-            .Value());
-    netv["rejected"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_connections_total", "state=\"rejected\"")
-            .Value());
-    netv["bytesRead"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_bytes_read_total").Value());
-    netv["bytesWritten"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_bytes_written_total").Value());
-    netv["protocolErrors"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_protocol_errors_total").Value());
-    resp["net"] = std::move(netv);
-    // Per-tenant slice (ROADMAP item 3): boundary-admission counters merged
-    // with the run queue's scheduling snapshot, keyed by tenant name. The
-    // runsSucceeded/runsFailed counters reconcile with the ##END## totals
-    // each tenant's /execute streams observed.
-    Value tenants = admission_.StatsJson();
-    for (const auto& [name, qs] : run_queue_.Snapshot()) {
-      Value& t = tenants[name];
-      t["runsAdmitted"] = static_cast<int64_t>(qs.admitted);
-      t["runsRejected"] = static_cast<int64_t>(qs.rejected);
-      t["runsDeadlineExpired"] = static_cast<int64_t>(qs.deadline_expired);
-      t["running"] = qs.running;
-      t["queued"] = qs.queued;
-      t["vtime"] = qs.vtime;
-    }
-    resp["tenants"] = std::move(tenants);
-    resp["runQueue"]["slots"] = run_queue_.slots();
-    resp["runQueue"]["queued"] = static_cast<int64_t>(run_queue_.queued());
-    {
-      // Durability visibility (ISSUE 9 satellite): how far the log has been
-      // appended vs how far it is known durable on disk.
-      registry::WalStatus ws = db_.wal_status();
-      Value wal = Value::MakeObject();
-      wal["enabled"] = ws.enabled;
-      wal["fsyncMode"] = ws.fsync_mode;
-      wal["appendedSeq"] = static_cast<int64_t>(ws.appended_seq);
-      wal["durableSeq"] = static_cast<int64_t>(ws.durable_seq);
-      wal["records"] = static_cast<int64_t>(ws.records);
-      wal["bytes"] = static_cast<int64_t>(ws.bytes);
-      resp["wal"] = std::move(wal);
-    }
-    resp["replication"] = ReplicationStatusJson();
-    resp["metrics"] = reg.RenderJson();
-    resp["trace"] = reg.trace().ToJson();
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/search/code") {
-    std::string embedding_type = body.GetString("embedding_type", "spt");
-    const search::SearchTarget target = ParseTarget(body);
-    size_t limit = static_cast<size_t>(body.GetInt("limit", 0));
-    auto visible = [&](int64_t id) {
-      if (tenant == kDefaultTenant) return true;
-      if (target == search::SearchTarget::kWorkflow) {
-        Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-        return wf.ok() && TenantCanSee(tenant, wf->tenant);
-      }
-      Result<registry::PeRecord> pe = repo_.GetPe(id);
-      return pe.ok() && TenantCanSee(tenant, pe->tenant);
-    };
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    if (embedding_type == "llm") {
-      for (const search::SearchHit& hit :
-           search_.CodeSearchLlm(body.GetString("code"), target, limit)) {
-        if (!visible(hit.id)) continue;
-        Value h = Value::MakeObject();
-        h["id"] = hit.id;
-        h["name"] = hit.name;
-        h["description"] = hit.description;
-        h["score"] = hit.score;
-        arr.push_back(std::move(h));
-      }
-    } else {
-      Result<std::vector<search::RecommendationHit>> recs =
-          search_.CodeRecommendation(body.GetString("code"), target, limit);
-      if (!recs.ok()) {
-        Reply(out, StatusToHttp(recs.status()), ErrorBody(recs.status()));
-        return;
-      }
-      for (const search::RecommendationHit& hit : recs.value()) {
-        if (!visible(hit.id)) continue;
-        Value h = Value::MakeObject();
-        h["id"] = hit.id;
-        h["name"] = hit.name;
-        h["description"] = hit.description;
-        h["score"] = hit.score;
-        h["similarCode"] = hit.similar_code;
-        h["occurrences"] = static_cast<int64_t>(hit.occurrences);
-        arr.push_back(std::move(h));
-      }
-    }
-    resp["hits"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  Reply(out, 404,
-        ErrorBody(Status::NotFound("unknown endpoint '" + path + "'")));
+  resp["replication"] = ReplicationStatusJson();
+  resp["metrics"] = reg.RenderJson();
+  resp["trace"] = reg.trace().ToJson();
+  return Json(resp);
 }
 
 }  // namespace laminar::server

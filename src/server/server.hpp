@@ -11,38 +11,9 @@
 // concurrent searches run in parallel and never queue behind each other or
 // behind registry writes. Workflow execution runs outside the lock.
 //
-// Endpoints (all POST, JSON bodies):
-//   /users/register {userName,password}            -> {userId}
-//   /users/login    {userName,password}            -> {token,userId}
-//   /pes/register   {name?,code,description?}      -> {peId,name,description}
-//   /registry/bulk_register {pes:[{name?,code,description?},...]}
-//                                                  -> {peIds,registered,errors}
-//   /pes/get        {id|name}                      -> PE record
-//   /pes/describe   {id}                           -> {description,code}
-//   /pes/update_description {id,description}       -> {}
-//   /pes/remove     {id}                           -> {}
-//   /workflows/register {name,code?,spec,description?,pes:[...]}
-//                                                  -> {workflowId,peIds}
-//   /workflows/get  {id|name}                      -> workflow record
-//   /workflows/pes  {id}                           -> {pes:[...]}
-//   /workflows/update_description {id,description} -> {}
-//   /workflows/remove {id}                         -> {}
-//   /registry/list  {}                             -> {pes,workflows}
-//   /registry/remove_all {}                        -> {}
-//   /search/literal  {target,term,limit?}          -> {hits}
-//   /search/semantic {target,query,limit?}         -> {hits}
-//   /search/code     {target,code,embedding_type?,limit?} -> {hits}
-//   /resources/upload (multipart body)             -> {stored}
-//   /execute {workflowId|spec,mapping,input,processes,resources,verbose}
-//       -> streamed stdout lines, then "##END## {stats}" chunk whose
-//          "totals" object is read from the telemetry registry
-//          (HTTP 428 + {missing:[...]} when resources must be uploaded)
-//   /stats {}    -> registry counts + cache/broker/engine stats + telemetry
-//                   ("totals", "metrics", "trace") from the same registry
-//                   the ##END## chunk reads, so the two cannot disagree
-//   /metrics     -> Prometheus text exposition (GET; text/plain, not JSON)
-//   /health {}                                     -> {status:"ok"}
-//
+// The endpoints, and each one's body, replica, admission and lock policy,
+// are the rows of the route table (LaminarServer::Routes(), defined in
+// server.cpp); each row's handler documents its request and reply fields.
 // Every request is counted into laminar_server_requests_total{path=...} and
 // timed into laminar_server_request_ms{path=...} (unknown paths collapse to
 // path="other" so the label set stays bounded).
@@ -50,7 +21,10 @@
 
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "embed/codet5_sim.hpp"
@@ -61,6 +35,12 @@
 #include "search/search_service.hpp"
 #include "server/admission.hpp"
 #include "server/replication.hpp"
+
+namespace laminar::telemetry {
+class Counter;
+class Histogram;
+class Gauge;
+}  // namespace laminar::telemetry
 
 namespace laminar::server {
 
@@ -130,15 +110,63 @@ class LaminarServer {
   /// Marker prefixing the final stats chunk of an /execute stream.
   static constexpr std::string_view kEndMarker = "##END## ";
 
- private:
-  void Reply(net::StreamResponder& out, int status, const Value& body);
+  /// How the request body is read: parsed as JSON, or left raw for the
+  /// handler (Prometheus scrapes, multipart uploads).
+  enum class Body { kJson, kRaw };
+  /// What a follower does with the request: redirect it to the leader (421
+  /// plus `leader`), serve it as a read (503 plus `maxReplicaLagMs` while
+  /// staler than that bound), or always serve it.
+  enum class Replica { kRedirect, kRead, kAlways };
+  /// Whether the request is charged to its tenant's token bucket (429 plus
+  /// `retryAfterMs` when drained) or exempt, so probes and the replication
+  /// stream are never throttled.
+  enum class Admission { kTenant, kExempt };
+  /// The registry lock held around the handler. kNone handlers take their
+  /// own short locks (two-phase ingest, snapshot capture, /execute).
+  enum class Lock { kNone, kShared, kExclusive };
 
-  /// Two-phase registration (ISSUE 5). Prepare* runs the expensive work —
-  /// CodeT5 summarization, UniXcoder/ReACC encodes, the SPT parse and
-  /// featurization — on the request thread with NO registry lock held;
-  /// Commit* inserts the row and upserts the precomputed vectors inside a
-  /// short exclusive section. Concurrent writers therefore serialize only
-  /// on the cheap commits instead of on each other's model inference.
+  /// A route handler's reply: HTTP status and body, sent as one chunk (JSON
+  /// text, except /metrics, /replication/snapshot and /execute's final
+  /// kEndMarker chunk).
+  struct Response {
+    int status = 200;
+    std::string body;
+  };
+
+ private:
+  struct Call;
+  using Handler = Result<Response> (LaminarServer::*)(Call&);
+
+ public:
+  /// One endpoint: its path and the policies Handle() applies, in this
+  /// order, before calling its handler.
+  struct Route {
+    std::string_view path;
+    Body body;
+    Replica replica;
+    Admission admission;
+    Lock lock;
+    Handler handler;
+  };
+  /// The route table: the one list of the endpoints the server answers.
+  static std::span<const Route> Routes();
+
+ private:
+  static const Route kRoutes[];
+
+  /// Parses, gates, admits and locks per `route`, then calls its handler.
+  Result<Response> Dispatch(const Route& route, Call& call);
+
+  /// Two-phase ingest: `prepare` runs the model inference under a
+  /// shared lock inside the ingest.encode span; `commit` then runs under
+  /// the exclusive lock inside ingest.commit. Concurrent writers serialize
+  /// only on the cheap commits. A failed prepare is the reply.
+  template <typename Prepare, typename Commit>
+  Result<Response> Ingest(Prepare&& prepare, Commit&& commit);
+
+  /// Prepare runs the expensive work — CodeT5 summarization,
+  /// UniXcoder/ReACC encodes, the SPT parse and featurization; Commit
+  /// inserts the row and upserts the precomputed vectors.
   struct PreparedPeReg {
     registry::PeRecord record;
     search::SearchService::PreparedPe index;
@@ -157,14 +185,43 @@ class LaminarServer {
   Value WorkflowToJson(const registry::WorkflowRecord& wf,
                        bool with_code) const;
   int64_t AuthUser(const net::HttpRequest& request);
+  /// The hits `tenant` may see, serialized (requires mu_ held, so the
+  /// repository lookups agree with the index results).
+  template <typename Hit>
+  Value VisibleHits(const std::vector<Hit>& hits, const std::string& tenant,
+                    search::SearchTarget target) const;
+  Result<Response> UpdateDescription(Call& call, search::SearchTarget target);
 
-  // Endpoint implementations (registry lock held by caller where needed).
-  // Handle() is a thin telemetry wrapper (request counter + latency span)
-  // around the actual dispatch in HandleInternal().
-  void HandleInternal(const net::HttpRequest& request,
-                      net::StreamResponder& out);
-  void HandleExecute(const Value& body, int64_t user_id,
-                     const std::string& tenant, net::StreamResponder& out);
+  // Route handlers; the table row of each gives its path and policies.
+  Result<Response> Health(Call& call);
+  Result<Response> Metrics(Call& call);
+  Result<Response> ReplicationStatus(Call& call);
+  Result<Response> ReplicationSnapshot(Call& call);
+  Result<Response> ReplicationFetch(Call& call);
+  Result<Response> UploadResources(Call& call);
+  Result<Response> Execute(Call& call);
+  Result<Response> RegisterUser(Call& call);
+  Result<Response> Login(Call& call);
+  Result<Response> RegisterPe(Call& call);
+  Result<Response> GetPe(Call& call);
+  Result<Response> UpdatePeDescription(Call& call);
+  Result<Response> RemovePe(Call& call);
+  Result<Response> RegisterWorkflow(Call& call);
+  Result<Response> GetWorkflow(Call& call);
+  Result<Response> WorkflowPes(Call& call);
+  Result<Response> WorkflowExecutions(Call& call);
+  Result<Response> UpdateWorkflowDescription(Call& call);
+  Result<Response> RemoveWorkflow(Call& call);
+  Result<Response> ListRegistry(Call& call);
+  Result<Response> RemoveAll(Call& call);
+  Result<Response> SaveRegistry(Call& call);
+  Result<Response> LoadRegistry(Call& call);
+  Result<Response> BulkRegister(Call& call);
+  Result<Response> LiteralSearch(Call& call);
+  Result<Response> SemanticSearch(Call& call);
+  Result<Response> CodeSearch(Call& call);
+  Result<Response> CodeCompletion(Call& call);
+  Result<Response> Stats(Call& call);
 
   // Replication plumbing (see replication.hpp for the protocol).
   /// Follower bootstrap hook: loads the leader snapshot document, rebuilds
@@ -188,12 +245,22 @@ class LaminarServer {
   embed::CodeT5Sim codet5_;
   /// Helpers for bulk-ingest prepare fan-out (null when ingest_threads=0).
   std::unique_ptr<ThreadPool> ingest_pool_;
-  /// Guards db_/repo_/search_/tokens_: shared for read-only endpoints,
-  /// exclusive for mutations (see IsReadOnlyEndpoint in server.cpp).
+  /// Guards db_/repo_/search_/tokens_, held as each route's Lock says.
   std::shared_mutex mu_;
   std::unordered_map<std::string, int64_t> tokens_;
   int64_t default_user_id_ = 0;
   uint64_t next_token_ = 1;
+  /// Metric handles, resolved at construction so no request looks one up
+  /// under the registry's mutex: a request counter and latency histogram
+  /// per route row (then one for path="other"), and per ingest phase.
+  struct Timed {
+    telemetry::Counter* count;
+    telemetry::Histogram* ms;
+  };
+  std::vector<Timed> route_metrics_;
+  Timed ingest_encode_{};
+  Timed ingest_commit_{};
+  telemetry::Gauge* bulk_build_ms_ = nullptr;
   /// Leader-side shipping ring (null unless wal_path set and not a
   /// follower). Fed by the Database WAL observer.
   std::unique_ptr<ReplicationHub> repl_hub_;

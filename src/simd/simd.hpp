@@ -10,9 +10,9 @@
 //   DotI8     int8 x int8 -> int32 (the SQ8 quantized-row kernel; exact
 //             integer arithmetic, so every tier returns the same value)
 //
-// The portable fallback is the same 4x-unrolled scalar loop the codebase has
-// always used (embed::DotUnrolled's arithmetic, replicated here as DotScalar
-// so laminar_simd has no dependencies). Float results may differ from the
+// The portable fallback is the 4x-unrolled scalar loop DotScalar, which is
+// also the reference the kernel tests compare every tier against (laminar_simd
+// has no dependencies). Float results may differ from the
 // scalar tier in the final ULPs on AVX tiers (FMA contracts the
 // multiply-add), but a given tier is deterministic: the same inputs always
 // produce the same bits, and DotBatch row i is bit-identical to Dot on that
@@ -55,9 +55,9 @@ Tier ActiveTier();
 /// against concurrently running kernels.
 Tier SetTier(Tier tier);
 
-/// Portable scalar reference kernel: byte-for-byte the arithmetic of
-/// embed::DotUnrolled (four independent accumulators, scalar tail), kept
-/// inline here so the scalar tier and the parity tests share one definition.
+/// Portable scalar reference kernel (four independent accumulators, scalar
+/// tail), kept inline here so the scalar tier and the parity tests share one
+/// definition.
 inline float DotScalar(const float* a, const float* b, size_t n) {
   float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
   size_t i = 0;

@@ -5,6 +5,7 @@
 #include "embed/hashed_encoder.hpp"
 #include "embed/reacc_sim.hpp"
 #include "embed/unixcoder_sim.hpp"
+#include "simd/simd.hpp"
 
 namespace laminar::embed {
 namespace {
@@ -27,32 +28,7 @@ TEST(VectorMath, CosineProperties) {
   EXPECT_FLOAT_EQ(Cosine(a, mismatched), 0.0f);
 }
 
-TEST(VectorMath, DotNormalizedMatchesCosineOnUnitVectors) {
-  Vector a = {1, 2, 3};
-  Vector b = {-2, 0.5f, 4};
-  Vector an = a, bn = b;
-  L2Normalize(an);
-  L2Normalize(bn);
-  EXPECT_NEAR(DotNormalized(an, bn), Cosine(a, b), 1e-6);
-  Vector mismatched = {1, 2};
-  EXPECT_FLOAT_EQ(DotNormalized(an, mismatched), 0.0f);
-  Vector empty;
-  EXPECT_FLOAT_EQ(DotNormalized(empty, empty), 0.0f);
-}
-
-TEST(VectorMath, CosineWithNormSkipsQueryNormRecomputation) {
-  Vector q = {0.5f, -1, 2, 7};
-  float qn = Norm(q);
-  Vector t1 = {1, 1, 1, 1};
-  Vector t2 = {-3, 0, 2, 1};
-  EXPECT_NEAR(CosineWithNorm(q, qn, t1), Cosine(q, t1), 1e-6);
-  EXPECT_NEAR(CosineWithNorm(q, qn, t2), Cosine(q, t2), 1e-6);
-  Vector zero = {0, 0, 0, 0};
-  EXPECT_FLOAT_EQ(CosineWithNorm(q, qn, zero), 0.0f);
-  EXPECT_FLOAT_EQ(CosineWithNorm(q, 0.0f, t1), 0.0f);
-}
-
-TEST(VectorMath, DotUnrolledHandlesRemainders) {
+TEST(VectorMath, DotScalarHandlesRemainders) {
   // Lengths around the 4-lane unroll boundary.
   for (size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u}) {
     Vector a(n), b(n);
@@ -62,7 +38,8 @@ TEST(VectorMath, DotUnrolledHandlesRemainders) {
       b[i] = static_cast<float>(2 * i) - 3.0f;
       want += a[i] * b[i];
     }
-    EXPECT_FLOAT_EQ(DotUnrolled(a.data(), b.data(), n), want) << "n=" << n;
+    EXPECT_FLOAT_EQ(simd::DotScalar(a.data(), b.data(), n), want)
+        << "n=" << n;
   }
 }
 

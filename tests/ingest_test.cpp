@@ -6,17 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "client/connect.hpp"
+#include "scratch_dir.hpp"
 
 namespace laminar::client {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::string PeCode(const std::string& name, int salt) {
   return "class " + name +
@@ -145,13 +143,10 @@ TEST(Ingest, UpdateDescriptionReindexesTextOnly) {
 }
 
 TEST(Ingest, ServerRecoversFromWalAcrossRestarts) {
+  ScratchDir dir;
   server::ServerConfig config;
-  config.snapshot_path =
-      (fs::temp_directory_path() / "laminar_ingest_snap.json").string();
-  config.wal_path =
-      (fs::temp_directory_path() / "laminar_ingest_wal.jsonl").string();
-  fs::remove(config.snapshot_path);
-  fs::remove(config.wal_path);
+  config.snapshot_path = dir.File("snap.json");
+  config.wal_path = dir.File("wal.jsonl");
 
   {
     InProcessLaminar laminar = ConnectInProcess(config);
@@ -178,9 +173,6 @@ TEST(Ingest, ServerRecoversFromWalAcrossRestarts) {
   ASSERT_TRUE(hits.ok());
   ASSERT_FALSE(hits->empty());
   EXPECT_EQ(hits->front().id, durable->id);
-
-  fs::remove(config.snapshot_path);
-  fs::remove(config.wal_path);
 }
 
 // 8 writers registering PEs while 8 searchers hammer the read endpoints.

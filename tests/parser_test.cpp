@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "pycode/parser.hpp"
 
 namespace laminar::pycode {
@@ -241,6 +246,94 @@ TEST(ParserLenient, UnlexableFallsBackToLineFragments) {
 
 TEST(ParserLenient, EmptyInputRejected) {
   EXPECT_FALSE(ParseLenient("").ok());
+}
+
+std::string Repeat(std::string_view unit, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += unit;
+  return out;
+}
+
+/// `x = ` and `depth` copies of `open` around `1`, closed by `close`.
+std::string NestedAssignment(std::string_view open, std::string_view close,
+                             int depth) {
+  return "x = " + Repeat(open, depth) + "1" + Repeat(close, depth) + "\n";
+}
+
+/// `depth` nested `if x:` blocks around `pass`.
+std::string NestedIfs(int depth) {
+  std::string source;
+  for (int i = 0; i < depth; ++i) source += std::string(i, ' ') + "if x:\n";
+  return source + std::string(depth, ' ') + "pass\n";
+}
+
+// Hostile nesting (one request body) must come back as a parse error, or a
+// fragment in lenient mode, instead of overflowing the stack.
+TEST(ParserNesting, DeepExpressionsAreRefusedNotFatal) {
+  constexpr int kDeep = 5000;
+  const std::pair<std::string_view, std::string_view> forms[] = {
+      {"(", ")"},      {"[", "]"},  {"{", "}"},  {"f(", ")"},
+      {"a[", "]"},     {"not ", ""}, {"-", ""},  {"2 ** ", ""},
+      {"lambda: ", ""}};
+  std::vector<std::string> sources;
+  for (const auto& [open, close] : forms) {
+    sources.push_back(NestedAssignment(open, close, kDeep));
+  }
+  sources.push_back("for " + Repeat("(", kDeep) + "x" + Repeat(")", kDeep) +
+                    " in y:\n    pass\n");
+  for (const std::string& source : sources) {
+    const std::string head = source.substr(0, 12);
+    Result<NodePtr> strict = Parse(source);
+    ASSERT_FALSE(strict.ok()) << head;
+    EXPECT_EQ(strict.status().code(), StatusCode::kParseError) << head;
+    Result<NodePtr> lenient = ParseLenient(source);
+    ASSERT_TRUE(lenient.ok()) << head;
+    EXPECT_NE(lenient.value()->ToSExpr().find("(fragment"), std::string::npos)
+        << head;
+  }
+}
+
+// Each link of a left-deep chain wraps the tree one level deeper, so long
+// chains are bounded like brackets: every later tree walk recurses on them.
+TEST(ParserNesting, LongChainsAreRefusedNotFatal) {
+  constexpr int kLinks = 100'000;
+  for (std::string_view link : {"+1", " or 1", " and 1", "()", "[0]", ".b"}) {
+    const std::string source = "x = a" + Repeat(link, kLinks) + "\n";
+    EXPECT_EQ(Parse(source).status().code(), StatusCode::kParseError) << link;
+    Result<NodePtr> lenient = ParseLenient(source);
+    ASSERT_TRUE(lenient.ok()) << link;
+    EXPECT_EQ(lenient.value()->children.front()->kind, "fragment") << link;
+  }
+  EXPECT_TRUE(ParsesStrict("x = a" + Repeat("+1", kMaxNesting - 2) + "\n"));
+}
+
+TEST(ParserNesting, DeepBlocksAreRefusedNotFatal) {
+  const std::string source = NestedIfs(kMaxNesting + 50);
+  EXPECT_EQ(Parse(source).status().code(), StatusCode::kParseError);
+  Result<NodePtr> lenient = ParseLenient(source);
+  ASSERT_TRUE(lenient.ok());
+  EXPECT_NE(lenient.value()->ToSExpr().find("(fragment"), std::string::npos);
+}
+
+TEST(ParserNesting, NestingJustUnderTheBoundParses) {
+  // The statement and its right-hand side take two levels, each bracket one.
+  const int brackets = kMaxNesting - 2;
+  std::string expected = "1";
+  for (int i = 0; i < brackets; ++i) {
+    expected = "(paren_expr ( " + expected + " ))";
+  }
+  EXPECT_EQ(SExpr(NestedAssignment("(", ")", brackets)),
+            "(module (assign x = " + expected + "))");
+  EXPECT_FALSE(ParsesStrict(NestedAssignment("(", ")", brackets + 1)));
+
+  // Each block takes one level, and the innermost statement one more.
+  const int blocks = kMaxNesting - 1;
+  expected = "(pass_stmt pass)";
+  for (int i = 0; i < blocks; ++i) {
+    expected = "(if_stmt if x : (suite " + expected + "))";
+  }
+  EXPECT_EQ(SExpr(NestedIfs(blocks)), "(module " + expected + ")");
+  EXPECT_FALSE(ParsesStrict(NestedIfs(blocks + 1)));
 }
 
 TEST(ParseTree, LineSpans) {

@@ -14,15 +14,12 @@
 #include "registry/database.hpp"
 #include "registry/repository.hpp"
 #include "registry/schema.hpp"
+#include "scratch_dir.hpp"
 
 namespace laminar::registry {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path);
@@ -48,17 +45,9 @@ Row MakeItem(const std::string& name, int64_t score) {
 
 class PersistenceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    snapshot_path_ = TempPath("laminar_persist_snap.json");
-    wal_path_ = TempPath("laminar_persist_wal.jsonl");
-    fs::remove(snapshot_path_);
-    fs::remove(snapshot_path_ + ".tmp");
-    fs::remove(wal_path_);
-    fs::remove(wal_path_ + ".tmp");
-  }
-
-  std::string snapshot_path_;
-  std::string wal_path_;
+  ScratchDir dir_;
+  std::string snapshot_path_ = dir_.File("snap.json");
+  std::string wal_path_ = dir_.File("wal.jsonl");
 };
 
 TEST_F(PersistenceTest, GetTablePreservesCreationOrderWithHashLookup) {
@@ -86,7 +75,7 @@ TEST_F(PersistenceTest, AtomicSaveLeavesNoTempFile) {
   ASSERT_TRUE(db.SaveToFile(snapshot_path_).ok());
   EXPECT_TRUE(fs::exists(snapshot_path_));
   // No temp droppings under any suffix (temp names are unique per write).
-  for (const auto& entry : fs::directory_iterator(fs::temp_directory_path())) {
+  for (const auto& entry : fs::directory_iterator(dir_.path())) {
     EXPECT_NE(entry.path().string().rfind(snapshot_path_ + ".tmp", 0), 0u)
         << "leftover temp file: " << entry.path();
   }
@@ -217,7 +206,6 @@ TEST_F(PersistenceTest, InterruptedSaveLeavesOldSnapshotLoadable) {
   std::vector<Row> rows = recovered.GetTable("items")->All();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].GetString("name"), "good");
-  fs::remove(snapshot_path_ + ".tmp");
 }
 
 TEST_F(PersistenceTest, LoadsPreWalSnapshotsWithoutSeqKey) {
@@ -281,8 +269,7 @@ TEST_F(PersistenceTest, MutationsAfterRecoverySurviveTheNextRecovery) {
 }
 
 TEST_F(PersistenceTest, SaveToAnotherPathLeavesWalIntact) {
-  const std::string side_path = TempPath("laminar_persist_side.json");
-  fs::remove(side_path);
+  const std::string side_path = dir_.File("side.json");
   {
     Database db;
     ASSERT_TRUE(db.CreateTable(ItemsSchema()).ok());
@@ -301,7 +288,6 @@ TEST_F(PersistenceTest, SaveToAnotherPathLeavesWalIntact) {
   EXPECT_EQ(
       recovered.GetTable("items")->FindBy("name", Value("only_in_wal")).size(),
       1u);
-  fs::remove(side_path);
 }
 
 TEST_F(PersistenceTest, FullLaminarSchemaRoundTripsThroughRecovery) {

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "registry/repository.hpp"
 #include "registry/schema.hpp"
+#include "scratch_dir.hpp"
 
 namespace laminar::registry {
 namespace {
@@ -302,8 +300,8 @@ TEST(Repository, RemoveAllKeepsUsers) {
 }
 
 TEST(Database, PersistenceRoundTrip) {
-  namespace fs = std::filesystem;
-  std::string path = (fs::temp_directory_path() / "laminar_reg_test.json").string();
+  ScratchDir dir;
+  const std::string path = dir.File("registry.json");
   {
     Database db;
     ASSERT_TRUE(CreateLaminarSchema(db).ok());
@@ -337,7 +335,6 @@ TEST(Database, PersistenceRoundTrip) {
     // Indexes were rebuilt on load.
     EXPECT_EQ(db.GetTable(kPeTable)->stats().full_scans, 0u);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Database, LoadMissingFileFails) {

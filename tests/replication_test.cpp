@@ -7,7 +7,6 @@
 // identical to separate OS processes (same sockets, same protocol), while
 // teardown stays deterministic and sanitizer-friendly.
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,14 +18,19 @@
 #include "client/fanout.hpp"
 #include "common/json.hpp"
 #include "net/tcp.hpp"
+#include "server/server.hpp"
+#include "telemetry/telemetry.hpp"
+#include "scratch_dir.hpp"
 
 namespace laminar::client {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
+/// A request for `path` with an empty JSON body.
+net::HttpRequest Request(const std::string& path) {
+  net::HttpRequest req;
+  req.path = path;
+  req.body = "{}";
+  return req;
 }
 
 std::string PeCode(const std::string& cls) {
@@ -36,13 +40,6 @@ std::string PeCode(const std::string& cls) {
 /// One leader (WAL-enabled) plus N followers, all on ephemeral ports.
 class ReplicationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    wal_path_ = TempPath("laminar_repl_wal.jsonl");
-    snapshot_path_ = TempPath("laminar_repl_snap.json");
-    fs::remove(wal_path_);
-    fs::remove(snapshot_path_);
-  }
-
   void StartLeader() {
     server::ServerConfig config;
     config.wal_path = wal_path_;
@@ -93,8 +90,9 @@ class ReplicationTest : public ::testing::Test {
     }
   }
 
-  std::string wal_path_;
-  std::string snapshot_path_;
+  ScratchDir dir_;
+  std::string wal_path_ = dir_.File("wal.jsonl");
+  std::string snapshot_path_ = dir_.File("snap.json");
   std::unique_ptr<TcpLaminarServer> leader_;
 };
 
@@ -174,13 +172,13 @@ TEST_F(ReplicationTest, FollowerRejectsMutationsWith421) {
   ASSERT_TRUE(stream.ok());
   net::HttpConnection raw(std::move(stream.value()),
                           net::HttpConnection::Mode::kStreaming);
-  for (const char* path :
-       {"/pes/register", "/execute", "/registry/remove_all",
-        "/replication/fetch"}) {
-    net::HttpRequest req;
-    req.path = path;
-    req.body = "{}";
-    Result<std::pair<int, std::string>> resp = raw.Call(req);
+  size_t redirects = 0;
+  for (const server::LaminarServer::Route& route :
+       server::LaminarServer::Routes()) {
+    if (route.replica != server::LaminarServer::Replica::kRedirect) continue;
+    ++redirects;
+    const std::string path(route.path);
+    Result<std::pair<int, std::string>> resp = raw.Call(Request(path));
     ASSERT_TRUE(resp.ok()) << path;
     EXPECT_EQ(resp->first, 421) << path;
     Result<Value> body = json::Parse(resp->second);
@@ -189,6 +187,7 @@ TEST_F(ReplicationTest, FollowerRejectsMutationsWith421) {
               "127.0.0.1:" + std::to_string(leader_->port()))
         << path;
   }
+  EXPECT_GT(redirects, 0u);
   raw.Close();
 
   // Client-level: 421 maps to kUnavailable (the fan-out failover trigger).
@@ -198,6 +197,96 @@ TEST_F(ReplicationTest, FollowerRejectsMutationsWith421) {
       follower_cli->client->RegisterPe(PeCode("Nope"), "Nope");
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+}
+
+// The follower gate comes from the route table's replica column: every read
+// row is served by a caught-up follower and refused with 503 by a stale
+// one, and every always row is served even by a stale follower.
+TEST_F(ReplicationTest, FollowerGateFollowsRouteTable) {
+  using Server = server::LaminarServer;
+  auto call_each = [](uint16_t port, Server::Replica replica, auto check) {
+    Result<std::unique_ptr<net::ByteStream>> stream =
+        net::TcpConnect("127.0.0.1", port);
+    ASSERT_TRUE(stream.ok());
+    net::HttpConnection raw(std::move(stream.value()),
+                            net::HttpConnection::Mode::kStreaming);
+    for (const Server::Route& route : Server::Routes()) {
+      if (route.replica != replica) continue;
+      Result<std::pair<int, std::string>> resp =
+          raw.Call(Request(std::string(route.path)));
+      ASSERT_TRUE(resp.ok()) << route.path;
+      check(route.path, resp->first);
+    }
+    raw.Close();
+  };
+  auto served = [](std::string_view path, int status) {
+    EXPECT_NE(status, 421) << path;
+    EXPECT_NE(status, 503) << path;
+  };
+
+  std::unique_ptr<TcpLaminarServer> stale =
+      StartFollower(/*max_replica_lag_ms=*/50, /*leader_port=*/1);
+  ASSERT_NE(stale, nullptr);
+  call_each(stale->port(), Server::Replica::kRead,
+            [](std::string_view path, int status) {
+              EXPECT_EQ(status, 503) << path;
+            });
+  call_each(stale->port(), Server::Replica::kAlways,
+            [](std::string_view path, int status) {
+              EXPECT_EQ(status, 200) << path;
+            });
+
+  StartLeader();
+  std::unique_ptr<TcpLaminarServer> fresh =
+      StartFollower(/*max_replica_lag_ms=*/60'000);
+  ASSERT_NE(fresh, nullptr);
+  Result<TcpClient> leader_cli = Dial(leader_->port());
+  Result<TcpClient> fresh_cli = Dial(fresh->port());
+  ASSERT_TRUE(leader_cli.ok() && fresh_cli.ok());
+  AwaitCatchUp(*leader_cli->client, *fresh_cli->client);
+  call_each(fresh->port(), Server::Replica::kRead, served);
+  call_each(fresh->port(), Server::Replica::kAlways, served);
+}
+
+// An unknown path gets 404 before any parse, admission or lock, on a leader
+// and on a follower alike: it is counted as path="other" and spends none of
+// the tenant's tokens.
+TEST_F(ReplicationTest, UnknownPathIs404BeforeAdmission) {
+  server::TenantQuotas one_token;
+  one_token.burst = 1.0;
+  one_token.requests_per_sec = 1e-6;  // no refill within the test
+  server::ServerConfig leader;
+  leader.tenant_overrides["rl"] = one_token;
+  server::ServerConfig follower = leader;
+  follower.replica_of = "127.0.0.1:1";
+  const telemetry::Counter& other =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "laminar_server_requests_total", "path=\"other\"");
+  for (const server::ServerConfig* config : {&leader, &follower}) {
+    net::TcpListenerConfig listener;
+    listener.port = 0;
+    Result<TcpLaminarServer> node = ServeTcp(*config, listener);
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    Result<std::unique_ptr<net::ByteStream>> stream =
+        net::TcpConnect("127.0.0.1", node->port());
+    ASSERT_TRUE(stream.ok());
+    net::HttpConnection raw(std::move(stream.value()),
+                            net::HttpConnection::Mode::kStreaming);
+    const uint64_t other_before = other.Value();
+    net::HttpRequest unknown = Request("/no/such/endpoint");
+    unknown.headers["x-laminar-tenant"] = "rl";
+    Result<std::pair<int, std::string>> resp = raw.Call(unknown);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->first, 404) << config->replica_of;
+    EXPECT_EQ(other.Value(), other_before + 1) << config->replica_of;
+
+    net::HttpRequest search = Request("/search/literal");
+    search.headers["x-laminar-tenant"] = "rl";
+    resp = raw.Call(search);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->first, 200) << config->replica_of << ": " << resp->second;
+    raw.Close();
+  }
 }
 
 TEST_F(ReplicationTest, StalenessContractRefusesReadsWith503) {

@@ -2,11 +2,13 @@
 // /registry/load, plus error-path behaviour of the protocol layer.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <set>
+#include <string>
+#include <string_view>
 
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
+#include "scratch_dir.hpp"
 
 namespace laminar::client {
 namespace {
@@ -35,9 +37,8 @@ TEST(ServerExtras, StatsReflectActivity) {
 }
 
 TEST(ServerExtras, SaveAndLoadRoundTrip) {
-  namespace fs = std::filesystem;
-  std::string path =
-      (fs::temp_directory_path() / "laminar_server_snapshot.json").string();
+  ScratchDir dir;
+  const std::string path = dir.File("snapshot.json");
 
   {
     InProcessLaminar laminar = ConnectInProcess(FastServer());
@@ -64,7 +65,6 @@ TEST(ServerExtras, SaveAndLoadRoundTrip) {
     RunOutcome outcome = laminar.client->Run(wf->id, Value(50));
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   }
-  std::remove(path.c_str());
 }
 
 TEST(ServerExtras, SaveRequiresPath) {
@@ -88,6 +88,63 @@ TEST(ServerExtras, UnknownEndpointIs404) {
   EXPECT_EQ(resp->first, 404);
 }
 
+// The route table is the server's one list of endpoints. This pins each
+// row's policies, so changing one is a deliberate edit here too.
+TEST(ServerRoutes, TablePinsEachEndpointsPolicy) {
+  using Server = server::LaminarServer;
+  const std::set<std::string_view> shared_reads = {
+      "/pes/get",          "/pes/describe",        "/workflows/get",
+      "/workflows/describe", "/workflows/pes",     "/workflows/executions",
+      "/registry/list",    "/search/literal",      "/search/semantic",
+      "/search/code",      "/search/complete",     "/stats"};
+  const std::set<std::string_view> exclusive_writes = {
+      "/users/register",    "/users/login",         "/pes/remove",
+      "/workflows/remove",  "/registry/remove_all", "/registry/load"};
+  const std::set<std::string_view> probes = {"/health", "/metrics",
+                                             "/replication/status"};
+  const std::set<std::string_view> exempt_redirects = {
+      "/replication/snapshot", "/replication/fetch"};
+  const std::set<std::string_view> raw_bodies = {"/metrics",
+                                                 "/resources/upload"};
+  std::set<std::string_view> seen;
+  size_t self_locking = 0;
+  for (const Server::Route& route : Server::Routes()) {
+    const std::string_view path = route.path;
+    EXPECT_TRUE(seen.insert(path).second) << "duplicate row " << path;
+    EXPECT_NE(route.handler, nullptr) << path;
+    EXPECT_EQ(route.body == Server::Body::kRaw, raw_bodies.count(path) == 1)
+        << path;
+    Server::Lock lock = Server::Lock::kNone;
+    Server::Replica replica = Server::Replica::kRedirect;
+    Server::Admission admission = Server::Admission::kTenant;
+    if (shared_reads.count(path) != 0) {
+      lock = Server::Lock::kShared;
+      replica = Server::Replica::kRead;
+    } else if (exclusive_writes.count(path) != 0) {
+      lock = Server::Lock::kExclusive;
+    } else if (probes.count(path) != 0) {
+      replica = Server::Replica::kAlways;
+      admission = Server::Admission::kExempt;
+    } else {
+      ++self_locking;
+      if (exempt_redirects.count(path) != 0) {
+        admission = Server::Admission::kExempt;
+      }
+    }
+    EXPECT_EQ(route.lock, lock) << path;
+    EXPECT_EQ(route.replica, replica) << path;
+    EXPECT_EQ(route.admission, admission) << path;
+  }
+  EXPECT_EQ(seen.size(), 31u);
+  EXPECT_EQ(self_locking, 10u);
+  for (const auto* group : {&shared_reads, &exclusive_writes, &probes,
+                            &exempt_redirects, &raw_bodies}) {
+    for (std::string_view path : *group) {
+      EXPECT_EQ(seen.count(path), 1u) << "no row for " << path;
+    }
+  }
+}
+
 TEST(ServerExtras, MalformedJsonBodyIs400) {
   InProcessLaminar laminar = ConnectInProcess(FastServer());
   net::HttpRequest req;
@@ -106,6 +163,29 @@ TEST(ServerExtras, HealthEndpoint) {
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->first, 200);
   EXPECT_NE(resp->second.find("ok"), std::string::npos);
+}
+
+// One request with 5,000 nested brackets used to overflow the Python
+// parser's stack and take the whole server down with it.
+TEST(ServerExtras, DeeplyNestedCodeIsAnsweredNotFatal) {
+  InProcessLaminar laminar = ConnectInProcess(FastServer());
+  const std::string code =
+      "y = " + std::string(5000, '(') + "x" + std::string(5000, ')') + "\n";
+  for (const char* path : {"/pes/register", "/search/code", "/search/complete"}) {
+    Value body = Value::MakeObject();
+    body["code"] = code;
+    net::HttpRequest req;
+    req.path = path;
+    req.body = body.ToJson();
+    auto resp = laminar.client_side->Call(req);
+    ASSERT_TRUE(resp.ok()) << path;
+    EXPECT_LT(resp->first, 500) << path << ": " << resp->second;
+  }
+  net::HttpRequest health;
+  health.path = "/health";
+  auto resp = laminar.client_side->Call(health);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->first, 200);
 }
 
 TEST(ServerExtras, ExecuteRejectsGarbageResourcesField) {
