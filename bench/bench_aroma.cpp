@@ -1,0 +1,311 @@
+// bench_aroma — per-stage cost of Aroma structural recommendation, the
+// paper's default code-to-code path (§VI-A), over growing corpora.
+//
+// For 300, 1.2k, 3.6k and 12k generated PEs it indexes every PE's features
+// (line occurrences on, as AromaEngine does) and runs DropCode(0.5) queries
+// through the stages of AromaEngine::Recommend one at a time:
+//   featurize  parse + SPT + feature extraction of the query;
+//   topk       SptIndex::TopK by overlap, k = AromaConfig::retrieve_top;
+//   prune      PruneAgainstQuery on every candidate at or above the overlap
+//              threshold, then the containment rerank;
+//   cluster    ClusterCandidates over the reranked candidates;
+//   total      the sum of the four.
+// Each row also reports the slots TopK touched (the documents sharing a
+// feature with the query) and the candidates pruned. Rows go to
+// BENCH_aroma.json.
+//
+// --smoke indexes a 300-PE corpus and asserts exactness instead:
+//   (a) after churn (every 7th PE removed, every 14th re-added with another
+//       PE's bag, so freed slots are reused), TopK equals a brute-force
+//       pairwise ranking for every metric and k in {0, 1, 5, 100, size + 1};
+//   (b) PruneAgainstQuery equals the map-based reference on the TopK(100)
+//       candidates of DropCode 0.5 and 0.8 queries;
+//   (c) AromaEngine::Recommend is deterministic: a repeated call and an
+//       engine indexed in reverse order (other slots) return identical
+//       recommendations.
+// Exit status 1 on any mismatch.
+//
+// Usage: bench_aroma [--smoke]
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "aroma_reference.hpp"
+#include "bench_util.hpp"
+#include "spt/recommend.hpp"
+
+using namespace laminar;
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double MsSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+dataset::CodeSearchNetPeDataset Corpus(size_t variants) {
+  dataset::DatasetConfig config;
+  config.families = 0;  // all 30 families
+  config.variants_per_family = variants;
+  config.seed = 0xabc123;
+  return dataset::CodeSearchNetPeDataset::Generate(config);
+}
+
+/// Features with line occurrences, exactly as AromaEngine::Featurize.
+spt::FeatureBag Featurize(const std::string& code,
+                          const spt::FeatureOptions& options) {
+  Result<spt::SptNodePtr> tree = spt::SptFromSource(code);
+  if (!tree.ok()) return {};
+  return spt::ExtractFeatures(*tree.value(), options);
+}
+
+struct QueryStages {
+  double featurize = 0, topk = 0, prune = 0, cluster = 0, total = 0;
+  size_t touched = 0;
+  size_t pruned = 0;
+};
+
+/// One query through AromaEngine::Recommend's stages 1-4, timed apiece.
+QueryStages RunStages(const spt::SptIndex& index,
+                      const spt::AromaConfig& config,
+                      const spt::FeatureOptions& options,
+                      const std::string& code) {
+  QueryStages out;
+  Clock::time_point t0 = Clock::now();
+  const spt::FeatureBag query = Featurize(code, options);
+  out.featurize = MsSince(t0);
+
+  t0 = Clock::now();
+  const std::vector<spt::SptIndex::Hit> hits =
+      index.TopK(query, config.retrieve_top, spt::Metric::kOverlap);
+  out.topk = MsSince(t0);
+
+  t0 = Clock::now();
+  struct Reranked {
+    int64_t doc_id;
+    spt::PruneResult prune;
+  };
+  std::vector<Reranked> reranked;
+  for (const spt::SptIndex::Hit& hit : hits) {
+    if (hit.score < config.min_overlap_score) continue;
+    spt::PruneResult prune =
+        spt::PruneAgainstQuery(query, *index.Get(hit.doc_id));
+    ++out.pruned;
+    if (prune.overlap <= 0.0) continue;
+    reranked.push_back(Reranked{hit.doc_id, std::move(prune)});
+  }
+  std::sort(reranked.begin(), reranked.end(),
+            [](const Reranked& a, const Reranked& b) {
+              if (a.prune.containment != b.prune.containment) {
+                return a.prune.containment > b.prune.containment;
+              }
+              return a.doc_id < b.doc_id;
+            });
+  out.prune = MsSince(t0);
+
+  t0 = Clock::now();
+  std::vector<spt::ClusterInput> inputs;
+  for (const Reranked& r : reranked) {
+    inputs.push_back(spt::ClusterInput{r.doc_id, index.Get(r.doc_id)});
+  }
+  spt::ClusterCandidates(inputs, config.cluster_jaccard);
+  out.cluster = MsSince(t0);
+  out.total = out.featurize + out.topk + out.prune + out.cluster;
+
+  out.touched = index.TopK(query, index.size(), spt::Metric::kOverlap).size();
+  return out;
+}
+
+double Percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t at =
+      static_cast<size_t>(q * static_cast<double>(values.size() - 1));
+  return values[at];
+}
+
+int RunSweep() {
+  const spt::AromaConfig config;
+  spt::FeatureOptions options = config.features;
+  options.with_occurrences = true;
+
+  std::printf(
+      "== Aroma recommendation, per stage (DropCode 0.5 queries) ==\n\n");
+  std::printf("%-8s %-9s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-9s\n",
+              "corpus", "build s", "featurize", "topk", "prune", "cluster",
+              "total", "p50", "touched", "pruned");
+  bench::BenchReport report("aroma");
+  for (size_t variants : {10u, 40u, 120u, 400u}) {
+    const dataset::CodeSearchNetPeDataset ds = Corpus(variants);
+    Stopwatch build;
+    spt::SptIndex index;
+    for (const dataset::PeExample& ex : ds.examples()) {
+      index.Add(ex.id, Featurize(ex.pe_code, options));
+    }
+    const double build_s = build.ElapsedSeconds();
+
+    QueryStages sum;
+    std::vector<double> totals;
+    const size_t stride = std::max<size_t>(ds.size() / 100, 1);
+    for (size_t i = 0; i < ds.size(); i += stride) {
+      const QueryStages q =
+          RunStages(index, config, options,
+                    dataset::DropCode(ds.example(i).pe_code, 0.5));
+      sum.featurize += q.featurize;
+      sum.topk += q.topk;
+      sum.prune += q.prune;
+      sum.cluster += q.cluster;
+      sum.total += q.total;
+      sum.touched += q.touched;
+      sum.pruned += q.pruned;
+      totals.push_back(q.total);
+    }
+    const double n = static_cast<double>(totals.size());
+    const double touched = static_cast<double>(sum.touched) / n;
+    const double pruned = static_cast<double>(sum.pruned) / n;
+    std::printf("%-8zu %-9.2f %-10.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f "
+                "%-9.1f %-9.1f\n",
+                ds.size(), build_s, sum.featurize / n, sum.topk / n,
+                sum.prune / n, sum.cluster / n, sum.total / n,
+                Percentile(totals, 0.5), touched, pruned);
+    Value& row = report.AddRow();
+    row["corpus"] = static_cast<int64_t>(ds.size());
+    row["queries"] = static_cast<int64_t>(totals.size());
+    row["build_s"] = build_s;
+    row["featurize_ms"] = sum.featurize / n;
+    row["topk_ms"] = sum.topk / n;
+    row["prune_ms"] = sum.prune / n;
+    row["cluster_ms"] = sum.cluster / n;
+    row["total_ms"] = sum.total / n;
+    row["total_p50_ms"] = Percentile(totals, 0.5);
+    row["total_p95_ms"] = Percentile(totals, 0.95);
+    row["slots_touched"] = touched;
+    row["candidates_pruned"] = pruned;
+  }
+  std::printf("\nms are means per query; p50 is the median total. topk "
+              "scores every touched slot, so it grows with the corpus; prune "
+              "and cluster see at most retrieve_top candidates.\n");
+  report.Write();
+  return 0;
+}
+
+bool SameRecommendations(const std::vector<spt::Recommendation>& a,
+                         const std::vector<spt::Recommendation>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const spt::Recommendation& x,
+                       const spt::Recommendation& y) {
+                      return x.snippet_id == y.snippet_id &&
+                             x.score == y.score &&
+                             x.containment == y.containment &&
+                             x.cluster_size == y.cluster_size &&
+                             x.pruned_lines == y.pruned_lines &&
+                             x.recommended_code == y.recommended_code;
+                    });
+}
+
+int RunSmoke() {
+  const dataset::CodeSearchNetPeDataset ds = Corpus(10);
+  spt::FeatureOptions options;
+  options.with_occurrences = true;
+  size_t checks = 0;
+  size_t failures = 0;
+  auto expect = [&](bool ok, const char* what, size_t i) {
+    ++checks;
+    if (ok) return;
+    ++failures;
+    std::fprintf(stderr, "smoke failure: %s (example %zu)\n", what, i);
+  };
+
+  // (a) TopK vs brute force after churn that reuses freed slots.
+  std::map<int64_t, spt::FeatureBag> bags;
+  spt::SptIndex index;
+  for (const dataset::PeExample& ex : ds.examples()) {
+    bags[ex.id] = Featurize(ex.pe_code, options);
+    index.Add(ex.id, bags[ex.id]);
+  }
+  for (size_t i = 0; i < ds.size(); i += 7) {
+    index.Remove(ds.example(i).id);
+    bags.erase(ds.example(i).id);
+  }
+  for (size_t i = 0; i < ds.size(); i += 14) {
+    const int64_t id = ds.example(i).id;
+    bags[id] = Featurize(
+        dataset::DropCode(ds.example((i + 37) % ds.size()).pe_code, 0.3),
+        options);
+    index.Add(id, bags[id]);
+  }
+  std::vector<std::pair<int64_t, const spt::FeatureBag*>> live;
+  for (const auto& [id, bag] : bags) live.emplace_back(id, &bag);
+  expect(index.size() == live.size(), "size after churn", 0);
+  for (size_t i = 0; i < ds.size(); i += 5) {
+    const spt::FeatureBag query =
+        Featurize(dataset::DropCode(ds.example(i).pe_code, 0.5), options);
+    for (spt::Metric metric : {spt::Metric::kOverlap, spt::Metric::kCosine,
+                               spt::Metric::kContainment}) {
+      for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{100},
+                       index.size() + 1}) {
+        expect(spt::reference::SameHits(
+                   index.TopK(query, k, metric),
+                   spt::reference::BruteForceTopK(live, query, k, metric)),
+               "TopK != brute force", i);
+      }
+    }
+  }
+
+  // (b) Flat prune vs the map-based reference on each query's candidates.
+  for (size_t i = 0; i < ds.size(); i += 5) {
+    for (double drop : {0.5, 0.8}) {
+      const spt::FeatureBag query =
+          Featurize(dataset::DropCode(ds.example(i).pe_code, drop), options);
+      for (const spt::SptIndex::Hit& hit : index.TopK(query, 100)) {
+        const spt::FeatureBag& candidate = *index.Get(hit.doc_id);
+        expect(spt::reference::SamePrune(
+                   spt::PruneAgainstQuery(query, candidate),
+                   spt::reference::MapPruneAgainstQuery(query, candidate)),
+               "prune != map reference", i);
+      }
+    }
+  }
+
+  // (c) Recommend is deterministic across calls and slot assignments.
+  spt::AromaEngine forward;
+  spt::AromaEngine reverse;
+  for (const dataset::PeExample& ex : ds.examples()) {
+    (void)forward.AddSnippet(ex.id, ex.pe_code);
+  }
+  for (auto it = ds.examples().rbegin(); it != ds.examples().rend(); ++it) {
+    (void)reverse.AddSnippet(it->id, it->pe_code);
+  }
+  size_t recommended = 0;
+  for (size_t i = 0; i < ds.size(); i += 5) {
+    const std::string query = dataset::DropCode(ds.example(i).pe_code, 0.5);
+    auto first = forward.Recommend(query);
+    auto again = forward.Recommend(query);
+    auto other = reverse.Recommend(query);
+    expect(first.ok() && again.ok() && other.ok(), "Recommend failed", i);
+    if (!first.ok() || !again.ok() || !other.ok()) continue;
+    recommended += first->size();
+    expect(SameRecommendations(*first, *again), "repeat Recommend differs", i);
+    expect(SameRecommendations(*first, *other),
+           "reverse-order Recommend differs", i);
+  }
+  expect(recommended > 0, "no recommendations at all", 0);
+
+  std::printf("bench_aroma --smoke: %zu checks, %zu failures (%zu PEs)\n",
+              checks, failures, ds.size());
+  return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc == 1) return RunSweep();
+  if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
+  std::fprintf(stderr, "usage: bench_aroma [--smoke]\n");
+  return 2;
+}

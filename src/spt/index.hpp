@@ -1,9 +1,25 @@
 // Featurization search index (Aroma "Feature Extraction and Search" stage).
 //
 // Aroma scores a query against every indexed snippet with a sparse
-// matrix-vector product over binary feature vectors. We implement the same
-// computation with an inverted index (feature -> posting list), which gives
-// identical scores without materializing the matrix.
+// matrix-vector product over feature-count vectors. We implement the same
+// computation with an inverted index scored straight from its postings:
+//
+//   * every live document owns a dense uint32_t *slot*; removed documents
+//     return their slot to a free list, so slot arrays stay as long as the
+//     live high-water mark rather than growing with churn;
+//   * each feature hash maps to one posting vector of (slot, count), the
+//     sparse matrix column the product reads;
+//   * each document's L2 norm is computed once, at Add.
+//
+// TopK walks the query's features once. Every metric decomposes by feature,
+// so each posting adds its term — min(q, d) for overlap and containment,
+// q * d for cosine — into a per-call score array indexed by slot, recording
+// the slots it touches. Each touched slot then gets its final score (cosine
+// divides by |q| * |d|, containment by |q|) and competes for a bounded
+// top-k heap ordered by (score desc, id asc). Every term is an integer, so
+// the sums are exact in double and independent of posting order: the
+// returned (id, score) lists equal the per-pair OverlapScore /
+// CosineSimilarity / ContainmentScore ranking bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -35,15 +51,34 @@ class SptIndex {
   const FeatureBag* Get(int64_t doc_id) const;
   size_t size() const { return docs_.size(); }
 
-  /// Top-k most similar documents, ties broken by ascending doc id so
-  /// results are deterministic.
+  /// Top-k most similar documents with a score above zero, ties broken by
+  /// ascending doc id so results are deterministic. Concurrent calls are
+  /// safe (all scratch state is local to the call); Add, Remove and Clear
+  /// need exclusive access.
   std::vector<Hit> TopK(const FeatureBag& query, size_t k,
                         Metric metric = Metric::kOverlap) const;
 
  private:
-  std::unordered_map<int64_t, FeatureBag> docs_;
-  /// feature hash -> doc ids containing it (deduplicated lazily on search).
-  std::unordered_map<uint64_t, std::vector<int64_t>> postings_;
+  struct Doc {
+    uint32_t slot = 0;
+    FeatureBag bag;
+  };
+  struct Posting {
+    uint32_t slot = 0;
+    uint32_t count = 0;
+  };
+
+  /// doc id -> slot and feature bag (node-based, so Get() pointers stay
+  /// valid across other documents' Add and Remove).
+  std::unordered_map<int64_t, Doc> docs_;
+  /// Per-slot doc id and precomputed FeatureBag::Norm(); entries of free
+  /// slots are stale and never reached, since no posting names them.
+  std::vector<int64_t> slot_ids_;
+  std::vector<double> slot_norms_;
+  std::vector<uint32_t> free_slots_;
+  /// feature hash -> (slot, count) of every live document containing it,
+  /// in no particular order.
+  std::unordered_map<uint64_t, std::vector<Posting>> postings_;
 };
 
 }  // namespace laminar::spt

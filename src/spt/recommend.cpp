@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
@@ -213,10 +214,14 @@ Result<FeatureBag> FeatureBagFromJson(std::string_view json_text) {
     if (ec != std::errc() || ptr != key.data() + key.size()) {
       return Status::ParseError("bad feature hash key: " + key);
     }
-    uint32_t count = static_cast<uint32_t>(value.as_int(0));
-    if (count == 0) return Status::ParseError("bad feature count for " + key);
-    bag.counts[h] = count;
-    bag.total += count;
+    // Only integers in [1, UINT32_MAX]: a cast would wrap -1 or 2^32 + 1
+    // and coerce true or 2.7 into valid-looking counts.
+    const int64_t count = value.is_int() ? value.as_int() : 0;
+    if (count < 1 || count > std::numeric_limits<uint32_t>::max()) {
+      return Status::ParseError("bad feature count for " + key);
+    }
+    bag.counts[h] = static_cast<uint32_t>(count);
+    bag.total += static_cast<size_t>(count);
   }
   return bag;
 }

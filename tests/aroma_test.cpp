@@ -1,6 +1,12 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <map>
+#include <thread>
+
+#include "aroma_reference.hpp"
 #include "dataset/generator.hpp"
 #include "spt/index.hpp"
 #include "spt/recommend.hpp"
@@ -269,6 +275,215 @@ TEST(FeatureBagJson, RejectsMalformed) {
   EXPECT_FALSE(FeatureBagFromJson("[1,2]").ok());
   EXPECT_FALSE(FeatureBagFromJson(R"({"abc":1})").ok());
   EXPECT_FALSE(FeatureBagFromJson(R"({"12":0})").ok());
+}
+
+TEST(FeatureBagJson, CountsMustBeIntegersInUint32Range) {
+  // A plain cast would turn the first four into valid-looking counts
+  // (4294967295, 1, 1, 2).
+  for (const char* bad : {R"({"12":-1})", R"({"12":4294967297})",
+                          R"({"12":true})", R"({"12":2.7})", R"({"12":"3"})",
+                          R"({"12":2.0})", R"({"12":null})"}) {
+    Result<FeatureBag> bag = FeatureBagFromJson(bad);
+    ASSERT_FALSE(bag.ok()) << bad;
+    EXPECT_EQ(bag.status().code(), StatusCode::kParseError) << bad;
+  }
+  Result<FeatureBag> max = FeatureBagFromJson(R"({"12":4294967295,"13":1})");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->counts.at(12), std::numeric_limits<uint32_t>::max());
+  EXPECT_EQ(max->total, size_t{4294967296});
+}
+
+// ---- Exact parity with the reference implementations ----
+
+using Ranked = std::vector<std::pair<int64_t, double>>;
+
+Ranked Pairs(const std::vector<SptIndex::Hit>& hits) {
+  Ranked out;
+  for (const SptIndex::Hit& hit : hits) out.emplace_back(hit.doc_id, hit.score);
+  return out;
+}
+
+FeatureBag BagOf(std::initializer_list<std::pair<uint64_t, uint32_t>> counts) {
+  FeatureBag bag;
+  for (const auto& [hash, count] : counts) {
+    for (uint32_t i = 0; i < count; ++i) bag.Add(hash);
+  }
+  return bag;
+}
+
+constexpr Metric kMetrics[] = {Metric::kOverlap, Metric::kCosine,
+                               Metric::kContainment};
+
+// 30 families x 8 variants, then churn: every 7th doc removed and every 14th
+// re-added with another example's (partial) bag, so freed slots are reused
+// with different postings.
+class AromaParityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dataset::DatasetConfig config;
+    config.families = 0;
+    config.variants_per_family = 8;
+    ds_ = dataset::CodeSearchNetPeDataset::Generate(config);
+    for (const dataset::PeExample& ex : ds_.examples()) {
+      bags_[ex.id] = Feat(ex.pe_code, /*occurrences=*/true);
+      index_.Add(ex.id, bags_[ex.id]);
+    }
+    for (size_t i = 0; i < ds_.size(); i += 7) {
+      ASSERT_TRUE(index_.Remove(ds_.example(i).id));
+      bags_.erase(ds_.example(i).id);
+    }
+    for (size_t i = 0; i < ds_.size(); i += 14) {
+      const dataset::PeExample& other = ds_.example((i + 37) % ds_.size());
+      const int64_t id = ds_.example(i).id;
+      bags_[id] = Feat(dataset::DropCode(other.pe_code, 0.3), true);
+      index_.Add(id, bags_[id]);
+    }
+    ASSERT_EQ(index_.size(), bags_.size());
+  }
+
+  std::vector<std::pair<int64_t, const FeatureBag*>> Live() const {
+    std::vector<std::pair<int64_t, const FeatureBag*>> live;
+    for (const auto& [id, bag] : bags_) live.emplace_back(id, &bag);
+    return live;
+  }
+
+  dataset::CodeSearchNetPeDataset ds_;
+  std::map<int64_t, FeatureBag> bags_;
+  SptIndex index_;
+};
+
+TEST_F(AromaParityTest, TopKEqualsBruteForceUnderChurn) {
+  const auto live = Live();
+  size_t compared = 0;
+  size_t longest = 0;
+  for (size_t i = 0; i < ds_.size(); i += 5) {
+    for (double drop : {0.0, 0.5}) {
+      const FeatureBag query =
+          Feat(dataset::DropCode(ds_.example(i).pe_code, drop));
+      for (Metric metric : kMetrics) {
+        for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{100},
+                         index_.size() + 1}) {
+          const Ranked want =
+              Pairs(reference::BruteForceTopK(live, query, k, metric));
+          ASSERT_EQ(Pairs(index_.TopK(query, k, metric)), want)
+              << "example " << i << " drop " << drop << " metric "
+              << static_cast<int>(metric) << " k " << k;
+          longest = std::max(longest, want.size());
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 48u * 2 * 3 * 5);
+  EXPECT_GT(longest, 100u);  // k = 100 really truncates
+}
+
+TEST_F(AromaParityTest, PruneEqualsMapReferenceOnTopCandidates) {
+  size_t prunes = 0;
+  for (size_t i = 0; i < ds_.size(); i += 6) {
+    for (double drop : {0.5, 0.8}) {
+      const FeatureBag query =
+          Feat(dataset::DropCode(ds_.example(i).pe_code, drop), true);
+      for (const SptIndex::Hit& hit : index_.TopK(query, 100)) {
+        const FeatureBag& candidate = *index_.Get(hit.doc_id);
+        const PruneResult want =
+            reference::MapPruneAgainstQuery(query, candidate);
+        const PruneResult got = PruneAgainstQuery(query, candidate);
+        ASSERT_EQ(got.lines, want.lines) << "example " << i << " doc "
+                                         << hit.doc_id << " drop " << drop;
+        ASSERT_EQ(got.overlap, want.overlap);
+        ASSERT_EQ(got.containment, want.containment);
+        ++prunes;
+      }
+    }
+  }
+  EXPECT_GT(prunes, 5000u);
+}
+
+TEST_F(AromaParityTest, ConcurrentReadersSeeSerialResults) {
+  // The server runs TopK and prune under a shared lock, so readers race.
+  std::vector<FeatureBag> queries;
+  std::vector<Ranked> want;
+  for (size_t i = 0; i < ds_.size(); i += 10) {
+    queries.push_back(
+        Feat(dataset::DropCode(ds_.example(i).pe_code, 0.5), true));
+    want.push_back(Pairs(index_.TopK(queries.back(), 100)));
+  }
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const auto hits = index_.TopK(queries[q], 100);
+        if (Pairs(hits) != want[q]) ++mismatches;
+        for (const SptIndex::Hit& hit : hits) {
+          const FeatureBag& candidate = *index_.Get(hit.doc_id);
+          if (!reference::SamePrune(
+                  PruneAgainstQuery(queries[q], candidate),
+                  reference::MapPruneAgainstQuery(queries[q], candidate))) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(Prune, EqualsMapReferenceOnHandBuiltOccurrences) {
+  // Lines out of order, zero and negative lines, repeated (feature, line)
+  // pairs, features missing from the query and tied gains.
+  FeatureBag query = BagOf({{1, 2}, {2, 1}, {3, 3}, {4, 1}});
+  FeatureBag candidate;
+  for (auto [hash, line] : std::vector<std::pair<uint64_t, int>>{
+           {3, 9}, {1, 4}, {9, 4}, {3, 4}, {1, 0}, {3, 0}, {2, -3}, {4, -3},
+           {1, 9}, {1, 9}, {8, 7}, {3, 12}, {3, 12}, {3, 12}, {2, 5}}) {
+    candidate.Add(hash);
+    candidate.occurrences.emplace_back(hash, line);
+  }
+  const PruneResult want = reference::MapPruneAgainstQuery(query, candidate);
+  const PruneResult got = PruneAgainstQuery(query, candidate);
+  EXPECT_EQ(got.lines, want.lines);
+  EXPECT_EQ(got.overlap, want.overlap);
+  EXPECT_EQ(got.containment, want.containment);
+  EXPECT_EQ(got.overlap, 7.0);  // the whole query is covered
+}
+
+TEST(SptIndex, RemovingADocInEveryPostingKeepsTheRestExact) {
+  // Every feature of doc 1 is in every other doc, so removing it edits
+  // each posting list the others are scored from.
+  SptIndex index;
+  std::map<int64_t, FeatureBag> bags;
+  bags[1] = BagOf({{10, 1}, {11, 2}});
+  for (uint32_t id = 2; id <= 6; ++id) {
+    bags[id] = BagOf({{10, id}, {11, 1}, {100 + id, 3}});
+  }
+  for (const auto& [id, bag] : bags) index.Add(id, bag);
+  ASSERT_TRUE(index.Remove(1));
+  bags.erase(1);
+
+  EXPECT_EQ(index.size(), 5u);
+  EXPECT_EQ(index.Get(1), nullptr);
+  std::vector<std::pair<int64_t, const FeatureBag*>> live;
+  for (const auto& [id, bag] : bags) {
+    ASSERT_NE(index.Get(id), nullptr);
+    EXPECT_EQ(index.Get(id)->counts, bag.counts);
+    live.emplace_back(id, &bag);
+  }
+  const FeatureBag query = BagOf({{10, 3}, {11, 2}, {104, 1}});
+  for (Metric metric : kMetrics) {
+    const Ranked got = Pairs(index.TopK(query, 10, metric));
+    EXPECT_EQ(got.size(), 5u);
+    EXPECT_EQ(got, Pairs(reference::BruteForceTopK(live, query, 10, metric)));
+  }
+
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Get(2), nullptr);
+  EXPECT_TRUE(index.TopK(query, 10).empty());
+  index.Add(7, BagOf({{10, 1}}));
+  EXPECT_EQ(Pairs(index.TopK(query, 10)), (Ranked{{7, 1.0}}));
 }
 
 }  // namespace
