@@ -19,6 +19,8 @@
 // `repl` label runs: leader + 1 follower, a seeded corpus, a short mixed
 // burst through the fan-out, and a bit-identical search parity check
 // (ids, order, scores) between leader and follower at quiesce.
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -40,8 +42,27 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// This process's own temp directory, `laminar_bench_repl.<pid>`: created
+/// on first use and removed with its contents at exit, so two runs at once
+/// (say, two build trees under ctest) never replay each other's WAL.
+struct ProcessTempDir {
+  fs::path path = fs::temp_directory_path() /
+                  ("laminar_bench_repl." + std::to_string(::getpid()));
+  ProcessTempDir() {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ProcessTempDir() {
+    std::error_code ignored;
+    fs::remove_all(path, ignored);
+  }
+  ProcessTempDir(const ProcessTempDir&) = delete;
+  ProcessTempDir& operator=(const ProcessTempDir&) = delete;
+};
+
 std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
+  static ProcessTempDir dir;
+  return (dir.path / name).string();
 }
 
 std::string PeCode(const std::string& cls) {
@@ -251,8 +272,8 @@ ScenarioResult RunScenario(int followers, double node_rps, int threads,
   ScenarioResult result;
   result.followers = followers;
 
-  const std::string wal = TempPath("laminar_bench_repl_wal.jsonl");
-  const std::string snapshot = TempPath("laminar_bench_repl_snap.json");
+  const std::string wal = TempPath("wal.jsonl");
+  const std::string snapshot = TempPath("snap.json");
   fs::remove(wal);
   fs::remove(snapshot);
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -95,11 +96,32 @@ inline void PrintHistogramSummary(
   std::printf("\n");
 }
 
+/// Where a report was recorded: hardware threads, CPU model and the build
+/// type this bench was compiled with (LAMINAR_BUILD_TYPE, set by
+/// bench/CMakeLists.txt), so files from different hosts are not mistaken
+/// for one trajectory.
+inline Value HostStamp() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  Value host = Value::MakeObject();
+  host["nproc"] = static_cast<int64_t>(std::thread::hardware_concurrency());
+  host["cpu"] = cpu;
+  host["build_type"] = std::string(LAMINAR_BUILD_TYPE);
+  return host;
+}
+
 /// Machine-readable companion to the human tables: every bench fills one
 /// BenchReport and writes `BENCH_<name>.json` into the working directory,
 /// so successive runs form a perf trajectory that scripts can diff. The
 /// shape is deliberately simple:
 ///   { "bench": ..., "wall_ms": ...,        // whole-binary wall time
+///     "host": { nproc, cpu, build_type },  // see HostStamp
 ///     "metrics": { flat scalars/strings }, // headline numbers
 ///     "rows": [ {...}, ... ],              // one object per table row
 ///     "histograms": { series -> {n, mean_ms, p50_ms, p95_ms, p99_ms} } }
@@ -154,6 +176,7 @@ class BenchReport {
     Value doc = Value::MakeObject();
     doc["bench"] = name_;
     doc["wall_ms"] = watch_.ElapsedMillis();
+    doc["host"] = HostStamp();
     doc["metrics"] = metrics_;
     doc["rows"] = rows_;
     doc["histograms"] = histograms_;

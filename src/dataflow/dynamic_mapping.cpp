@@ -103,6 +103,12 @@ struct RunState {
   std::string queue_prefix;  ///< work queues ("wf:N:q:"; autoscaler probe)
   std::string dlq_key;       ///< dead-letter list ("wf:N:dlq")
   std::vector<std::string> queue_keys;  // per PE
+  /// The same keys in pop order: reverse topological, so every PE's queue
+  /// comes before the queues of all PEs upstream of it. The broker serves
+  /// the first non-empty key, so a worker drains sinks before it pulls
+  /// more producer work, and output streams while the run is young instead
+  /// of waiting for the upstream queues to empty.
+  std::vector<std::string> pop_keys;
   /// Queue key -> PE index, so batch routing is one hash lookup instead of
   /// a linear scan per popped item.
   std::unordered_map<std::string, size_t> queue_index;
@@ -329,13 +335,13 @@ void WorkerLoop(RunState& state) {
     std::vector<std::string> items;
     if (state.recv_batch <= 1) {
       auto item = state.broker->BLPop(
-          state.queue_keys, std::chrono::milliseconds(20), &state.stop);
+          state.pop_keys, std::chrono::milliseconds(20), &state.stop);
       if (!item.has_value()) continue;  // timeout/stop; re-check stop flag
       queue_key = std::move(item->first);
       items.push_back(std::move(item->second));
     } else {
       auto batch =
-          state.broker->BLPopUpTo(state.queue_keys, state.recv_batch,
+          state.broker->BLPopUpTo(state.pop_keys, state.recv_batch,
                                   std::chrono::milliseconds(20), &state.stop);
       if (!batch.has_value()) continue;
       queue_key = std::move(batch->first);
@@ -404,6 +410,8 @@ RunResult DynamicMapping::Execute(const WorkflowGraph& graph,
   Stopwatch watch;
   result.status = graph.Validate();
   if (!result.status.ok()) return result;
+  // Validate() has already rejected cycles, so the order exists.
+  const std::vector<size_t> topo = graph.TopologicalOrder().value();
 
   SharedOutput output(result, sink);
   FaultContext faults("dynamic", options);
@@ -442,6 +450,9 @@ RunResult DynamicMapping::Execute(const WorkflowGraph& graph,
         graph.Node(i).stateful() ? std::make_unique<SendBuffers>(state)
                                  : nullptr);
     result.partition[graph.Node(i).name()] = {0, 1};
+  }
+  for (auto pe = topo.rbegin(); pe != topo.rend(); ++pe) {
+    state.pop_keys.push_back(state.queue_keys[*pe]);
   }
   state.routes.resize(graph.NodeCount());
   for (const Edge& edge : graph.Edges()) {
@@ -534,9 +545,7 @@ RunResult DynamicMapping::Execute(const WorkflowGraph& graph,
   // Finish pass: topological, synchronous, on the shared instances, so
   // stateful aggregations flush exactly once. Skipped when the run expired
   // (a killed serverless instance flushes nothing).
-  Result<std::vector<size_t>> topo = graph.TopologicalOrder();
-  if (state.expired.load()) topo = Status::DeadlineExceeded("expired");
-  if (topo.ok()) {
+  if (!state.expired.load()) {
     std::deque<std::pair<size_t, std::string>> local_queue;  // (pe, item)
     struct FinishEmitter final : Emitter {
       RunState& state;
@@ -581,7 +590,7 @@ RunResult DynamicMapping::Execute(const WorkflowGraph& graph,
         }
       }
     };
-    for (size_t pe : topo.value()) {
+    for (size_t pe : topo) {
       FinishEmitter emitter(state, pe, local_queue, graph);
       faults.InvokeWithRetries(
           [&] { state.shared_instances[pe]->Finish(emitter); },

@@ -46,7 +46,10 @@ struct RunOptions {
   /// drain up to recv_batch_size items per blocking pop. Per-edge FIFO
   /// order is preserved. 1/1 restores the per-tuple (unbatched) protocol.
   /// Micro-batching trades up to send_batch_max_delay_ms of per-tuple
-  /// latency for a large cut in broker lock/wake traffic.
+  /// latency for a large cut in broker lock/wake traffic. Workers pop
+  /// downstream queues before upstream ones (reverse topological order),
+  /// so a sink's first line waits for about one recv batch of producer
+  /// work, not for the producer's whole queue to drain.
   int send_batch_size = 32;
   double send_batch_max_delay_ms = 1.0;
   int recv_batch_size = 32;

@@ -24,6 +24,10 @@ struct EngineMetrics {
   telemetry::Counter& lines;
   telemetry::Histogram& cold_start_ms;
   telemetry::Histogram& run_ms;
+  /// Enactment start -> first line handed to the sink, per mapping.
+  telemetry::Histogram& first_output_simple;
+  telemetry::Histogram& first_output_multi;
+  telemetry::Histogram& first_output_dynamic;
   telemetry::Gauge& warm;
   telemetry::Gauge& running;
 
@@ -39,6 +43,12 @@ struct EngineMetrics {
           reg.GetCounter("laminar_engine_output_lines_total"),
           reg.GetHistogram("laminar_engine_cold_start_ms"),
           reg.GetHistogram("laminar_engine_run_ms"),
+          reg.GetHistogram("laminar_engine_first_output_ms",
+                           "mapping=\"simple\""),
+          reg.GetHistogram("laminar_engine_first_output_ms",
+                           "mapping=\"multi\""),
+          reg.GetHistogram("laminar_engine_first_output_ms",
+                           "mapping=\"dynamic\""),
           reg.GetGauge("laminar_engine_warm_instances"),
           reg.GetGauge("laminar_engine_running_executions")};
     }();
@@ -63,6 +73,17 @@ Value ExecutionTotalsJson() {
   v["runMsP50"] = run.Percentile(0.50);
   v["runMsP95"] = run.Percentile(0.95);
   v["runMsP99"] = run.Percentile(0.99);
+  // One distribution over every mapping's series (they share buckets).
+  telemetry::Histogram::Snapshot first = em.first_output_simple.snapshot();
+  for (const telemetry::Histogram* h :
+       {&em.first_output_multi, &em.first_output_dynamic}) {
+    const telemetry::Histogram::Snapshot s = h->snapshot();
+    for (size_t i = 0; i < s.counts.size(); ++i) first.counts[i] += s.counts[i];
+    first.count += s.count;
+    first.sum += s.sum;
+  }
+  v["firstOutputMsP50"] = first.Percentile(0.50);
+  v["firstOutputMsP95"] = first.Percentile(0.95);
   const telemetry::Histogram::Snapshot cold = em.cold_start_ms.snapshot();
   v["coldStartSamples"] = static_cast<int64_t>(cold.count);
   v["coldStartMsP95"] = cold.Percentile(0.95);
@@ -168,12 +189,16 @@ Result<dataflow::RunResult> ExecutionEngine::Execute(
   }
 
   std::unique_ptr<dataflow::Mapping> mapping;
+  telemetry::Histogram* first_output_ms = nullptr;
   if (request.mapping == "simple") {
     mapping = std::make_unique<dataflow::SequentialMapping>();
+    first_output_ms = &em.first_output_simple;
   } else if (request.mapping == "multi") {
     mapping = std::make_unique<dataflow::MultiMapping>();
+    first_output_ms = &em.first_output_multi;
   } else if (request.mapping == "dynamic") {
     mapping = std::make_unique<dataflow::DynamicMapping>(&broker_);
+    first_output_ms = &em.first_output_dynamic;
   } else {
     return Status::InvalidArgument("unknown mapping '" + request.mapping +
                                    "'");
@@ -181,7 +206,9 @@ Result<dataflow::RunResult> ExecutionEngine::Execute(
 
   // §IV-E true-streaming: the mapping's emitter threads push lines into a
   // concurrent queue; a dedicated drainer forwards them to the transport
-  // sink in order, so slow network writes never block PE threads.
+  // sink in order, so slow network writes never block PE threads. Its
+  // first hand-off is the run's first output, observed once per run.
+  Stopwatch watch;
   laminar::ConcurrentQueue<std::string> stdout_queue;
   std::thread drainer;
   dataflow::LineSink queue_sink;
@@ -189,12 +216,19 @@ Result<dataflow::RunResult> ExecutionEngine::Execute(
     queue_sink = [&stdout_queue](const std::string& line) {
       stdout_queue.Push(line);
     };
-    drainer = std::thread([&stdout_queue, &sink] {
-      while (auto line = stdout_queue.Pop()) sink(*line);
+    drainer = std::thread([&stdout_queue, &sink, &watch, first_output_ms] {
+      bool first = true;
+      while (auto line = stdout_queue.Pop()) {
+        if (first) first_output_ms->Observe(watch.ElapsedMillis());
+        first = false;
+        sink(*line);
+      }
     });
   }
 
-  Stopwatch watch;
+  // Enactment starts here. The drainer reads the watch only after popping
+  // a line pushed during the enactment, so the queue orders the two.
+  watch.Reset();
   dataflow::RunResult result;
   {
     telemetry::ScopedSpan enact_span("engine.mapping_enact", &em.run_ms);

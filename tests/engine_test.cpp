@@ -5,6 +5,7 @@
 
 #include "common/json.hpp"
 #include "engine/engine.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace laminar::engine {
 namespace {
@@ -218,6 +219,42 @@ TEST(Engine, AllMappingsWork) {
   bad.workflow_spec = IsPrimeSpec();
   bad.mapping = "teleport";
   EXPECT_FALSE(engine.Execute(bad).ok());
+}
+
+// One first-output sample per streamed run that produced a line: none for
+// an unstreamed run, none for a streamed run with no output.
+TEST(Engine, FirstOutputObservedOncePerStreamedRunWithOutput) {
+  ExecutionEngine engine(FastConfig());
+  auto samples = [](const std::string& mapping) {
+    const telemetry::Histogram* h =
+        telemetry::MetricsRegistry::Global().FindHistogram(
+            "laminar_engine_first_output_ms", "mapping=\"" + mapping + "\"");
+    return h == nullptr ? uint64_t{0} : h->snapshot().count;
+  };
+  for (const char* mapping : {"simple", "multi", "dynamic"}) {
+    ExecuteRequest req;
+    req.workflow_spec = IsPrimeSpec();
+    req.mapping = mapping;
+    req.run_options.input = Value(30);
+    size_t lines = 0;
+    auto sink = [&lines](const std::string&) { ++lines; };
+
+    const uint64_t before = samples(mapping);
+    ASSERT_TRUE(engine.Execute(req, sink).ok()) << mapping;
+    ASSERT_GT(lines, 1u) << mapping;
+    EXPECT_EQ(samples(mapping), before + 1) << mapping;
+
+    ASSERT_TRUE(engine.Execute(req).ok()) << mapping;  // not streamed
+    req.run_options.input = Value(0);                  // streamed, no lines
+    lines = 0;
+    ASSERT_TRUE(engine.Execute(req, sink).ok()) << mapping;
+    EXPECT_EQ(lines, 0u) << mapping;
+    EXPECT_EQ(samples(mapping), before + 1) << mapping;
+  }
+  const Value totals = ExecutionTotalsJson();
+  EXPECT_GT(totals.GetDouble("firstOutputMsP50"), 0.0);
+  EXPECT_GE(totals.GetDouble("firstOutputMsP95"),
+            totals.GetDouble("firstOutputMsP50"));
 }
 
 TEST(Engine, MissingResourcesBlockExecution) {

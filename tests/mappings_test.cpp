@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 
 #include "dataflow/dynamic_mapping.hpp"
@@ -225,6 +226,78 @@ TEST(DynamicMapping, SharedBrokerAccumulatesStats) {
   ASSERT_TRUE(result.status.ok());
   EXPECT_GT(shared.stats().pushes, 0u);
   EXPECT_GT(shared.stats().pops, 0u);
+}
+
+/// Forwards each iteration index and counts its Process calls, so a sink
+/// can tell how far the producer had got when a line arrived.
+class CountingProducer final
+    : public Clonable<CountingProducer, ProducerBase> {
+ public:
+  static inline std::atomic<int64_t> processed{0};
+  void Process(std::string_view, const Value& value, Emitter& out) override {
+    processed.fetch_add(1, std::memory_order_relaxed);
+    out.Emit(kDefaultOutput, value);
+  }
+};
+
+std::unique_ptr<WorkflowGraph> CountingEchoGraph() {
+  auto g = std::make_unique<WorkflowGraph>("counting_echo");
+  auto& producer = g->AddPE<CountingProducer>();
+  auto& pass = g->AddPE<FunctionPE>(
+      [](const Value& v) -> std::optional<Value> { return v; }, "Pass");
+  auto& echo = g->AddPE<EchoSink>();
+  EXPECT_TRUE(g->Connect(producer, pass).ok());
+  EXPECT_TRUE(g->Connect(pass, echo).ok());
+  return g;
+}
+
+// Workers pop downstream queues first, so the sink's first line arrives
+// after about one receive batch of producer work, not after the producer's
+// whole queue has drained.
+TEST(DynamicMapping, FirstSinkLineBeforeProducerDrains) {
+  constexpr int64_t kIterations = 2000;
+  RunOptions reference_options;
+  reference_options.input = Value(kIterations);
+  RunResult expected =
+      SequentialMapping().Execute(*CountingEchoGraph(), reference_options);
+  ASSERT_TRUE(expected.status.ok());
+  ASSERT_EQ(expected.output_lines.size(), static_cast<size_t>(kIterations));
+
+  // Returns the producer's count when the first line reached the sink.
+  auto run = [&](const RunOptions& options) {
+    CountingProducer::processed.store(0);
+    int64_t count_at_first_line = -1;
+    LineSink sink = [&](const std::string&) {
+      if (count_at_first_line < 0) {
+        count_at_first_line = CountingProducer::processed.load();
+      }
+    };
+    RunResult result =
+        DynamicMapping().Execute(*CountingEchoGraph(), options, sink);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(AsMultiset(result.output_lines),
+              AsMultiset(expected.output_lines));
+    EXPECT_EQ(CountingProducer::processed.load(), kIterations);
+    return count_at_first_line;
+  };
+
+  // One worker: serial and deterministic. It pops one receive batch of
+  // producer iterations, then drains their tuples through Pass and EchoSink
+  // before it pops the next.
+  RunOptions serial;
+  serial.input = Value(kIterations);
+  serial.initial_workers = 1;
+  serial.max_workers = 1;
+  serial.autoscale = false;
+  const int64_t serial_count = run(serial);
+  EXPECT_GE(serial_count, 1);
+  EXPECT_LE(serial_count, serial.recv_batch_size);
+
+  RunOptions defaults;
+  defaults.input = Value(kIterations);
+  const int64_t default_count = run(defaults);
+  EXPECT_GE(default_count, 1);
+  EXPECT_LT(default_count, 1000);
 }
 
 // ---- Equivalence property: every mapping computes the same answer ----
