@@ -34,7 +34,7 @@ void Usage(const char* argv0) {
       "          [--snapshot PATH --wal PATH] [--wal-fsync MODE]\n"
       "          [--wal-fsync-interval-ms N] [--replica-of HOST:PORT]\n"
       "          [--max-replica-lag-ms N] [--rps N] [--cold-start-ms N]\n"
-      "          [--quantize] [--rerank-overfetch X] [--stdin-eof]\n"
+      "          [--stdin-eof]\n"
       "  --port N            TCP port (0 = ephemeral, printed on stdout; "
       "default 8477)\n"
       "  --bind ADDR         bind address (default 127.0.0.1)\n"
@@ -56,12 +56,6 @@ void Usage(const char* argv0) {
       "  --rps N             per-tenant request rate cap (token bucket;\n"
       "                      default 0 = unlimited)\n"
       "  --cold-start-ms N   simulated engine cold start (default 0)\n"
-      "  --quantize          keep an SQ8 int8 mirror of every vector index\n"
-      "                      and generate candidates through it (4x less\n"
-      "                      memory streamed; returned scores unchanged)\n"
-      "  --rerank-overfetch X  exact-rerank over-fetch factor with\n"
-      "                      --quantize (default 4.0; higher = better\n"
-      "                      recall, slower)\n"
       "  --stdin-eof         also exit when stdin reaches EOF\n",
       argv0);
 }
@@ -115,10 +109,6 @@ int main(int argc, char** argv) {
       config.tenant_quotas.burst = config.tenant_quotas.requests_per_sec;
     } else if (std::strcmp(argv[i], "--cold-start-ms") == 0) {
       config.engine.cold_start_ms = std::atof(next());
-    } else if (std::strcmp(argv[i], "--quantize") == 0) {
-      config.search.vector_index.quantize = true;
-    } else if (std::strcmp(argv[i], "--rerank-overfetch") == 0) {
-      config.search.vector_index.rerank_overfetch = std::atof(next());
     } else if (std::strcmp(argv[i], "--stdin-eof") == 0) {
       stdin_eof = true;
     } else {

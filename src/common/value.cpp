@@ -1,8 +1,9 @@
 #include "common/value.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <string_view>
 
 namespace laminar {
 namespace {
@@ -53,29 +54,15 @@ void NumberInto(std::string& out, double d) {
     out += "null";  // JSON has no NaN/Inf; match common serializer behaviour
     return;
   }
+  // Without a precision, std::to_chars writes the shortest text that parses
+  // back to exactly `d` (at most 24 characters for a double).
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof buf, d).ptr;
+  const std::string_view text(buf, static_cast<size_t>(end - buf));
+  out += text;
   // Whole values keep a ".0" so they re-parse as doubles, not ints —
   // type-preserving round trips matter for stored embeddings and specs.
-  auto emit = [&](const char* text) {
-    out += text;
-    if (out.find_first_of(".eE", out.size() - std::strlen(text)) ==
-        std::string::npos) {
-      out += ".0";
-    }
-  };
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  // Trim to shortest round-trip representation cheaply: try %.15g then %.16g.
-  for (int prec = 15; prec <= 17; ++prec) {
-    char trial[32];
-    std::snprintf(trial, sizeof trial, "%.*g", prec, d);
-    double back = 0.0;
-    std::sscanf(trial, "%lf", &back);
-    if (back == d) {
-      emit(trial);
-      return;
-    }
-  }
-  emit(buf);
+  if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
 }  // namespace

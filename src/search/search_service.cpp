@@ -30,13 +30,6 @@ telemetry::Counter& EncodeCounter(const char* model) {
       "laminar_embed_encodes_total", std::string("model=\"") + model + "\"");
 }
 
-/// Stamps the per-index telemetry label ("peText" etc.) onto the shared
-/// vector-index options so laminar_ann_* metrics separate by index.
-VectorIndex::Options Labeled(VectorIndex::Options options, const char* label) {
-  options.label = label;
-  return options;
-}
-
 }  // namespace
 
 SearchService::SearchService(registry::Repository& repo, SearchConfig config)
@@ -45,13 +38,10 @@ SearchService::SearchService(registry::Repository& repo, SearchConfig config)
       unixcoder_(config.unixcoder),
       reacc_(config.reacc),
       aroma_(config.aroma),
-      pe_text_index_(config.unixcoder.dims,
-                     Labeled(config.vector_index, "peText")),
-      pe_code_index_(config.reacc.dims, Labeled(config.vector_index, "peCode")),
-      workflow_text_index_(config.unixcoder.dims,
-                           Labeled(config.vector_index, "workflowText")),
-      workflow_code_index_(config.reacc.dims,
-                           Labeled(config.vector_index, "workflowCode")),
+      pe_text_index_(config.unixcoder.dims, "peText"),
+      pe_code_index_(config.reacc.dims, "peCode"),
+      workflow_text_index_(config.unixcoder.dims, "workflowText"),
+      workflow_code_index_(config.reacc.dims, "workflowCode"),
       query_cache_(config.query_cache_capacity) {}
 
 embed::Vector SearchService::TextEmbeddingFor(
@@ -174,21 +164,7 @@ void SearchService::Clear() {
   aroma_ = spt::AromaEngine(config_.aroma);
 }
 
-void SearchService::BeginBulkIndexing() {
-  pe_text_index_.BeginBulk();
-  pe_code_index_.BeginBulk();
-  workflow_text_index_.BeginBulk();
-  workflow_code_index_.BeginBulk();
-}
-
-void SearchService::EndBulkIndexing(ThreadPool* pool) {
-  pe_text_index_.EndBulk(pool);
-  pe_code_index_.EndBulk(pool);
-  workflow_text_index_.EndBulk(pool);
-  workflow_code_index_.EndBulk(pool);
-}
-
-std::vector<std::pair<std::string, VectorIndexStats>>
+std::vector<std::pair<std::string, PostingsIndexStats>>
 SearchService::IndexStats() const {
   return {{"peText", pe_text_index_.stats()},
           {"peCode", pe_code_index_.stats()},
@@ -203,10 +179,7 @@ Status SearchService::ReindexAll(ThreadPool* pool) {
   const std::vector<registry::WorkflowRecord> wfs = repo_->AllWorkflows();
   // Prepare fans out (encodes + SPT featurization are const and
   // thread-safe); commits run serially on this thread because index
-  // mutations rely on the caller's exclusive lock. Bulk mode defers ANN
-  // graph maintenance so EndBulkIndexing can build each graph once, with
-  // the level inserts themselves fanned out over the pool.
-  BeginBulkIndexing();
+  // mutations rely on the caller's exclusive lock.
   std::vector<PreparedPe> pe_prepared(pes.size());
   ParallelFor(pool, pes.size(), [&](size_t i) {
     pe_prepared[i] = PreparePe(pes[i].name, pes[i].description,
@@ -224,7 +197,6 @@ Status SearchService::ReindexAll(ThreadPool* pool) {
   for (size_t i = 0; i < wfs.size(); ++i) {
     CommitWorkflow(wfs[i].id, std::move(wf_prepared[i]));
   }
-  EndBulkIndexing(pool);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   telemetry::MetricsRegistry::Global()
@@ -270,11 +242,11 @@ std::vector<SearchHit> SearchService::LiteralSearch(const std::string& term,
 }
 
 std::vector<SearchHit> SearchService::RankTopK(
-    const embed::Vector& query, const VectorIndex& index,
+    const embed::Vector& query, const PostingsIndex& index,
     const std::unordered_map<int64_t, Doc>& docs, size_t limit) const {
   std::vector<SearchHit> hits;
   hits.reserve(std::min(limit, index.size()));
-  for (const ScoredId& scored : index.TopK(query, limit)) {
+  for (const PostingsIndex::Hit& scored : index.TopK(query, limit)) {
     SearchHit hit;
     hit.id = scored.id;
     hit.score = scored.score;

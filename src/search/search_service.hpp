@@ -3,12 +3,12 @@
 // embeddings, LLM code-to-code search (ReACC baseline), and SPT structural
 // code recommendation (Aroma).
 //
-// The service keeps in-memory indexes (flat SoA embedding indexes + the
-// Aroma feature index) synchronized with the registry via Add/Remove hooks,
-// just as the paper's server precomputes and stores embeddings at
-// registration time (§V-B). Embeddings are L2-normalized into VectorIndex
-// rows at registration, so every query is one contiguous dot-product scan
-// reduced by a bounded top-k heap (see vector_index.hpp).
+// The service keeps in-memory indexes (embedding postings + the Aroma
+// feature index) synchronized with the registry via Add/Remove hooks, just
+// as the paper's server precomputes and stores embeddings at registration
+// time (§V-B). Embeddings are L2-normalized into PostingsIndex rows at
+// registration, so a query reads only the postings of its own non-zero
+// dimensions and keeps a bounded top-k heap (see postings_index.hpp).
 //
 // Concurrency contract: the query methods (LiteralSearch, SemanticSearch,
 // CodeSearchLlm, CodeCompletion, CodeRecommendation) are safe to call
@@ -28,8 +28,8 @@
 #include "embed/reacc_sim.hpp"
 #include "embed/unixcoder_sim.hpp"
 #include "registry/repository.hpp"
+#include "search/postings_index.hpp"
 #include "search/query_cache.hpp"
-#include "search/vector_index.hpp"
 #include "spt/recommend.hpp"
 
 namespace laminar::search {
@@ -59,10 +59,6 @@ struct SearchConfig {
   /// LRU capacity of the (model, query text) -> embedding cache; 0 disables
   /// it. Hits/misses surface as laminar_search_query_cache_*_total.
   size_t query_cache_capacity = 256;
-  /// Embedding-index knobs: sharded-scan thresholds plus the ANN strategy
-  /// (flat | hnsw | auto) and HNSW shape (see VectorIndexOptions). Applied
-  /// to all four indexes; /stats surfaces them under search.vectorIndex.
-  VectorIndex::Options vector_index;
   embed::UnixcoderConfig unixcoder;
   embed::ReaccConfig reacc;
   spt::AromaConfig aroma;
@@ -124,14 +120,6 @@ class SearchService {
   void RemovePe(int64_t pe_id);
   void RemoveWorkflow(int64_t workflow_id);
   void Clear();
-  /// Bulk-ingest fast path: between BeginBulkIndexing and EndBulkIndexing
-  /// the vector indexes skip per-Upsert ANN graph maintenance; EndBulk then
-  /// builds each graph once, fanning the level inserts out over `pool` via
-  /// ParallelFor, and records the wall time into the
-  /// laminar_search_bulk_build_ms gauge. No-ops while the indexes are flat.
-  /// Same external-exclusive-locking contract as every index mutation.
-  void BeginBulkIndexing();
-  void EndBulkIndexing(ThreadPool* pool);
   /// Rebuilds everything from the repository. With a pool, the prepare
   /// phase (encodes + SPT featurization) fans out across pool threads plus
   /// the caller via ParallelFor; commits stay on the calling thread, so the
@@ -178,20 +166,20 @@ class SearchService {
     return query_cache_.stats();
   }
 
-  /// Per-vector-index footprint/strategy snapshots for /stats, keyed by the
-  /// index label ("peText", "peCode", "workflowText", "workflowCode").
-  std::vector<std::pair<std::string, VectorIndexStats>> IndexStats() const;
+  /// Per-index footprint snapshots for /stats, keyed by the index label
+  /// ("peText", "peCode", "workflowText", "workflowCode").
+  std::vector<std::pair<std::string, PostingsIndexStats>> IndexStats() const;
 
  private:
   struct Doc {
     std::string name;
     std::string description;
   };
-  /// Scores `query` against `index` (flat SoA top-k scan) and joins the
-  /// winning ids with their metadata. Ranking order matches the legacy
-  /// full-sort path: score descending, ties by ascending id.
+  /// Scores `query` against `index` (postings top-k) and joins the winning
+  /// ids with their metadata. Ranking order matches the legacy full-sort
+  /// path: score descending, ties by ascending id.
   std::vector<SearchHit> RankTopK(
-      const embed::Vector& query, const VectorIndex& index,
+      const embed::Vector& query, const PostingsIndex& index,
       const std::unordered_map<int64_t, Doc>& docs, size_t limit) const;
   /// Shared AddPe/AddWorkflow embedding step: prefers the stored embedding,
   /// encodes the description at most once otherwise (counted per model).
@@ -205,11 +193,11 @@ class SearchService {
   spt::AromaEngine aroma_;  ///< indexes PE snippets by pe id
   std::unordered_map<int64_t, Doc> pe_docs_;
   std::unordered_map<int64_t, Doc> workflow_docs_;
-  // Flat normalized-embedding indexes, one per (corpus, embedding kind).
-  VectorIndex pe_text_index_;
-  VectorIndex pe_code_index_;
-  VectorIndex workflow_text_index_;
-  VectorIndex workflow_code_index_;
+  // Normalized-embedding postings, one index per (corpus, embedding kind).
+  PostingsIndex pe_text_index_;
+  PostingsIndex pe_code_index_;
+  PostingsIndex workflow_text_index_;
+  PostingsIndex workflow_code_index_;
   mutable QueryEmbeddingCache query_cache_;
 };
 

@@ -1305,10 +1305,6 @@ Result<LaminarServer::Response> LaminarServer::BulkRegister(Call& c) {
           e["error"] = message;
           errors.push_back(std::move(e));
         };
-        // Bulk mode: the vector indexes defer per-Upsert ANN graph
-        // maintenance across the commit loop; EndBulkIndexing then builds
-        // each graph once, fanning the level inserts over the ingest pool.
-        search_.BeginBulkIndexing();
         for (size_t i = 0; i < n; ++i) {
           if (prepared[i] == nullptr) {
             record_error(i, prepare_errors[i]);
@@ -1325,10 +1321,6 @@ Result<LaminarServer::Response> LaminarServer::BulkRegister(Call& c) {
           ids.push_back(id.value());
           ++registered;
         }
-        Stopwatch build_watch;
-        search_.EndBulkIndexing(ingest_pool_.get());
-        // Same gauge ReindexAll sets: the latest bulk index-build duration.
-        bulk_build_ms_->Set(static_cast<int64_t>(build_watch.ElapsedMillis()));
         Value resp = Value::MakeObject();
         resp["peIds"] = std::move(ids);
         resp["registered"] = registered;
@@ -1417,41 +1409,17 @@ Result<LaminarServer::Response> LaminarServer::Stats(Call&) {
   resp["queryCache"]["misses"] = static_cast<int64_t>(query_cache.misses);
   resp["queryCache"]["entries"] =
       static_cast<int64_t>(query_cache.entries);
-  // Vector-index tier: the configured scan/ANN knobs plus a
-  // per-index footprint snapshot, so operators can see which indexes have
-  // switched onto the ANN graph path and what it costs in memory.
-  const auto& vopts = search_.config().vector_index;
-  Value vi = Value::MakeObject();
-  vi["parallelThreshold"] =
-      static_cast<int64_t>(vopts.parallel_threshold);
-  vi["maxThreads"] = static_cast<int64_t>(vopts.max_threads);
-  vi["strategy"] = std::string(search::ToString(vopts.strategy));
-  vi["annThreshold"] = static_cast<int64_t>(vopts.ann_threshold);
-  vi["hnswM"] = static_cast<int64_t>(vopts.hnsw.M);
-  vi["hnswEfConstruction"] =
-      static_cast<int64_t>(vopts.hnsw.ef_construction);
-  vi["hnswEfSearch"] = static_cast<int64_t>(vopts.hnsw.ef_search);
-  vi["recallProbeInterval"] =
-      static_cast<int64_t>(vopts.recall_probe_interval);
-  vi["quantize"] = vopts.quantize;
-  vi["rerankOverfetch"] = vopts.rerank_overfetch;
-  resp["search"]["vectorIndex"] = std::move(vi);
   // Which kernel tier the dispatched dot products run on.
   resp["search"]["simd"]["tier"] =
       std::string(simd::TierName(simd::ActiveTier()));
   Value indexes = Value::MakeObject();
+  // Per-index footprint of the embedding postings.
   for (const auto& [name, istats] : search_.IndexStats()) {
     Value one = Value::MakeObject();
     one["rows"] = static_cast<int64_t>(istats.rows);
-    one["nodes"] = static_cast<int64_t>(istats.nodes);
     one["dims"] = static_cast<int64_t>(istats.dims);
+    one["postings"] = static_cast<int64_t>(istats.postings);
     one["bytes"] = static_cast<int64_t>(istats.bytes);
-    one["graphBytes"] = static_cast<int64_t>(istats.graph_bytes);
-    one["quantBytes"] = static_cast<int64_t>(istats.quant_bytes);
-    one["ann"] = istats.ann;
-    one["quantized"] = istats.quantized;
-    one["compactions"] = static_cast<int64_t>(istats.compactions);
-    one["graphBuilds"] = static_cast<int64_t>(istats.graph_builds);
     indexes[name] = std::move(one);
   }
   resp["search"]["indexes"] = std::move(indexes);

@@ -46,9 +46,7 @@ namespace laminar::server {
 
 struct ServerConfig {
   engine::EngineConfig engine;
-  /// Search tier, including the vector-index knobs (`search.vector_index`:
-  /// parallel_threshold, max_threads, strategy flat|hnsw|auto, HNSW shape).
-  /// The chosen values are surfaced under /stats "search.vectorIndex".
+  /// Search tier: result limits, query cache, encoders and Aroma options.
   search::SearchConfig search;
   /// Name of the implicit user owning unauthenticated registrations.
   std::string default_user = "laminar";

@@ -34,6 +34,18 @@ TEST(ServerExtras, StatsReflectActivity) {
   // The dynamic run went through the engine's broker.
   EXPECT_GT(stats->at("broker").GetInt("pushes"), 0);
   EXPECT_GT(stats->at("engine").GetInt("warmInstances"), 0);
+  // The embedding postings: one entry per index, with the PE rows counted.
+  const Value& indexes = stats->at("search").at("indexes");
+  for (const char* label : {"peText", "peCode", "workflowText",
+                            "workflowCode"}) {
+    const Value& index = indexes.at(label);
+    EXPECT_EQ(index.GetInt("dims"), 4096) << label;
+    EXPECT_GT(index.GetInt("postings"), 0) << label;
+    EXPECT_GT(index.GetInt("bytes"), index.GetInt("postings")) << label;
+  }
+  EXPECT_EQ(indexes.at("peText").GetInt("rows"), 3);
+  EXPECT_EQ(indexes.at("workflowCode").GetInt("rows"), 1);
+  EXPECT_FALSE(stats->at("search").contains("vectorIndex"));
 }
 
 TEST(ServerExtras, SaveAndLoadRoundTrip) {

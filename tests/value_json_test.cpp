@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "common/value.hpp"
+#include "embed/embedding.hpp"
+#include "embed/unixcoder_sim.hpp"
 
 namespace laminar {
 namespace {
@@ -99,6 +107,63 @@ TEST(JsonSerialize, DoublesRoundTrip) {
     ASSERT_TRUE(back.ok()) << v.ToJson();
     EXPECT_DOUBLE_EQ(back->as_double(), d);
   }
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+/// Serializes `d` and parses it back; the double must come back bit for bit.
+void ExpectBitExactRoundTrip(double d) {
+  const std::string text = Value(d).ToJson();
+  Result<Value> back = json::Parse(text);
+  ASSERT_TRUE(back.ok()) << text;
+  ASSERT_TRUE(back->is_double()) << text;
+  EXPECT_EQ(Bits(back->as_double()), Bits(d)) << text;
+}
+
+TEST(JsonSerialize, DoublesAndWidenedFloatsRoundTripBitExactly) {
+  const double min_sub = std::numeric_limits<double>::denorm_min();
+  const float float_sub = std::numeric_limits<float>::denorm_min();
+  for (double d : {0.0, -0.0, 1.0, -1.0, 3.0, 1e15, 1e16, 123456789.0,
+                   9007199254740993.0, 1e300, -1e300, 1e-300, -1e-300,
+                   min_sub, -min_sub, 3 * min_sub,
+                   std::numeric_limits<double>::min() / 2,
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::lowest(),
+                   std::numeric_limits<double>::min(), 0.1, 1.0 / 3.0,
+                   static_cast<double>(float_sub),
+                   static_cast<double>(std::numeric_limits<float>::max()),
+                   static_cast<double>(0.1f)}) {
+    ExpectBitExactRoundTrip(d);
+  }
+  Rng rng(0xd0b1e5);
+  for (int i = 0; i < 20000; ++i) {
+    // Any finite bit pattern: normals of every exponent, subnormals, and
+    // whole numbers among the large ones.
+    const double any = std::bit_cast<double>(rng.NextU64());
+    if (std::isfinite(any)) ExpectBitExactRoundTrip(any);
+    const float f = std::bit_cast<float>(static_cast<uint32_t>(rng.NextU64()));
+    if (std::isfinite(f)) ExpectBitExactRoundTrip(static_cast<double>(f));
+    ExpectBitExactRoundTrip(
+        static_cast<double>(rng.NextInt(-1000000, 1000000)));
+    ExpectBitExactRoundTrip((rng.NextDouble() - 0.5) *
+                            std::pow(10.0, rng.NextInt(-30, 30)));
+  }
+}
+
+TEST(JsonSerialize, EmbeddingSurvivesToJsonFromJsonBitExactly) {
+  const embed::UnixcoderSim encoder;
+  const embed::Vector v = encoder.EncodeText(
+      "Checks whether a number is prime and returns it if so.");
+  ASSERT_EQ(v.size(), 4096u);
+  const embed::Vector back = embed::FromJson(embed::ToJson(v));
+  ASSERT_EQ(back.size(), v.size());
+  size_t nonzero = 0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(back[i]), std::bit_cast<uint32_t>(v[i]))
+        << "dimension " << i;
+    nonzero += v[i] != 0.0f;
+  }
+  EXPECT_GT(nonzero, 0u);
 }
 
 TEST(JsonSerialize, NonFiniteBecomesNull) {
