@@ -1,18 +1,22 @@
 // bench_aroma — per-stage cost of Aroma structural recommendation, the
 // paper's default code-to-code path (§VI-A), over growing corpora.
 //
-// For 300, 1.2k, 3.6k and 12k generated PEs it indexes every PE's features
-// (line occurrences on, as AromaEngine does) and runs DropCode(0.5) queries
-// through the stages of AromaEngine::Recommend one at a time:
-//   featurize  parse + SPT + feature extraction of the query;
+// For 300, 1.2k, 3.6k and 12k generated PEs it indexes every PE's flat
+// features (line occurrences on, as AromaEngine does) and runs
+// DropCode(0.5) queries through the stages of AromaEngine::Recommend one at
+// a time, as Recommend runs them:
+//   featurize  parse + SPT + feature extraction of the query, and its flat
+//              form (sorted once, shared by the stages below);
 //   topk       SptIndex::TopK by overlap, k = AromaConfig::retrieve_top;
 //   prune      PruneAgainstQuery on every candidate at or above the overlap
 //              threshold, then the containment rerank;
-//   cluster    ClusterCandidates over the reranked candidates;
+//   cluster    ClusterCandidates over the reranked candidates, opening at
+//              most max_recommendations clusters;
 //   total      the sum of the four.
 // Each row also reports the slots TopK touched (the documents sharing a
-// feature with the query) and the candidates pruned. Rows go to
-// BENCH_aroma.json.
+// feature with the query) and the candidates pruned. Every timing is the
+// median of 3 trials over the same queries, with the min and max beside it.
+// Rows go to BENCH_aroma.json, stamped with the host.
 //
 // --smoke indexes a 300-PE corpus and asserts exactness instead:
 //   (a) after churn (every 7th PE removed, every 14th re-added with another
@@ -22,7 +26,10 @@
 //       candidates of DropCode 0.5 and 0.8 queries;
 //   (c) AromaEngine::Recommend is deterministic: a repeated call and an
 //       engine indexed in reverse order (other slots) return identical
-//       recommendations.
+//       recommendations;
+//   (d) on a churned corpus, Search (every metric), Recommend (full and
+//       simplified) and Complete equal the FeatureBag reference pipeline
+//       for DropCode 0, 0.5, 0.75 and 0.9 queries in tail and random mode.
 // Exit status 1 on any mismatch.
 //
 // Usage: bench_aroma [--smoke]
@@ -64,6 +71,11 @@ spt::FeatureBag Featurize(const std::string& code,
   return spt::ExtractFeatures(*tree.value(), options);
 }
 
+spt::FlatFeatures Flat(const std::string& code,
+                       const spt::FeatureOptions& options) {
+  return spt::FlatFeatures::From(Featurize(code, options));
+}
+
 struct QueryStages {
   double featurize = 0, topk = 0, prune = 0, cluster = 0, total = 0;
   size_t touched = 0;
@@ -77,7 +89,7 @@ QueryStages RunStages(const spt::SptIndex& index,
                       const std::string& code) {
   QueryStages out;
   Clock::time_point t0 = Clock::now();
-  const spt::FeatureBag query = Featurize(code, options);
+  const spt::FlatFeatures query = Flat(code, options);
   out.featurize = MsSince(t0);
 
   t0 = Clock::now();
@@ -113,7 +125,8 @@ QueryStages RunStages(const spt::SptIndex& index,
   for (const Reranked& r : reranked) {
     inputs.push_back(spt::ClusterInput{r.doc_id, index.Get(r.doc_id)});
   }
-  spt::ClusterCandidates(inputs, config.cluster_jaccard);
+  spt::ClusterCandidates(inputs, config.cluster_jaccard,
+                         config.max_recommendations);
   out.cluster = MsSince(t0);
   out.total = out.featurize + out.topk + out.prune + out.cluster;
 
@@ -129,83 +142,125 @@ double Percentile(std::vector<double> values, double q) {
   return values[at];
 }
 
+/// One trial over a corpus: index build time, then the per-query means of
+/// each stage and the p50/p95 of the per-query totals.
+struct Trial {
+  double build_s = 0;
+  QueryStages mean;
+  double total_p50 = 0, total_p95 = 0;
+  size_t queries = 0;
+  double touched = 0, pruned = 0;  ///< per-query means
+};
+
+Trial RunTrial(const dataset::CodeSearchNetPeDataset& ds,
+               const spt::AromaConfig& config,
+               const spt::FeatureOptions& options) {
+  Trial trial;
+  Stopwatch build;
+  spt::SptIndex index;
+  for (const dataset::PeExample& ex : ds.examples()) {
+    index.Add(ex.id, Flat(ex.pe_code, options));
+  }
+  trial.build_s = build.ElapsedSeconds();
+
+  QueryStages sum;
+  std::vector<double> totals;
+  const size_t stride = std::max<size_t>(ds.size() / 100, 1);
+  for (size_t i = 0; i < ds.size(); i += stride) {
+    const QueryStages q =
+        RunStages(index, config, options,
+                  dataset::DropCode(ds.example(i).pe_code, 0.5));
+    sum.featurize += q.featurize;
+    sum.topk += q.topk;
+    sum.prune += q.prune;
+    sum.cluster += q.cluster;
+    sum.total += q.total;
+    sum.touched += q.touched;
+    sum.pruned += q.pruned;
+    totals.push_back(q.total);
+  }
+  const double n = static_cast<double>(totals.size());
+  trial.mean.featurize = sum.featurize / n;
+  trial.mean.topk = sum.topk / n;
+  trial.mean.prune = sum.prune / n;
+  trial.mean.cluster = sum.cluster / n;
+  trial.mean.total = sum.total / n;
+  trial.queries = totals.size();
+  trial.touched = static_cast<double>(sum.touched) / n;
+  trial.pruned = static_cast<double>(sum.pruned) / n;
+  trial.total_p50 = Percentile(totals, 0.5);
+  trial.total_p95 = Percentile(totals, 0.95);
+  return trial;
+}
+
+/// Writes the median of `field` over the trials as `key`, and its range as
+/// `key`_min and `key`_max; returns the median.
+template <typename Field>
+double AddSpread(Value& row, const std::string& key,
+                 const std::vector<Trial>& trials, Field field) {
+  std::vector<double> v;
+  for (const Trial& t : trials) v.push_back(field(t));
+  std::sort(v.begin(), v.end());
+  row[key] = v[v.size() / 2];
+  row[key + "_min"] = v.front();
+  row[key + "_max"] = v.back();
+  return v[v.size() / 2];
+}
+
 int RunSweep() {
   const spt::AromaConfig config;
   spt::FeatureOptions options = config.features;
   options.with_occurrences = true;
+  constexpr int kTrials = 3;
 
-  std::printf(
-      "== Aroma recommendation, per stage (DropCode 0.5 queries) ==\n\n");
+  std::printf("== Aroma recommendation, per stage (DropCode 0.5 queries, "
+              "median of %d trials) ==\n\n",
+              kTrials);
   std::printf("%-8s %-9s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-9s\n",
               "corpus", "build s", "featurize", "topk", "prune", "cluster",
               "total", "p50", "touched", "pruned");
   bench::BenchReport report("aroma");
+  report.Set("trials", static_cast<int64_t>(kTrials));
   for (size_t variants : {10u, 40u, 120u, 400u}) {
     const dataset::CodeSearchNetPeDataset ds = Corpus(variants);
-    Stopwatch build;
-    spt::SptIndex index;
-    for (const dataset::PeExample& ex : ds.examples()) {
-      index.Add(ex.id, Featurize(ex.pe_code, options));
+    std::vector<Trial> trials;
+    for (int t = 0; t < kTrials; ++t) {
+      trials.push_back(RunTrial(ds, config, options));
     }
-    const double build_s = build.ElapsedSeconds();
-
-    QueryStages sum;
-    std::vector<double> totals;
-    const size_t stride = std::max<size_t>(ds.size() / 100, 1);
-    for (size_t i = 0; i < ds.size(); i += stride) {
-      const QueryStages q =
-          RunStages(index, config, options,
-                    dataset::DropCode(ds.example(i).pe_code, 0.5));
-      sum.featurize += q.featurize;
-      sum.topk += q.topk;
-      sum.prune += q.prune;
-      sum.cluster += q.cluster;
-      sum.total += q.total;
-      sum.touched += q.touched;
-      sum.pruned += q.pruned;
-      totals.push_back(q.total);
-    }
-    const double n = static_cast<double>(totals.size());
-    const double touched = static_cast<double>(sum.touched) / n;
-    const double pruned = static_cast<double>(sum.pruned) / n;
-    std::printf("%-8zu %-9.2f %-10.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f "
-                "%-9.1f %-9.1f\n",
-                ds.size(), build_s, sum.featurize / n, sum.topk / n,
-                sum.prune / n, sum.cluster / n, sum.total / n,
-                Percentile(totals, 0.5), touched, pruned);
     Value& row = report.AddRow();
     row["corpus"] = static_cast<int64_t>(ds.size());
-    row["queries"] = static_cast<int64_t>(totals.size());
-    row["build_s"] = build_s;
-    row["featurize_ms"] = sum.featurize / n;
-    row["topk_ms"] = sum.topk / n;
-    row["prune_ms"] = sum.prune / n;
-    row["cluster_ms"] = sum.cluster / n;
-    row["total_ms"] = sum.total / n;
-    row["total_p50_ms"] = Percentile(totals, 0.5);
-    row["total_p95_ms"] = Percentile(totals, 0.95);
-    row["slots_touched"] = touched;
-    row["candidates_pruned"] = pruned;
+    row["queries"] = static_cast<int64_t>(trials[0].queries);
+    const double build_s = AddSpread(row, "build_s", trials,
+                                     [](const Trial& t) { return t.build_s; });
+    const double featurize =
+        AddSpread(row, "featurize_ms", trials,
+                  [](const Trial& t) { return t.mean.featurize; });
+    const double topk = AddSpread(row, "topk_ms", trials,
+                                  [](const Trial& t) { return t.mean.topk; });
+    const double prune = AddSpread(
+        row, "prune_ms", trials, [](const Trial& t) { return t.mean.prune; });
+    const double cluster =
+        AddSpread(row, "cluster_ms", trials,
+                  [](const Trial& t) { return t.mean.cluster; });
+    const double total = AddSpread(
+        row, "total_ms", trials, [](const Trial& t) { return t.mean.total; });
+    const double p50 = AddSpread(row, "total_p50_ms", trials,
+                                 [](const Trial& t) { return t.total_p50; });
+    AddSpread(row, "total_p95_ms", trials,
+              [](const Trial& t) { return t.total_p95; });
+    // The same queries in every trial, so the counts do not vary.
+    row["slots_touched"] = trials[0].touched;
+    row["candidates_pruned"] = trials[0].pruned;
+    std::printf("%-8zu %-9.2f %-10.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f "
+                "%-9.1f %-9.1f\n",
+                ds.size(), build_s, featurize, topk, prune, cluster, total, p50,
+                trials[0].touched, trials[0].pruned);
   }
   std::printf("\nms are means per query; p50 is the median total. topk "
               "scores every touched slot, so it grows with the corpus; prune "
               "and cluster see at most retrieve_top candidates.\n");
   report.Write();
   return 0;
-}
-
-bool SameRecommendations(const std::vector<spt::Recommendation>& a,
-                         const std::vector<spt::Recommendation>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const spt::Recommendation& x,
-                       const spt::Recommendation& y) {
-                      return x.snippet_id == y.snippet_id &&
-                             x.score == y.score &&
-                             x.containment == y.containment &&
-                             x.cluster_size == y.cluster_size &&
-                             x.pruned_lines == y.pruned_lines &&
-                             x.recommended_code == y.recommended_code;
-                    });
 }
 
 int RunSmoke() {
@@ -226,7 +281,7 @@ int RunSmoke() {
   spt::SptIndex index;
   for (const dataset::PeExample& ex : ds.examples()) {
     bags[ex.id] = Featurize(ex.pe_code, options);
-    index.Add(ex.id, bags[ex.id]);
+    index.Add(ex.id, spt::FlatFeatures::From(bags[ex.id]));
   }
   for (size_t i = 0; i < ds.size(); i += 7) {
     index.Remove(ds.example(i).id);
@@ -237,7 +292,7 @@ int RunSmoke() {
     bags[id] = Featurize(
         dataset::DropCode(ds.example((i + 37) % ds.size()).pe_code, 0.3),
         options);
-    index.Add(id, bags[id]);
+    index.Add(id, spt::FlatFeatures::From(bags[id]));
   }
   std::vector<std::pair<int64_t, const spt::FeatureBag*>> live;
   for (const auto& [id, bag] : bags) live.emplace_back(id, &bag);
@@ -245,12 +300,13 @@ int RunSmoke() {
   for (size_t i = 0; i < ds.size(); i += 5) {
     const spt::FeatureBag query =
         Featurize(dataset::DropCode(ds.example(i).pe_code, 0.5), options);
+    const spt::FlatFeatures flat_query = spt::FlatFeatures::From(query);
     for (spt::Metric metric : {spt::Metric::kOverlap, spt::Metric::kCosine,
                                spt::Metric::kContainment}) {
       for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{100},
                        index.size() + 1}) {
         expect(spt::reference::SameHits(
-                   index.TopK(query, k, metric),
+                   index.TopK(flat_query, k, metric),
                    spt::reference::BruteForceTopK(live, query, k, metric)),
                "TopK != brute force", i);
       }
@@ -262,11 +318,12 @@ int RunSmoke() {
     for (double drop : {0.5, 0.8}) {
       const spt::FeatureBag query =
           Featurize(dataset::DropCode(ds.example(i).pe_code, drop), options);
-      for (const spt::SptIndex::Hit& hit : index.TopK(query, 100)) {
-        const spt::FeatureBag& candidate = *index.Get(hit.doc_id);
+      const spt::FlatFeatures flat_query = spt::FlatFeatures::From(query);
+      for (const spt::SptIndex::Hit& hit : index.TopK(flat_query, 100)) {
         expect(spt::reference::SamePrune(
-                   spt::PruneAgainstQuery(query, candidate),
-                   spt::reference::MapPruneAgainstQuery(query, candidate)),
+                   spt::PruneAgainstQuery(flat_query, *index.Get(hit.doc_id)),
+                   spt::reference::MapPruneAgainstQuery(query,
+                                                        bags.at(hit.doc_id))),
                "prune != map reference", i);
       }
     }
@@ -290,11 +347,27 @@ int RunSmoke() {
     expect(first.ok() && again.ok() && other.ok(), "Recommend failed", i);
     if (!first.ok() || !again.ok() || !other.ok()) continue;
     recommended += first->size();
-    expect(SameRecommendations(*first, *again), "repeat Recommend differs", i);
-    expect(SameRecommendations(*first, *other),
+    expect(spt::reference::SameRecommendations(*first, *again),
+           "repeat Recommend differs", i);
+    expect(spt::reference::SameRecommendations(*first, *other),
            "reverse-order Recommend differs", i);
   }
   expect(recommended > 0, "no recommendations at all", 0);
+
+  // (d) The whole pipeline vs the FeatureBag reference, after churn.
+  spt::AromaEngine full;
+  spt::AromaConfig simplified_config;
+  simplified_config.use_full_pipeline = false;
+  spt::AromaEngine simplified(simplified_config);
+  spt::reference::Corpus corpus;
+  spt::reference::IndexChurned(ds, {&full, &simplified}, corpus);
+  const std::vector<std::string> queries =
+      spt::reference::PartialQueries(ds, 15);
+  for (const std::string& mismatch : spt::reference::PipelineMismatches(
+           full, simplified, corpus, queries)) {
+    expect(false, mismatch.c_str(), 0);
+  }
+  checks += queries.size();
 
   std::printf("bench_aroma --smoke: %zu checks, %zu failures (%zu PEs)\n",
               checks, failures, ds.size());

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <unordered_map>
 
 namespace laminar::json {
 namespace {
@@ -25,6 +26,7 @@ class Parser {
 
  private:
   static constexpr int kMaxDepth = 256;
+  static constexpr size_t kScannedKeys = 16;
 
   Status FailStatus(std::string msg) const {
     return Status::ParseError(msg + " at offset " + std::to_string(pos_));
@@ -82,6 +84,12 @@ class Parser {
   Result<Value> ParseObject(int depth) {
     ++pos_;  // '{'
     Value obj = Value::MakeObject();
+    ValueObject& fields = obj.mutable_object();
+    // A duplicate key keeps its first position and takes the last value.
+    // Small objects find it with ValueObject's scan; past kScannedKeys keys
+    // a hash index of key -> position does, so a body of n keys parses in
+    // O(n) rather than O(n^2).
+    std::unordered_map<std::string, size_t> positions;
     SkipWs();
     if (!Eof() && Peek() == '}') {
       ++pos_;
@@ -98,7 +106,22 @@ class Parser {
       SkipWs();
       Result<Value> val = ParseValue(depth + 1);
       if (!val.ok()) return val;
-      obj[key.value()] = std::move(val.value());
+      if (fields.size() < kScannedKeys) {
+        fields[key.value()] = std::move(val.value());
+      } else {
+        if (positions.empty()) {
+          for (const auto& field : fields) {
+            positions.emplace(field.first, positions.size());
+          }
+        }
+        auto [at, inserted] = positions.try_emplace(key.value(), fields.size());
+        if (inserted) {
+          fields.Append(std::move(key.value()), std::move(val.value()));
+        } else {
+          (fields.begin() + static_cast<std::ptrdiff_t>(at->second))->second =
+              std::move(val.value());
+        }
+      }
       SkipWs();
       if (Eof()) return Fail("unterminated object");
       if (Peek() == ',') {

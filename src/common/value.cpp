@@ -75,6 +75,11 @@ Value& ValueObject::operator[](const std::string& key) {
   return entries_.back().second;
 }
 
+Value& ValueObject::Append(std::string key, Value value) {
+  entries_.emplace_back(std::move(key), std::move(value));
+  return entries_.back().second;
+}
+
 const Value* ValueObject::Find(std::string_view key) const {
   for (const auto& [k, v] : entries_) {
     if (k == key) return &v;

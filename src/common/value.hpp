@@ -26,6 +26,9 @@ class Value;
 class ValueObject {
  public:
   Value& operator[](const std::string& key);
+  /// Appends `key` without looking for it first; the caller guarantees it
+  /// is absent (the JSON parser, which indexes the keys of large objects).
+  Value& Append(std::string key, Value value);
   const Value* Find(std::string_view key) const;
   Value* Find(std::string_view key);
   bool contains(std::string_view key) const { return Find(key) != nullptr; }

@@ -69,7 +69,7 @@ SearchService::PreparedPe SearchService::PreparePe(
   // not indexed for recommendation rather than failing the registration.
   Result<spt::FeatureBag> bag = aroma_.Featurize(prepared.code);
   if (bag.ok() && bag->total > 0) {
-    prepared.features = std::move(bag.value());
+    prepared.features = spt::FlatFeatures::From(bag.value());
     prepared.has_features = true;
   }
   return prepared;

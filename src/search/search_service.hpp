@@ -78,8 +78,10 @@ class SearchService {
   /// Commit* then only upserts the precomputed rows, a few map/vector writes
   /// short enough to sit in the exclusive section. The committed state is
   /// identical to what AddPe/AddWorkflow build (same encoders, same feature
-  /// options), and the in-memory FeatureBag keeps the line occurrences that
-  /// a JSON round-trip through the sptEmbedding column would lose.
+  /// options), and the in-memory features keep the line occurrences that a
+  /// JSON round-trip through the sptEmbedding column would lose. They are
+  /// already in the flat form the Aroma index stores, built here off-lock,
+  /// so CommitPe only moves them in.
   struct PreparedPe {
     std::string name;
     std::string description;
@@ -87,7 +89,7 @@ class SearchService {
     embed::Vector text_embedding;
     embed::Vector code_embedding;
     bool has_features = false;  ///< false: snippet yielded no SPT features
-    spt::FeatureBag features;
+    spt::FlatFeatures features;
   };
   struct PreparedWorkflow {
     std::string name;

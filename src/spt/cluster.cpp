@@ -3,7 +3,8 @@
 namespace laminar::spt {
 
 std::vector<std::vector<size_t>> ClusterCandidates(
-    const std::vector<ClusterInput>& inputs, double jaccard_threshold) {
+    const std::vector<ClusterInput>& inputs, double jaccard_threshold,
+    size_t max_clusters) {
   std::vector<std::vector<size_t>> clusters;
   for (size_t i = 0; i < inputs.size(); ++i) {
     bool placed = false;
@@ -17,7 +18,7 @@ std::vector<std::vector<size_t>> ClusterCandidates(
         break;
       }
     }
-    if (!placed) clusters.push_back({i});
+    if (!placed && clusters.size() < max_clusters) clusters.push_back({i});
   }
   return clusters;
 }

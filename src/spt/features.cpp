@@ -1,5 +1,6 @@
 #include "spt/features.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/hashing.hpp"
@@ -276,6 +277,57 @@ double ContainmentScore(const FeatureBag& query, const FeatureBag& candidate) {
 double JaccardSimilarity(const FeatureBag& a, const FeatureBag& b) {
   double inter = OverlapScore(a, b);
   double uni = static_cast<double>(a.total + b.total) - inter;
+  return uni > 0 ? inter / uni : 0.0;
+}
+
+FlatFeatures FlatFeatures::From(const FeatureBag& bag) {
+  FlatFeatures flat;
+  flat.features.reserve(bag.counts.size());
+  for (const auto& [hash, count] : bag.counts) {
+    flat.features.push_back(Feature{hash, count});
+  }
+  std::sort(flat.features.begin(), flat.features.end(),
+            [](const Feature& a, const Feature& b) { return a.hash < b.hash; });
+  flat.occurrences.reserve(bag.occurrences.size());
+  for (const auto& [hash, line] : bag.occurrences) {
+    auto it = std::lower_bound(
+        flat.features.begin(), flat.features.end(), hash,
+        [](const Feature& f, uint64_t h) { return f.hash < h; });
+    if (it == flat.features.end() || it->hash != hash) continue;
+    flat.occurrences.push_back(Occurrence{
+        line, static_cast<uint32_t>(it - flat.features.begin())});
+  }
+  std::sort(flat.occurrences.begin(), flat.occurrences.end(),
+            [](const Occurrence& a, const Occurrence& b) {
+              if (a.line != b.line) return a.line < b.line;
+              return a.feature < b.feature;
+            });
+  flat.total = bag.total;
+  flat.norm = bag.Norm();
+  return flat;
+}
+
+uint64_t OverlapCount(const FlatFeatures& a, const FlatFeatures& b) {
+  uint64_t sum = 0;
+  auto x = a.features.begin();
+  auto y = b.features.begin();
+  while (x != a.features.end() && y != b.features.end()) {
+    if (x->hash < y->hash) {
+      ++x;
+    } else if (y->hash < x->hash) {
+      ++y;
+    } else {
+      sum += std::min(x->count, y->count);
+      ++x;
+      ++y;
+    }
+  }
+  return sum;
+}
+
+double JaccardSimilarity(const FlatFeatures& a, const FlatFeatures& b) {
+  const double inter = static_cast<double>(OverlapCount(a, b));
+  const double uni = static_cast<double>(a.total + b.total) - inter;
   return uni > 0 ? inter / uni : 0.0;
 }
 

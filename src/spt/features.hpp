@@ -45,6 +45,33 @@ struct FeatureBag {
   double Norm() const;
 };
 
+/// A feature bag in the flat form the index, prune and cluster stages read.
+/// It is built once per document (at registration, off the index lock) and
+/// once per query, so no stage rebuilds a table or sorts per candidate:
+///   * `features` holds each distinct feature once, in ascending hash order,
+///     so two documents intersect by one merge;
+///   * `occurrences` holds the line tags as (line, index into `features`),
+///     in ascending (line, feature) order, so a prune walks per-line runs;
+///   * `total` and `norm` are FeatureBag::total and FeatureBag::Norm().
+struct FlatFeatures {
+  struct Feature {
+    uint64_t hash = 0;
+    uint32_t count = 0;
+  };
+  struct Occurrence {
+    int line = 0;
+    uint32_t feature = 0;  ///< index into `features`
+  };
+  std::vector<Feature> features;
+  std::vector<Occurrence> occurrences;
+  size_t total = 0;
+  double norm = 0.0;
+
+  /// Flattens `bag`. Occurrences of a hash missing from `bag.counts` cannot
+  /// name a feature, so they are dropped; extracted bags have none.
+  static FlatFeatures From(const FeatureBag& bag);
+};
+
 struct FeatureOptions {
   /// How many enclosing nodes contribute parent features (Aroma uses 3).
   int parent_levels = 3;
@@ -77,5 +104,11 @@ double ContainmentScore(const FeatureBag& query, const FeatureBag& candidate);
 
 /// Jaccard over feature sets (clustering).
 double JaccardSimilarity(const FeatureBag& a, const FeatureBag& b);
+
+/// OverlapScore and JaccardSimilarity over flat documents: one merge of the
+/// two sorted feature arrays, summed in integers. Every term is an integer,
+/// so both equal their FeatureBag counterparts exactly.
+uint64_t OverlapCount(const FlatFeatures& a, const FlatFeatures& b);
+double JaccardSimilarity(const FlatFeatures& a, const FlatFeatures& b);
 
 }  // namespace laminar::spt

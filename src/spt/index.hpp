@@ -9,17 +9,21 @@
 //     live high-water mark rather than growing with churn;
 //   * each feature hash maps to one posting vector of (slot, count), the
 //     sparse matrix column the product reads;
-//   * each document's L2 norm is computed once, at Add.
+//   * each document is stored as the FlatFeatures its caller built, so the
+//     prune and cluster stages read it without conversion.
 //
 // TopK walks the query's features once. Every metric decomposes by feature,
 // so each posting adds its term — min(q, d) for overlap and containment,
-// q * d for cosine — into a per-call score array indexed by slot, recording
-// the slots it touches. Each touched slot then gets its final score (cosine
-// divides by |q| * |d|, containment by |q|) and competes for a bounded
-// top-k heap ordered by (score desc, id asc). Every term is an integer, so
-// the sums are exact in double and independent of posting order: the
-// returned (id, score) lists equal the per-pair OverlapScore /
-// CosineSimilarity / ContainmentScore ranking bit for bit.
+// q * d for cosine — into a score array indexed by slot, recording the
+// slots it touches. Overlap and containment sum in uint64_t (a sum never
+// exceeds the query's total), cosine in double. The array is thread_local
+// and reset through the touched list, as in search::PostingsIndex. Each
+// touched slot then gets its final score (cosine divides by |q| * |d|,
+// containment by |q|) and competes for a bounded top-k heap ordered by
+// (score desc, id asc). Every term is an integer, so the sums are exact and
+// independent of posting order: the returned (id, score) lists equal the
+// per-pair OverlapScore / CosineSimilarity / ContainmentScore ranking bit
+// for bit.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +31,10 @@
 #include <vector>
 
 #include "spt/features.hpp"
+
+namespace laminar::telemetry {
+class Counter;
+}  // namespace laminar::telemetry
 
 namespace laminar::spt {
 
@@ -43,42 +51,47 @@ class SptIndex {
     double score = 0.0;
   };
 
-  /// Adds (or replaces) a document's feature bag.
-  void Add(int64_t doc_id, FeatureBag bag);
+  /// Resolves laminar_search_postings_read_total{index="spt"}, which each
+  /// TopK adds its posting count to once.
+  SptIndex();
+
+  /// Adds (or replaces) a document.
+  void Add(int64_t doc_id, FlatFeatures doc);
   bool Remove(int64_t doc_id);
   void Clear();
 
-  const FeatureBag* Get(int64_t doc_id) const;
+  const FlatFeatures* Get(int64_t doc_id) const;
   size_t size() const { return docs_.size(); }
 
   /// Top-k most similar documents with a score above zero, ties broken by
   /// ascending doc id so results are deterministic. Concurrent calls are
-  /// safe (all scratch state is local to the call); Add, Remove and Clear
-  /// need exclusive access.
-  std::vector<Hit> TopK(const FeatureBag& query, size_t k,
+  /// safe (the score scratch is thread_local); Add, Remove and Clear need
+  /// exclusive access.
+  std::vector<Hit> TopK(const FlatFeatures& query, size_t k,
                         Metric metric = Metric::kOverlap) const;
 
  private:
   struct Doc {
     uint32_t slot = 0;
-    FeatureBag bag;
+    FlatFeatures features;
   };
   struct Posting {
     uint32_t slot = 0;
     uint32_t count = 0;
   };
 
-  /// doc id -> slot and feature bag (node-based, so Get() pointers stay
+  /// doc id -> slot and flat features (node-based, so Get() pointers stay
   /// valid across other documents' Add and Remove).
   std::unordered_map<int64_t, Doc> docs_;
-  /// Per-slot doc id and precomputed FeatureBag::Norm(); entries of free
-  /// slots are stale and never reached, since no posting names them.
+  /// Per-slot doc id and FlatFeatures::norm; entries of free slots are
+  /// stale and never reached, since no posting names them.
   std::vector<int64_t> slot_ids_;
   std::vector<double> slot_norms_;
   std::vector<uint32_t> free_slots_;
   /// feature hash -> (slot, count) of every live document containing it,
   /// in no particular order.
   std::unordered_map<uint64_t, std::vector<Posting>> postings_;
+  telemetry::Counter* postings_read_ = nullptr;
 };
 
 }  // namespace laminar::spt

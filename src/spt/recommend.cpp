@@ -32,17 +32,13 @@ AromaEngine::AromaEngine(AromaConfig config) : config_(std::move(config)) {
 Status AromaEngine::AddSnippet(int64_t id, std::string_view code) {
   Result<SptNodePtr> spt = SptFromSource(code);
   if (!spt.ok()) return spt.status();
-  FeatureBag bag = ExtractFeatures(*spt.value(), config_.features);
-  if (bag.total == 0) {
-    return Status::InvalidArgument("snippet produced no features");
-  }
-  index_.Add(id, std::move(bag));
-  sources_[id] = std::string(code);
-  return Status::Ok();
+  return AddSnippetWithFeatures(
+      id, code,
+      FlatFeatures::From(ExtractFeatures(*spt.value(), config_.features)));
 }
 
 Status AromaEngine::AddSnippetWithFeatures(int64_t id, std::string_view code,
-                                           FeatureBag features) {
+                                           FlatFeatures features) {
   if (features.total == 0) {
     return Status::InvalidArgument("snippet produced no features");
   }
@@ -66,14 +62,15 @@ Result<std::vector<SptIndex::Hit>> AromaEngine::Search(
     std::string_view query_code, size_t k, Metric metric) const {
   Result<FeatureBag> query = Featurize(query_code);
   if (!query.ok()) return query.status();
-  return index_.TopK(query.value(), k, metric);
+  return index_.TopK(FlatFeatures::From(query.value()), k, metric);
 }
 
 Result<std::vector<Recommendation>> AromaEngine::Recommend(
     std::string_view query_code) const {
   Result<FeatureBag> query_result = Featurize(query_code);
   if (!query_result.ok()) return query_result.status();
-  const FeatureBag& query = query_result.value();
+  // Sorted once; every stage below reads this flat form.
+  const FlatFeatures query = FlatFeatures::From(query_result.value());
 
   if (!config_.use_full_pipeline) {
     // Laminar 2.0 simplified path: similarity search only.
@@ -84,7 +81,8 @@ Result<std::vector<Recommendation>> AromaEngine::Recommend(
     for (const auto& hit : hits) {
       // The paper's threshold (default 6.0) is an *overlap* score even when
       // ranking is cosine; recompute it for the gate.
-      double overlap = OverlapScore(query, *index_.Get(hit.doc_id));
+      const double overlap =
+          static_cast<double>(OverlapCount(query, *index_.Get(hit.doc_id)));
       if (overlap < config_.min_overlap_score) continue;
       Recommendation rec;
       rec.snippet_id = hit.doc_id;
@@ -109,9 +107,9 @@ Result<std::vector<Recommendation>> AromaEngine::Recommend(
   reranked.reserve(hits.size());
   for (const auto& hit : hits) {
     if (hit.score < config_.min_overlap_score) continue;
-    const FeatureBag* bag = index_.Get(hit.doc_id);
-    if (bag == nullptr) continue;
-    PruneResult prune = PruneAgainstQuery(query, *bag);
+    const FlatFeatures* doc = index_.Get(hit.doc_id);
+    if (doc == nullptr) continue;
+    PruneResult prune = PruneAgainstQuery(query, *doc);
     if (prune.overlap <= 0.0) continue;
     reranked.push_back(Reranked{hit.doc_id, std::move(prune)});
   }
@@ -123,19 +121,19 @@ Result<std::vector<Recommendation>> AromaEngine::Recommend(
               return a.doc_id < b.doc_id;
             });
 
-  // Stage 4: cluster structurally similar candidates.
+  // Stage 4: cluster structurally similar candidates. Only the first
+  // max_recommendations clusters are returned, so no more are opened.
   std::vector<ClusterInput> inputs;
   inputs.reserve(reranked.size());
   for (const auto& r : reranked) {
     inputs.push_back(ClusterInput{r.doc_id, index_.Get(r.doc_id)});
   }
-  std::vector<std::vector<size_t>> clusters =
-      ClusterCandidates(inputs, config_.cluster_jaccard);
+  std::vector<std::vector<size_t>> clusters = ClusterCandidates(
+      inputs, config_.cluster_jaccard, config_.max_recommendations);
 
   // Stage 5: one recommendation per cluster, from its best-ranked member.
   std::vector<Recommendation> out;
   for (const auto& cluster : clusters) {
-    if (out.size() >= config_.max_recommendations) break;
     const Reranked& rep = reranked[cluster.front()];
     Recommendation rec;
     rec.snippet_id = rep.doc_id;
@@ -156,7 +154,7 @@ Result<std::vector<Completion>> AromaEngine::Complete(
     std::string_view partial_code, size_t k) const {
   Result<FeatureBag> query_result = Featurize(partial_code);
   if (!query_result.ok()) return query_result.status();
-  const FeatureBag& query = query_result.value();
+  const FlatFeatures query = FlatFeatures::From(query_result.value());
 
   std::vector<SptIndex::Hit> hits =
       index_.TopK(query, std::max<size_t>(4 * k, 8), Metric::kOverlap);
@@ -164,10 +162,10 @@ Result<std::vector<Completion>> AromaEngine::Complete(
   for (const SptIndex::Hit& hit : hits) {
     if (out.size() >= k) break;
     if (hit.score < config_.min_overlap_score) continue;
-    const FeatureBag* bag = index_.Get(hit.doc_id);
+    const FlatFeatures* doc = index_.Get(hit.doc_id);
     auto src = sources_.find(hit.doc_id);
-    if (bag == nullptr || src == sources_.end()) continue;
-    PruneResult prune = PruneAgainstQuery(query, *bag);
+    if (doc == nullptr || src == sources_.end()) continue;
+    PruneResult prune = PruneAgainstQuery(query, *doc);
     if (prune.lines.empty()) continue;
     // Continuation = everything in the snippet after the matched region.
     int last_matched = prune.lines.back();
@@ -190,15 +188,27 @@ Result<std::vector<Completion>> AromaEngine::Complete(
 }
 
 std::string FeatureBagToJson(const FeatureBag& bag) {
-  // Deterministic order: sort hashes.
-  std::vector<std::pair<uint64_t, uint32_t>> entries(bag.counts.begin(),
-                                                     bag.counts.end());
-  std::sort(entries.begin(), entries.end());
-  Value obj = Value::MakeObject();
-  for (const auto& [h, c] : entries) {
-    obj[std::to_string(h)] = static_cast<int64_t>(c);
+  return FeatureBagToJson(FlatFeatures::From(bag));
+}
+
+std::string FeatureBagToJson(const FlatFeatures& features) {
+  // Written straight from the hash-sorted array: the bytes Value::ToJson
+  // gives for the same object, without its per-key duplicate scan.
+  std::string out;
+  out.reserve(2 + features.features.size() * 28);
+  out += '{';
+  char digits[24];
+  for (const FlatFeatures::Feature& f : features.features) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof digits, f.hash).ptr);
+    out += "\":";
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof digits, f.count).ptr);
   }
-  return obj.ToJson();
+  out += '}';
+  return out;
 }
 
 Result<FeatureBag> FeatureBagFromJson(std::string_view json_text) {

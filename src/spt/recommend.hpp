@@ -56,14 +56,15 @@ class AromaEngine {
   /// Parses, featurizes and indexes a snippet. Fails only if the snippet
   /// yields no tokens at all.
   Status AddSnippet(int64_t id, std::string_view code);
-  /// Indexes a snippet whose features were already extracted (via
-  /// Featurize) — the two-phase registration path runs the parse off-lock
-  /// and hands the bag here, so committing never reparses. The bag must
-  /// come from Featurize on *this* engine's options: FeatureBagToJson drops
-  /// the per-feature line occurrences that prune/rerank need, so the
-  /// in-memory bag (not a JSON round-trip) is required.
+  /// Indexes a snippet whose features were already extracted and
+  /// flattened (FlatFeatures::From(Featurize(code))) — the two-phase
+  /// registration path does both off-lock and hands the result here, so
+  /// committing never reparses or sorts. The features must come from
+  /// Featurize on *this* engine's options: FeatureBagToJson drops the
+  /// per-feature line occurrences that prune/rerank need, so the in-memory
+  /// form (not a JSON round-trip) is required.
   Status AddSnippetWithFeatures(int64_t id, std::string_view code,
-                                FeatureBag features);
+                                FlatFeatures features);
   bool RemoveSnippet(int64_t id);
   size_t size() const { return index_.size(); }
 
@@ -95,8 +96,10 @@ class AromaEngine {
 };
 
 /// Serializes a feature bag as the JSON object Laminar stores in the
-/// registry's 'sptEmbedding' column: {"<hash>": count, ...}.
+/// registry's 'sptEmbedding' column: {"<hash>":count,...} in ascending hash
+/// order. Both overloads write the same bytes for the same features.
 std::string FeatureBagToJson(const FeatureBag& bag);
+std::string FeatureBagToJson(const FlatFeatures& features);
 /// Parses the JSON produced by FeatureBagToJson.
 Result<FeatureBag> FeatureBagFromJson(std::string_view json_text);
 

@@ -7,53 +7,32 @@
 
 namespace laminar::spt {
 
-PruneResult PruneAgainstQuery(const FeatureBag& query,
-                              const FeatureBag& candidate) {
+PruneResult PruneAgainstQuery(const FlatFeatures& query,
+                              const FlatFeatures& candidate) {
   PruneResult result;
   if (query.total == 0 || candidate.occurrences.empty()) return result;
 
-  // Give each query feature a dense slot holding its remaining budget,
-  // found through an open-addressed table at most half full (feature hashes
-  // are FNV-1a, so their low bits index it directly).
+  // Map each candidate feature to its query slot (an index into
+  // query.features) with one merge of the two hash-sorted arrays.
   constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
-  size_t capacity = 16;
-  while (capacity < 2 * query.counts.size()) capacity <<= 1;
-  const size_t mask = capacity - 1;
-  std::vector<uint64_t> table_hash(capacity);
-  std::vector<uint32_t> table_slot(capacity, kNoSlot);
-  auto probe = [&](uint64_t hash) {
-    size_t i = hash & mask;
-    while (table_slot[i] != kNoSlot && table_hash[i] != hash) {
-      i = (i + 1) & mask;
+  std::vector<uint32_t> slot_of(candidate.features.size(), kNoSlot);
+  for (size_t c = 0, q = 0;
+       c < candidate.features.size() && q < query.features.size();) {
+    if (candidate.features[c].hash < query.features[q].hash) {
+      ++c;
+    } else if (query.features[q].hash < candidate.features[c].hash) {
+      ++q;
+    } else {
+      slot_of[c++] = static_cast<uint32_t>(q++);
     }
-    return i;
-  };
-  std::vector<uint32_t> budget;
-  budget.reserve(query.counts.size());
-  for (const auto& [hash, count] : query.counts) {
-    const size_t i = probe(hash);
-    table_hash[i] = hash;
-    table_slot[i] = static_cast<uint32_t>(budget.size());
-    budget.push_back(count);
   }
 
-  // Keep only the occurrences of query features, as (line, slot) keys whose
-  // unsigned order is (line, slot) order: flipping the sign bit maps int
-  // line order onto uint32_t order. A line with no query feature never has
-  // a positive gain, so dropping it is exact.
-  constexpr uint32_t kSignBit = 0x80000000u;
-  std::vector<uint64_t> matched;
-  matched.reserve(candidate.occurrences.size());
-  for (const auto& [hash, line] : candidate.occurrences) {
-    const uint32_t slot = table_slot[probe(hash)];
-    if (slot == kNoSlot) continue;
-    matched.push_back(
-        uint64_t{static_cast<uint32_t>(line) ^ kSignBit} << 32 | slot);
-  }
-  std::sort(matched.begin(), matched.end());
-
-  // Group into per-line (slot, count) runs, ascending by line: the runs of
-  // lines[i] are entries[run_begin[i] .. run_begin[i + 1]).
+  // Group the occurrences of query features into per-line (slot, count)
+  // runs, ascending by line: the runs of lines[i] are
+  // entries[run_begin[i] .. run_begin[i + 1]). Occurrences are sorted by
+  // (line, feature), so repeats of one feature on a line are adjacent. A
+  // line with no query feature never has a positive gain, so dropping it
+  // is exact.
   struct Entry {
     uint32_t slot;
     uint32_t count;
@@ -61,26 +40,34 @@ PruneResult PruneAgainstQuery(const FeatureBag& query,
   std::vector<int> lines;
   std::vector<size_t> run_begin;
   std::vector<Entry> entries;
-  for (size_t i = 0; i < matched.size(); ++i) {
-    if (i > 0 && matched[i] == matched[i - 1]) {
+  const FlatFeatures::Occurrence* last = nullptr;
+  for (const FlatFeatures::Occurrence& occ : candidate.occurrences) {
+    const uint32_t slot = slot_of[occ.feature];
+    if (slot == kNoSlot) continue;
+    if (last != nullptr && occ.line == last->line &&
+        occ.feature == last->feature) {
       ++entries.back().count;
       continue;
     }
-    const uint32_t line_key = static_cast<uint32_t>(matched[i] >> 32);
-    if (i == 0 || line_key != static_cast<uint32_t>(matched[i - 1] >> 32)) {
-      lines.push_back(static_cast<int>(line_key ^ kSignBit));
+    if (last == nullptr || occ.line != last->line) {
+      lines.push_back(occ.line);
       run_begin.push_back(entries.size());
     }
-    entries.push_back(Entry{static_cast<uint32_t>(matched[i]), 1});
+    entries.push_back(Entry{slot, 1});
+    last = &occ;
   }
   run_begin.push_back(entries.size());
 
   // Greedy set cover: take the line with the largest marginal overlap; the
   // strict '>' over the ascending pool lets the lowest line win ties.
+  std::vector<uint32_t> budget(query.features.size());
+  for (size_t q = 0; q < budget.size(); ++q) {
+    budget[q] = query.features[q].count;
+  }
   std::vector<size_t> pool(lines.size());
   std::iota(pool.begin(), pool.end(), size_t{0});
   std::vector<int> selected;
-  double total_overlap = 0.0;
+  uint64_t total_overlap = 0;
   while (!pool.empty()) {
     uint64_t best_gain = 0;
     size_t best_pos = 0;
@@ -101,15 +88,15 @@ PruneResult PruneAgainstQuery(const FeatureBag& query,
       uint32_t& left = budget[entries[e].slot];
       left -= std::min(entries[e].count, left);
     }
-    total_overlap += static_cast<double>(best_gain);
+    total_overlap += best_gain;
     selected.push_back(lines[best]);
     pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_pos));
   }
 
   std::sort(selected.begin(), selected.end());
   result.lines = std::move(selected);
-  result.overlap = total_overlap;
-  result.containment = total_overlap / static_cast<double>(query.total);
+  result.overlap = static_cast<double>(total_overlap);
+  result.containment = result.overlap / static_cast<double>(query.total);
   return result;
 }
 

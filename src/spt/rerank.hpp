@@ -22,11 +22,14 @@ struct PruneResult {
   double containment = 0.0;
 };
 
-/// Prunes a candidate against a query. `candidate` must have been extracted
-/// with FeatureOptions::with_occurrences so features carry line tags.
-/// Greedy set-cover: repeatedly add the line with the largest marginal
-/// feature overlap until no line adds anything.
-PruneResult PruneAgainstQuery(const FeatureBag& query,
-                              const FeatureBag& candidate);
+/// Prunes a candidate against a query. `candidate` must have been built
+/// from a bag extracted with FeatureOptions::with_occurrences so features
+/// carry line tags; the query's occurrences are not read. The query's
+/// sorted features and their counts, the starting budgets, are shared by
+/// every candidate of one query. Greedy set-cover: repeatedly add the line
+/// with the largest marginal feature overlap, the lowest line on ties,
+/// until no line adds anything.
+PruneResult PruneAgainstQuery(const FlatFeatures& query,
+                              const FlatFeatures& candidate);
 
 }  // namespace laminar::spt

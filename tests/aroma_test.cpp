@@ -7,10 +7,12 @@
 #include <thread>
 
 #include "aroma_reference.hpp"
+#include "common/value.hpp"
 #include "dataset/generator.hpp"
 #include "spt/index.hpp"
 #include "spt/recommend.hpp"
 #include "spt/rerank.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace laminar::spt {
 namespace {
@@ -23,12 +25,34 @@ FeatureBag Feat(const std::string& code, bool occurrences = false) {
   return ExtractFeatures(*spt.value(), opts);
 }
 
+FlatFeatures Flat(const std::string& code, bool occurrences = false) {
+  return FlatFeatures::From(Feat(code, occurrences));
+}
+
+FeatureBag BagOf(std::initializer_list<std::pair<uint64_t, uint32_t>> counts) {
+  FeatureBag bag;
+  for (const auto& [hash, count] : counts) {
+    for (uint32_t i = 0; i < count; ++i) bag.Add(hash);
+  }
+  return bag;
+}
+
+/// Features as ordered (hash, count) pairs, to compare the two forms.
+std::map<uint64_t, uint32_t> CountsOf(const FlatFeatures& flat) {
+  std::map<uint64_t, uint32_t> counts;
+  for (const FlatFeatures::Feature& f : flat.features) counts[f.hash] = f.count;
+  return counts;
+}
+std::map<uint64_t, uint32_t> CountsOf(const FeatureBag& bag) {
+  return {bag.counts.begin(), bag.counts.end()};
+}
+
 // ---- SptIndex ----
 
 TEST(SptIndex, AddGetRemove) {
   SptIndex index;
-  index.Add(1, Feat("x = 1\n"));
-  index.Add(2, Feat("y = 2\n"));
+  index.Add(1, Flat("x = 1\n"));
+  index.Add(2, Flat("y = 2\n"));
   EXPECT_EQ(index.size(), 2u);
   EXPECT_NE(index.Get(1), nullptr);
   EXPECT_TRUE(index.Remove(1));
@@ -39,23 +63,23 @@ TEST(SptIndex, AddGetRemove) {
 
 TEST(SptIndex, ReAddReplaces) {
   SptIndex index;
-  index.Add(1, Feat("x = 1\n"));
-  index.Add(1, Feat("while flag:\n    step(1)\n"));
+  index.Add(1, Flat("x = 1\n"));
+  index.Add(1, Flat("while flag:\n    step(1)\n"));
   EXPECT_EQ(index.size(), 1u);
   // Retrieval requires at least one shared (generalized) token — here
   // `flag` and the literal 1.
-  auto hits = index.TopK(Feat("while flag:\n    go(1)\n"), 5, Metric::kCosine);
+  auto hits = index.TopK(Flat("while flag:\n    go(1)\n"), 5, Metric::kCosine);
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].doc_id, 1);
 }
 
 TEST(SptIndex, TopKRanksStructuralMatchesFirst) {
   SptIndex index;
-  index.Add(1, Feat("for i in range(2, n):\n    if n % i == 0:\n        return None\n"));
-  index.Add(2, Feat("result = []\nfor x in xs:\n    result.append(x * 2)\n"));
-  index.Add(3, Feat("with open(path) as fh:\n    data = fh.read()\n"));
+  index.Add(1, Flat("for i in range(2, n):\n    if n % i == 0:\n        return None\n"));
+  index.Add(2, Flat("result = []\nfor x in xs:\n    result.append(x * 2)\n"));
+  index.Add(3, Flat("with open(path) as fh:\n    data = fh.read()\n"));
   auto hits = index.TopK(
-      Feat("for d in range(2, value):\n    if value % d == 0:\n        return None\n"),
+      Flat("for d in range(2, value):\n    if value % d == 0:\n        return None\n"),
       3, Metric::kOverlap);
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0].doc_id, 1);
@@ -64,17 +88,17 @@ TEST(SptIndex, TopKRanksStructuralMatchesFirst) {
 TEST(SptIndex, TopKRespectsK) {
   SptIndex index;
   for (int64_t i = 0; i < 10; ++i) {
-    index.Add(i, Feat("x = " + std::to_string(i) + "\n"));
+    index.Add(i, Flat("x = " + std::to_string(i) + "\n"));
   }
-  auto hits = index.TopK(Feat("x = 99\n"), 3, Metric::kCosine);
+  auto hits = index.TopK(Flat("x = 99\n"), 3, Metric::kCosine);
   EXPECT_EQ(hits.size(), 3u);
 }
 
 TEST(SptIndex, DeterministicTieBreakById) {
   SptIndex index;
-  index.Add(5, Feat("a = 1\n"));
-  index.Add(2, Feat("b = 1\n"));  // structurally identical after #VAR
-  auto hits = index.TopK(Feat("c = 1\n"), 2, Metric::kCosine);
+  index.Add(5, Flat("a = 1\n"));
+  index.Add(2, Flat("b = 1\n"));  // structurally identical after #VAR
+  auto hits = index.TopK(Flat("c = 1\n"), 2, Metric::kCosine);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_DOUBLE_EQ(hits[0].score, hits[1].score);
   EXPECT_EQ(hits[0].doc_id, 2);
@@ -82,8 +106,8 @@ TEST(SptIndex, DeterministicTieBreakById) {
 
 TEST(SptIndex, NoSharedFeaturesNoHits) {
   SptIndex index;
-  index.Add(1, Feat("import os\n"));
-  auto hits = index.TopK(Feat("9999\n"), 5, Metric::kOverlap);
+  index.Add(1, Flat("import os\n"));
+  auto hits = index.TopK(Flat("9999\n"), 5, Metric::kOverlap);
   // Any overlap must be via genuinely shared features; a bare unique number
   // shares nothing with an import statement.
   for (const auto& hit : hits) EXPECT_GT(hit.score, 0.0);
@@ -92,8 +116,8 @@ TEST(SptIndex, NoSharedFeaturesNoHits) {
 // ---- Prune & rerank ----
 
 TEST(Prune, SelectsOnlyRelevantLines) {
-  FeatureBag query = Feat("total = total + price\n");
-  FeatureBag candidate = Feat(
+  FlatFeatures query = Flat("total = total + price\n");
+  FlatFeatures candidate = Flat(
       "def bill(items):\n"
       "    total = 0\n"
       "    for price in items:\n"
@@ -112,22 +136,22 @@ TEST(Prune, SelectsOnlyRelevantLines) {
 }
 
 TEST(Prune, EmptyQueryYieldsNothing) {
-  FeatureBag query;  // empty
-  FeatureBag candidate = Feat("x = 1\n", true);
+  FlatFeatures query;  // empty
+  FlatFeatures candidate = Flat("x = 1\n", true);
   PruneResult pruned = PruneAgainstQuery(query, candidate);
   EXPECT_TRUE(pruned.lines.empty());
   EXPECT_DOUBLE_EQ(pruned.overlap, 0.0);
 }
 
 TEST(Prune, CandidateWithoutOccurrencesYieldsNothing) {
-  FeatureBag query = Feat("x = 1\n");
-  FeatureBag candidate = Feat("x = 1\n", /*occurrences=*/false);
+  FlatFeatures query = Flat("x = 1\n");
+  FlatFeatures candidate = Flat("x = 1\n", /*occurrences=*/false);
   EXPECT_TRUE(PruneAgainstQuery(query, candidate).lines.empty());
 }
 
 TEST(Prune, LinesSortedAscending) {
-  FeatureBag query = Feat("a = 1\nb = 2\nc = 3\n");
-  FeatureBag candidate = Feat("c = 3\nb = 2\na = 1\n", true);
+  FlatFeatures query = Flat("a = 1\nb = 2\nc = 3\n");
+  FlatFeatures candidate = Flat("c = 3\nb = 2\na = 1\n", true);
   PruneResult pruned = PruneAgainstQuery(query, candidate);
   EXPECT_TRUE(std::is_sorted(pruned.lines.begin(), pruned.lines.end()));
 }
@@ -135,30 +159,102 @@ TEST(Prune, LinesSortedAscending) {
 // ---- Clustering ----
 
 TEST(Cluster, GroupsSimilarSeparatesDifferent) {
-  FeatureBag a1 = Feat("for i in range(n):\n    acc += i\n");
-  FeatureBag a2 = Feat("for j in range(m):\n    sum2 += j\n");
-  FeatureBag b = Feat("with open(f) as fh:\n    data = fh.read()\n");
+  FlatFeatures a1 = Flat("for i in range(n):\n    acc += i\n");
+  FlatFeatures a2 = Flat("for j in range(m):\n    sum2 += j\n");
+  FlatFeatures b = Flat("with open(f) as fh:\n    data = fh.read()\n");
   std::vector<ClusterInput> inputs = {{1, &a1}, {2, &a2}, {3, &b}};
-  auto clusters = ClusterCandidates(inputs, 0.5);
+  auto clusters = ClusterCandidates(inputs, 0.5, inputs.size());
   ASSERT_EQ(clusters.size(), 2u);
   EXPECT_EQ(clusters[0], (std::vector<size_t>{0, 1}));
   EXPECT_EQ(clusters[1], (std::vector<size_t>{2}));
 }
 
 TEST(Cluster, ThresholdOneIsolatesAll) {
-  FeatureBag a = Feat("x = 1\n");
-  FeatureBag b = Feat("y = 2\n");
+  FlatFeatures a = Flat("x = 1\n");
+  FlatFeatures b = Flat("y = 2\n");
   std::vector<ClusterInput> inputs = {{1, &a}, {2, &b}};
-  auto clusters = ClusterCandidates(inputs, 1.01);
+  auto clusters = ClusterCandidates(inputs, 1.01, inputs.size());
   EXPECT_EQ(clusters.size(), 2u);
 }
 
 TEST(Cluster, ThresholdZeroMergesAll) {
-  FeatureBag a = Feat("x = 1\n");
-  FeatureBag b = Feat("import os\n");
+  FlatFeatures a = Flat("x = 1\n");
+  FlatFeatures b = Flat("import os\n");
   std::vector<ClusterInput> inputs = {{1, &a}, {2, &b}};
-  auto clusters = ClusterCandidates(inputs, 0.0);
+  auto clusters = ClusterCandidates(inputs, 0.0, inputs.size());
   EXPECT_EQ(clusters.size(), 1u);
+}
+
+TEST(Cluster, CapKeepsTheFirstClustersAndTheirMembersExactly) {
+  // Three idioms, interleaved so a member of each leader's cluster comes
+  // after the third leader. Capped at two clusters, the third idiom is left
+  // out and the first two keep every member.
+  FlatFeatures loop1 = Flat("for i in range(n):\n    acc += i\n");
+  FlatFeatures loop2 = Flat("for j in range(m):\n    sum2 += j\n");
+  FlatFeatures file1 = Flat("with open(f) as fh:\n    data = fh.read()\n");
+  FlatFeatures file2 = Flat("with open(f) as fd:\n    text = fd.read()\n");
+  FlatFeatures wait1 = Flat("while running:\n    x = tick()\n");
+  FlatFeatures wait2 = Flat("while running:\n    y = tick()\n");
+  std::vector<ClusterInput> inputs = {{1, &loop1}, {2, &file1}, {3, &wait1},
+                                      {4, &loop2}, {5, &wait2}, {6, &file2}};
+  const auto uncapped = ClusterCandidates(inputs, 0.5, inputs.size());
+  ASSERT_EQ(uncapped.size(), 3u);
+  EXPECT_EQ(uncapped[0], (std::vector<size_t>{0, 3}));
+  EXPECT_EQ(uncapped[1], (std::vector<size_t>{1, 5}));
+  EXPECT_EQ(uncapped[2], (std::vector<size_t>{2, 4}));
+  const auto capped = ClusterCandidates(inputs, 0.5, 2);
+  ASSERT_EQ(capped.size(), 2u);
+  EXPECT_EQ(capped[0], uncapped[0]);
+  EXPECT_EQ(capped[1], uncapped[1]);
+  EXPECT_TRUE(ClusterCandidates(inputs, 0.5, 0).empty());
+}
+
+TEST(FlatFeatures, SortedAndScoredLikeTheBag) {
+  dataset::DatasetConfig config;
+  config.families = 6;
+  config.variants_per_family = 3;
+  const auto ds = dataset::CodeSearchNetPeDataset::Generate(config);
+  std::vector<FeatureBag> bags;
+  std::vector<FlatFeatures> flats;
+  for (const dataset::PeExample& ex : ds.examples()) {
+    bags.push_back(Feat(dataset::DropCode(ex.pe_code, 0.4), true));
+    flats.push_back(FlatFeatures::From(bags.back()));
+  }
+  bags.emplace_back();  // the empty bag
+  flats.push_back(FlatFeatures::From(bags.back()));
+  for (size_t i = 0; i < bags.size(); ++i) {
+    const FeatureBag& bag = bags[i];
+    const FlatFeatures& flat = flats[i];
+    EXPECT_EQ(CountsOf(flat), CountsOf(bag));
+    EXPECT_EQ(flat.features.size(), bag.counts.size());  // distinct hashes
+    EXPECT_TRUE(std::is_sorted(
+        flat.features.begin(), flat.features.end(),
+        [](const auto& a, const auto& b) { return a.hash < b.hash; }));
+    std::vector<std::pair<int, uint64_t>> want;
+    for (const auto& [hash, line] : bag.occurrences) {
+      want.emplace_back(line, hash);
+    }
+    std::vector<std::pair<int, uint64_t>> got;
+    for (const FlatFeatures::Occurrence& occ : flat.occurrences) {
+      got.emplace_back(occ.line, flat.features[occ.feature].hash);
+    }
+    EXPECT_TRUE(std::is_sorted(flat.occurrences.begin(), flat.occurrences.end(),
+                               [](const auto& a, const auto& b) {
+                                 return std::pair(a.line, a.feature) <
+                                        std::pair(b.line, b.feature);
+                               }));
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(flat.total, bag.total);
+    EXPECT_EQ(flat.norm, bag.Norm());
+    for (size_t j = 0; j < bags.size(); ++j) {
+      EXPECT_EQ(static_cast<double>(OverlapCount(flat, flats[j])),
+                OverlapScore(bag, bags[j]));
+      EXPECT_EQ(JaccardSimilarity(flat, flats[j]),
+                JaccardSimilarity(bag, bags[j]));
+    }
+  }
 }
 
 // ---- AromaEngine end-to-end ----
@@ -270,6 +366,38 @@ TEST(FeatureBagJson, RoundTrips) {
   EXPECT_EQ(back->total, bag.total);
 }
 
+/// The sptEmbedding column as it was built through Value, key by key.
+std::string ValueBuiltJson(const FeatureBag& bag) {
+  std::vector<std::pair<uint64_t, uint32_t>> entries(bag.counts.begin(),
+                                                     bag.counts.end());
+  std::sort(entries.begin(), entries.end());
+  Value obj = Value::MakeObject();
+  for (const auto& [h, c] : entries) {
+    obj[std::to_string(h)] = static_cast<int64_t>(c);
+  }
+  return obj.ToJson();
+}
+
+TEST(FeatureBagJson, WrittenDirectlyMatchesTheValueBuiltBytes) {
+  dataset::DatasetConfig config;
+  config.families = 0;
+  config.variants_per_family = 2;
+  const auto ds = dataset::CodeSearchNetPeDataset::Generate(config);
+  std::vector<FeatureBag> bags;
+  for (const dataset::PeExample& ex : ds.examples()) {
+    bags.push_back(Feat(ex.pe_code, /*occurrences=*/true));
+  }
+  bags.emplace_back();  // empty
+  bags.push_back(BagOf({{0, 1}, {std::numeric_limits<uint64_t>::max(), 3}}));
+  bags.back().counts[7] = std::numeric_limits<uint32_t>::max();
+  for (const FeatureBag& bag : bags) {
+    const std::string want = ValueBuiltJson(bag);
+    EXPECT_EQ(FeatureBagToJson(bag), want);
+    EXPECT_EQ(FeatureBagToJson(FlatFeatures::From(bag)), want);
+  }
+  EXPECT_EQ(FeatureBagToJson(FeatureBag{}), "{}");
+}
+
 TEST(FeatureBagJson, RejectsMalformed) {
   EXPECT_FALSE(FeatureBagFromJson("not json").ok());
   EXPECT_FALSE(FeatureBagFromJson("[1,2]").ok());
@@ -303,14 +431,6 @@ Ranked Pairs(const std::vector<SptIndex::Hit>& hits) {
   return out;
 }
 
-FeatureBag BagOf(std::initializer_list<std::pair<uint64_t, uint32_t>> counts) {
-  FeatureBag bag;
-  for (const auto& [hash, count] : counts) {
-    for (uint32_t i = 0; i < count; ++i) bag.Add(hash);
-  }
-  return bag;
-}
-
 constexpr Metric kMetrics[] = {Metric::kOverlap, Metric::kCosine,
                                Metric::kContainment};
 
@@ -326,7 +446,7 @@ class AromaParityTest : public ::testing::Test {
     ds_ = dataset::CodeSearchNetPeDataset::Generate(config);
     for (const dataset::PeExample& ex : ds_.examples()) {
       bags_[ex.id] = Feat(ex.pe_code, /*occurrences=*/true);
-      index_.Add(ex.id, bags_[ex.id]);
+      index_.Add(ex.id, FlatFeatures::From(bags_[ex.id]));
     }
     for (size_t i = 0; i < ds_.size(); i += 7) {
       ASSERT_TRUE(index_.Remove(ds_.example(i).id));
@@ -336,7 +456,7 @@ class AromaParityTest : public ::testing::Test {
       const dataset::PeExample& other = ds_.example((i + 37) % ds_.size());
       const int64_t id = ds_.example(i).id;
       bags_[id] = Feat(dataset::DropCode(other.pe_code, 0.3), true);
-      index_.Add(id, bags_[id]);
+      index_.Add(id, FlatFeatures::From(bags_[id]));
     }
     ASSERT_EQ(index_.size(), bags_.size());
   }
@@ -365,7 +485,8 @@ TEST_F(AromaParityTest, TopKEqualsBruteForceUnderChurn) {
                          index_.size() + 1}) {
           const Ranked want =
               Pairs(reference::BruteForceTopK(live, query, k, metric));
-          ASSERT_EQ(Pairs(index_.TopK(query, k, metric)), want)
+          ASSERT_EQ(Pairs(index_.TopK(FlatFeatures::From(query), k, metric)),
+                    want)
               << "example " << i << " drop " << drop << " metric "
               << static_cast<int>(metric) << " k " << k;
           longest = std::max(longest, want.size());
@@ -384,11 +505,12 @@ TEST_F(AromaParityTest, PruneEqualsMapReferenceOnTopCandidates) {
     for (double drop : {0.5, 0.8}) {
       const FeatureBag query =
           Feat(dataset::DropCode(ds_.example(i).pe_code, drop), true);
-      for (const SptIndex::Hit& hit : index_.TopK(query, 100)) {
-        const FeatureBag& candidate = *index_.Get(hit.doc_id);
+      const FlatFeatures flat_query = FlatFeatures::From(query);
+      for (const SptIndex::Hit& hit : index_.TopK(flat_query, 100)) {
         const PruneResult want =
-            reference::MapPruneAgainstQuery(query, candidate);
-        const PruneResult got = PruneAgainstQuery(query, candidate);
+            reference::MapPruneAgainstQuery(query, bags_.at(hit.doc_id));
+        const PruneResult got =
+            PruneAgainstQuery(flat_query, *index_.Get(hit.doc_id));
         ASSERT_EQ(got.lines, want.lines) << "example " << i << " doc "
                                          << hit.doc_id << " drop " << drop;
         ASSERT_EQ(got.overlap, want.overlap);
@@ -403,24 +525,26 @@ TEST_F(AromaParityTest, PruneEqualsMapReferenceOnTopCandidates) {
 TEST_F(AromaParityTest, ConcurrentReadersSeeSerialResults) {
   // The server runs TopK and prune under a shared lock, so readers race.
   std::vector<FeatureBag> queries;
+  std::vector<FlatFeatures> flat_queries;
   std::vector<Ranked> want;
   for (size_t i = 0; i < ds_.size(); i += 10) {
     queries.push_back(
         Feat(dataset::DropCode(ds_.example(i).pe_code, 0.5), true));
-    want.push_back(Pairs(index_.TopK(queries.back(), 100)));
+    flat_queries.push_back(FlatFeatures::From(queries.back()));
+    want.push_back(Pairs(index_.TopK(flat_queries.back(), 100)));
   }
   std::atomic<size_t> mismatches{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       for (size_t q = 0; q < queries.size(); ++q) {
-        const auto hits = index_.TopK(queries[q], 100);
+        const auto hits = index_.TopK(flat_queries[q], 100);
         if (Pairs(hits) != want[q]) ++mismatches;
         for (const SptIndex::Hit& hit : hits) {
-          const FeatureBag& candidate = *index_.Get(hit.doc_id);
           if (!reference::SamePrune(
-                  PruneAgainstQuery(queries[q], candidate),
-                  reference::MapPruneAgainstQuery(queries[q], candidate))) {
+                  PruneAgainstQuery(flat_queries[q], *index_.Get(hit.doc_id)),
+                  reference::MapPruneAgainstQuery(queries[q],
+                                                  bags_.at(hit.doc_id)))) {
             ++mismatches;
           }
         }
@@ -443,11 +567,35 @@ TEST(Prune, EqualsMapReferenceOnHandBuiltOccurrences) {
     candidate.occurrences.emplace_back(hash, line);
   }
   const PruneResult want = reference::MapPruneAgainstQuery(query, candidate);
-  const PruneResult got = PruneAgainstQuery(query, candidate);
+  const PruneResult got = PruneAgainstQuery(FlatFeatures::From(query),
+                                            FlatFeatures::From(candidate));
   EXPECT_EQ(got.lines, want.lines);
   EXPECT_EQ(got.overlap, want.overlap);
   EXPECT_EQ(got.containment, want.containment);
   EXPECT_EQ(got.overlap, 7.0);  // the whole query is covered
+}
+
+TEST(SptIndex, CountsThePostingsEachQueryReads) {
+  const telemetry::Counter& read =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "laminar_search_postings_read_total", "index=\"spt\"");
+  SptIndex index;
+  std::map<int64_t, FeatureBag> bags;
+  bags[1] = BagOf({{10, 1}, {11, 2}});
+  bags[2] = BagOf({{10, 4}, {12, 1}});
+  bags[3] = BagOf({{11, 1}, {12, 2}, {13, 1}});
+  for (const auto& [id, bag] : bags) index.Add(id, FlatFeatures::From(bag));
+  // Feature 10 is in 2 documents, 11 in 2 and 12 in 2; 99 is in none.
+  const FlatFeatures query =
+      FlatFeatures::From(BagOf({{10, 1}, {11, 3}, {12, 1}, {99, 2}}));
+  for (Metric metric : kMetrics) {
+    const uint64_t before = read.Value();
+    EXPECT_EQ(index.TopK(query, 1, metric).size(), 1u);
+    EXPECT_EQ(read.Value() - before, 6u);
+  }
+  const uint64_t before = read.Value();
+  EXPECT_TRUE(index.TopK(query, 0).empty());  // k = 0 reads nothing
+  EXPECT_EQ(read.Value(), before);
 }
 
 TEST(SptIndex, RemovingADocInEveryPostingKeepsTheRestExact) {
@@ -459,7 +607,7 @@ TEST(SptIndex, RemovingADocInEveryPostingKeepsTheRestExact) {
   for (uint32_t id = 2; id <= 6; ++id) {
     bags[id] = BagOf({{10, id}, {11, 1}, {100 + id, 3}});
   }
-  for (const auto& [id, bag] : bags) index.Add(id, bag);
+  for (const auto& [id, bag] : bags) index.Add(id, FlatFeatures::From(bag));
   ASSERT_TRUE(index.Remove(1));
   bags.erase(1);
 
@@ -468,12 +616,13 @@ TEST(SptIndex, RemovingADocInEveryPostingKeepsTheRestExact) {
   std::vector<std::pair<int64_t, const FeatureBag*>> live;
   for (const auto& [id, bag] : bags) {
     ASSERT_NE(index.Get(id), nullptr);
-    EXPECT_EQ(index.Get(id)->counts, bag.counts);
+    EXPECT_EQ(CountsOf(*index.Get(id)), CountsOf(bag));
     live.emplace_back(id, &bag);
   }
   const FeatureBag query = BagOf({{10, 3}, {11, 2}, {104, 1}});
+  const FlatFeatures flat_query = FlatFeatures::From(query);
   for (Metric metric : kMetrics) {
-    const Ranked got = Pairs(index.TopK(query, 10, metric));
+    const Ranked got = Pairs(index.TopK(flat_query, 10, metric));
     EXPECT_EQ(got.size(), 5u);
     EXPECT_EQ(got, Pairs(reference::BruteForceTopK(live, query, 10, metric)));
   }
@@ -481,9 +630,38 @@ TEST(SptIndex, RemovingADocInEveryPostingKeepsTheRestExact) {
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.Get(2), nullptr);
-  EXPECT_TRUE(index.TopK(query, 10).empty());
-  index.Add(7, BagOf({{10, 1}}));
-  EXPECT_EQ(Pairs(index.TopK(query, 10)), (Ranked{{7, 1.0}}));
+  EXPECT_TRUE(index.TopK(flat_query, 10).empty());
+  index.Add(7, FlatFeatures::From(BagOf({{10, 1}})));
+  EXPECT_EQ(Pairs(index.TopK(flat_query, 10)), (Ranked{{7, 1.0}}));
+}
+
+// The whole pipeline on 1,200 PEs under slot-reusing churn: Search (every
+// metric), Recommend (full and simplified) and Complete must equal the
+// FeatureBag reference pipeline exactly, for DropCode 0 to 0.9 queries in
+// tail and random mode.
+TEST(AromaPipelineParity, EqualsTheFeatureBagReferenceUnderChurn) {
+  dataset::DatasetConfig config;
+  config.families = 0;  // all 30
+  config.variants_per_family = 40;
+  const auto ds = dataset::CodeSearchNetPeDataset::Generate(config);
+  ASSERT_GE(ds.size(), 1200u);
+  AromaEngine full;
+  AromaConfig simplified_config;
+  simplified_config.use_full_pipeline = false;
+  AromaEngine simplified(simplified_config);
+  reference::Corpus corpus;
+  reference::IndexChurned(ds, {&full, &simplified}, corpus);
+  ASSERT_EQ(full.size(), corpus.bags.size());
+  ASSERT_LT(full.size(), ds.size());  // churn removed some
+
+  const std::vector<std::string> queries = reference::PartialQueries(ds, 60);
+  EXPECT_EQ(queries.size(), 20u * 8);
+  const std::vector<std::string> mismatches =
+      reference::PipelineMismatches(full, simplified, corpus, queries);
+  EXPECT_EQ(mismatches.size(), 0u);
+  for (size_t i = 0; i < std::min<size_t>(mismatches.size(), 10); ++i) {
+    ADD_FAILURE() << mismatches[i];
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -227,6 +228,53 @@ TEST(JsonParse, DeepNestingBounded) {
   std::string deep(300, '[');
   deep += std::string(300, ']');
   EXPECT_FALSE(json::Parse(deep).ok());
+}
+
+TEST(JsonParse, DuplicateKeyKeepsFirstPositionAndLastValue) {
+  Result<Value> small = json::Parse(R"({"a":1,"b":2,"a":3})");
+  ASSERT_TRUE(small.ok());
+  ASSERT_EQ(small->as_object().size(), 2u);
+  EXPECT_EQ(small->as_object().begin()->first, "a");
+  EXPECT_EQ((small->as_object().begin() + 1)->first, "b");
+  EXPECT_EQ(small->GetInt("a"), 3);
+  EXPECT_EQ(small->ToJson(), R"({"a":3,"b":2})");
+
+  // Past the scanned size, duplicates are found through the key index,
+  // including keys seen before the index was built.
+  std::string text = "{";
+  for (int i = 0; i < 40; ++i) {
+    text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  }
+  text += R"("k3":-3,"k39":-39,"k3":-33,"new":1})";
+  Result<Value> large = json::Parse(text);
+  ASSERT_TRUE(large.ok());
+  ASSERT_EQ(large->as_object().size(), 41u);
+  EXPECT_EQ((large->as_object().begin() + 3)->first, "k3");
+  EXPECT_EQ(large->GetInt("k3"), -33);
+  EXPECT_EQ((large->as_object().begin() + 39)->first, "k39");
+  EXPECT_EQ(large->GetInt("k39"), -39);
+  EXPECT_EQ((large->as_object().begin() + 40)->first, "new");
+  EXPECT_EQ(large->GetInt("k20"), 20);
+}
+
+TEST(JsonParse, ObjectWithManyKeysParsesInLinearTime) {
+  // A key-by-key scan makes this quadratic: minutes for 200k keys.
+  constexpr int kKeys = 200'000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ',';
+    text += "\"" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  text += '}';
+  const auto start = std::chrono::steady_clock::now();
+  Result<Value> v = json::Parse(text);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->as_object().size(), static_cast<size_t>(kKeys));
+  EXPECT_EQ(v->GetInt("123456"), 123456);
+  EXPECT_LT(seconds, 20.0);
 }
 
 TEST(JsonRoundTrip, ComplexDocument) {
