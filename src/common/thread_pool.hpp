@@ -2,7 +2,7 @@
 // pool, the registry bulk-ingest path and bench drivers. Tasks are
 // type-erased closures; Shutdown() drains the queue, Cancel() discards
 // pending work. ParallelFor() layers a blocking fork-join loop on top for
-// data-parallel work (bulk index builds, batch registration encodes).
+// data-parallel work (bulk registration, WAL recovery, search reindexing).
 #pragma once
 
 #include <atomic>

@@ -42,11 +42,11 @@ struct PeExample {
 
 /// Streaming variant renderer: yields the exact example sequence
 /// CodeSearchNetPeDataset::Generate materializes (same seed derivation,
-/// same ids), one PeExample at a time in O(1) memory. This is how the
-/// million-PE corpus sweeps (bench_search) generate 1M+ PEs without ever
-/// holding the corpus: families iterate outermost, each forking its own rng
-/// stream, so the f-th family's variants are identical whether or not the
-/// earlier families were consumed.
+/// same ids), one PeExample at a time in O(1) memory, so a caller can
+/// render 1M+ PEs without ever holding the corpus: families iterate
+/// outermost, each forking its own rng stream, so the f-th family's
+/// variants are identical whether or not the earlier families were
+/// consumed.
 class PeStream {
  public:
   explicit PeStream(const DatasetConfig& config = {});

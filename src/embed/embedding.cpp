@@ -6,11 +6,6 @@
 
 namespace laminar::embed {
 
-float Dot(std::span<const float> a, std::span<const float> b) {
-  if (a.size() != b.size()) return 0.0f;
-  return simd::Dot(a.data(), b.data(), a.size());
-}
-
 float Norm(std::span<const float> a) {
   float sum = 0.0f;
   for (float x : a) sum += x * x;

@@ -13,15 +13,14 @@ namespace laminar::embed {
 
 using Vector = std::vector<float>;
 
-/// Runs on simd::Dot, which dispatches to AVX2/AVX-512/NEON and falls back
-/// to the simd::DotScalar reference loop; 0 if sizes differ.
-float Dot(std::span<const float> a, std::span<const float> b);
 float Norm(std::span<const float> a);
 
 /// In-place L2 normalization; zero vectors are left unchanged.
 void L2Normalize(Vector& v);
 
 /// Cosine similarity in [-1, 1]; 0 if either vector is zero or sizes differ.
+/// The dot product runs on simd::Dot, which dispatches to AVX2/AVX-512/NEON
+/// and falls back to the simd::DotScalar reference loop.
 float Cosine(std::span<const float> a, std::span<const float> b);
 
 /// Serializes to the JSON array Laminar stores in the registry's

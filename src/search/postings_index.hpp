@@ -12,9 +12,10 @@
 //   * each dimension some row is non-zero in maps to one posting vector of
 //     (slot, weight), where the weight is the row's L2-normalized value in
 //     that dimension;
-//   * rows and queries are L2-normalized exactly as VectorIndex::WriteRow
-//     and VectorIndex::NormalizedQuery do (float norm, float division), so
-//     a posting's weight equals the dense row's entry bit for bit.
+//   * rows and queries are L2-normalized: each entry is divided, in float,
+//     by the vector's float embed::Norm. A zero, non-finite or wrong-size
+//     vector is not normalized: as a row it gets no postings, as a query it
+//     matches no row (see the ranking contract below).
 //
 // TopK walks the query's non-zero dimensions in ascending order. Each
 // posting adds q[d] * w, in double, into a score array indexed by slot and

@@ -1409,7 +1409,8 @@ Result<LaminarServer::Response> LaminarServer::Stats(Call&) {
   resp["queryCache"]["misses"] = static_cast<int64_t>(query_cache.misses);
   resp["queryCache"]["entries"] =
       static_cast<int64_t>(query_cache.entries);
-  // Which kernel tier the dispatched dot products run on.
+  // The host's SIMD tier, which perfbench stamps on its runs; no request
+  // runs a kernel (search scores from postings).
   resp["search"]["simd"]["tier"] =
       std::string(simd::TierName(simd::ActiveTier()));
   Value indexes = Value::MakeObject();

@@ -74,36 +74,6 @@ __attribute__((target("avx2,fma"))) void DotBatchAvx2(const float* query,
   }
 }
 
-__attribute__((target("avx2"))) inline int32_t DotI8Avx2Row(const int8_t* a,
-                                                            const int8_t* b,
-                                                            size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    // 16 int8 -> 16 int16 each side; madd multiplies int16 pairs into exact
-    // int32 partial sums (|-128 * -128| * 2 fits int32 with headroom).
-    const __m256i wa = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i wb = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(wa, wb));
-  }
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
-  int32_t sum = _mm_cvtsi128_si32(s);
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) int32_t DotI8Avx2(const int8_t* a,
-                                                  const int8_t* b, size_t n) {
-  return DotI8Avx2Row(a, b, n);
-}
-
 __attribute__((target("avx512f"))) inline float DotAvx512Row(const float* a,
                                                              const float* b,
                                                              size_t n) {
@@ -138,24 +108,6 @@ __attribute__((target("avx512f"))) void DotBatchAvx512(const float* query,
   for (size_t r = 0; r < n_rows; ++r) {
     out[r] = DotAvx512Row(query, rows + r * dims, dims);
   }
-}
-
-__attribute__((target("avx512f,avx512bw"))) int32_t DotI8Avx512(
-    const int8_t* a, const int8_t* b, size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m512i wa = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-    const __m512i wb = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(wa, wb));
-  }
-  int32_t sum = static_cast<int32_t>(_mm512_reduce_add_epi32(acc));
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return sum;
 }
 
 #endif  // LAMINAR_SIMD_X86
@@ -197,23 +149,6 @@ void DotBatchNeon(const float* query, const float* rows, size_t n_rows,
   }
 }
 
-int32_t DotI8Neon(const int8_t* a, const int8_t* b, size_t n) {
-  int32x4_t acc = vdupq_n_s32(0);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const int8x16_t va = vld1q_s8(a + i);
-    const int8x16_t vb = vld1q_s8(b + i);
-    const int16x8_t lo = vmull_s8(vget_low_s8(va), vget_low_s8(vb));
-    const int16x8_t hi = vmull_s8(vget_high_s8(va), vget_high_s8(vb));
-    acc = vpadalq_s16(vpadalq_s16(acc, lo), hi);
-  }
-  int32_t sum = vaddvq_s32(acc);
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return sum;
-}
-
 #endif  // LAMINAR_SIMD_NEON
 
 float DotScalarImpl(const float* a, const float* b, size_t n) {
@@ -227,19 +162,13 @@ void DotBatchScalar(const float* query, const float* rows, size_t n_rows,
   }
 }
 
-int32_t DotI8ScalarImpl(const int8_t* a, const int8_t* b, size_t n) {
-  return DotI8Scalar(a, b, n);
-}
-
 using DotFn = float (*)(const float*, const float*, size_t);
 using DotBatchFn = void (*)(const float*, const float*, size_t, size_t,
                             float*);
-using DotI8Fn = int32_t (*)(const int8_t*, const int8_t*, size_t);
 
 struct KernelTable {
   DotFn dot = &DotScalarImpl;
   DotBatchFn dot_batch = &DotBatchScalar;
-  DotI8Fn dot_i8 = &DotI8ScalarImpl;
   Tier tier = Tier::kScalar;
 };
 
@@ -248,15 +177,15 @@ KernelTable TableFor(Tier tier) {
   switch (tier) {
 #if LAMINAR_SIMD_X86
     case Tier::kAvx512:
-      t = {&DotAvx512, &DotBatchAvx512, &DotI8Avx512, Tier::kAvx512};
+      t = {&DotAvx512, &DotBatchAvx512, Tier::kAvx512};
       break;
     case Tier::kAvx2:
-      t = {&DotAvx2, &DotBatchAvx2, &DotI8Avx2, Tier::kAvx2};
+      t = {&DotAvx2, &DotBatchAvx2, Tier::kAvx2};
       break;
 #endif
 #if LAMINAR_SIMD_NEON
     case Tier::kNeon:
-      t = {&DotNeon, &DotBatchNeon, &DotI8Neon, Tier::kNeon};
+      t = {&DotNeon, &DotBatchNeon, Tier::kNeon};
       break;
 #endif
     default:
@@ -268,6 +197,7 @@ KernelTable TableFor(Tier tier) {
 Tier Detect() {
 #if LAMINAR_SIMD_X86
   __builtin_cpu_init();
+  // No kernel uses BW; it stays required so no host changes tier or rounding.
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw")) {
     return Tier::kAvx512;
@@ -370,10 +300,6 @@ float Dot(const float* a, const float* b, size_t n) {
 void DotBatch(const float* query, const float* rows, size_t n_rows,
               size_t dims, float* out) {
   Table()->dot_batch(query, rows, n_rows, dims, out);
-}
-
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  return Table()->dot_i8(a, b, n);
 }
 
 }  // namespace laminar::simd

@@ -1,14 +1,16 @@
-// Runtime-dispatched SIMD kernels for the vector search hot path (ISSUE 10).
+// Runtime-dispatched float32 dot-product kernels.
 //
-// Every semantic query — flat scan, HNSW beam search, and the exact rerank —
-// funnels through one dot-product kernel, so this layer detects the widest
-// vector unit the host offers (AVX-512F/BW, AVX2+FMA, or NEON) once at
-// startup and routes three kernels through it:
+// embed::Cosine ranks through Dot, so the Figs. 10, 11 and 13 reproductions
+// run on it; perfbench's traced pass times DotBatch and stamps every run
+// with TierName(ActiveTier()), which the server also reports in /stats
+// (search.simd.tier). No server request runs a kernel: semantic search
+// scores from postings (search/postings_index.hpp).
+//
+// The layer detects the widest vector unit the host offers (AVX-512F/BW,
+// AVX2+FMA, or NEON) once at startup and routes two kernels through it:
 //
 //   Dot       one float32 dot product
 //   DotBatch  one query against N contiguous float32 rows
-//   DotI8     int8 x int8 -> int32 (the SQ8 quantized-row kernel; exact
-//             integer arithmetic, so every tier returns the same value)
 //
 // The portable fallback is the 4x-unrolled scalar loop DotScalar, which is
 // also the reference the kernel tests compare every tier against (laminar_simd
@@ -16,7 +18,7 @@
 // scalar tier in the final ULPs on AVX tiers (FMA contracts the
 // multiply-add), but a given tier is deterministic: the same inputs always
 // produce the same bits, and DotBatch row i is bit-identical to Dot on that
-// row — the property the exact-rerank parity contract rests on.
+// row.
 //
 // Dispatch is process-wide. The environment variable LAMINAR_SIMD
 // (scalar|avx2|avx512|neon|auto) pins a tier at startup — the force-scalar
@@ -27,7 +29,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace laminar::simd {
 
@@ -72,15 +73,6 @@ inline float DotScalar(const float* a, const float* b, size_t n) {
   return s;
 }
 
-/// Scalar int8 reference: plain int32 accumulation, exact.
-inline int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t s = 0;
-  for (size_t i = 0; i < n; ++i) {
-    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return s;
-}
-
 /// Dispatched float32 dot product over `n` elements (no alignment
 /// requirement on either pointer).
 float Dot(const float* a, const float* b, size_t n);
@@ -89,8 +81,5 @@ float Dot(const float* a, const float* b, size_t n);
 /// bit-for-bit (each row runs through the same per-row kernel as Dot).
 void DotBatch(const float* query, const float* rows, size_t n_rows,
               size_t dims, float* out);
-
-/// Dispatched int8 x int8 -> int32 dot product; exact on every tier.
-int32_t DotI8(const int8_t* a, const int8_t* b, size_t n);
 
 }  // namespace laminar::simd

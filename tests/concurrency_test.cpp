@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
+#include <vector>
 
 #include "common/concurrent_queue.hpp"
 #include "common/thread_pool.hpp"
@@ -130,6 +133,93 @@ TEST(ThreadPool, ParallelismActuallyHappens) {
   }
   pool.Shutdown();
   EXPECT_GE(peak.load(), 2);
+}
+
+// Runs ParallelFor over n items and checks every index ran exactly once.
+void ExpectEachIndexOnce(ThreadPool* pool, size_t n) {
+  std::vector<std::atomic<int>> runs(n);
+  ParallelFor(pool, n, [&](size_t i) { runs[i].fetch_add(1); });
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "index " << i << " of " << n;
+  }
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
+  ThreadPool pool(3);
+  for (size_t n : {size_t{0}, size_t{1}, pool.size(), size_t{10000}}) {
+    ExpectEachIndexOnce(&pool, n);
+  }
+}
+
+TEST(ThreadPool, ParallelForCallerParticipates) {
+  // The pool's only worker is parked until every index has run, so the
+  // helper ParallelFor submits cannot start: the caller must run them all,
+  // and ParallelFor must still wait for that helper before returning. The
+  // park is bounded, so a ParallelFor that leaves the work to its helpers
+  // fails here instead of hanging.
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([released] { released.wait_for(std::chrono::seconds(10)); });
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr size_t kItems = 64;
+  std::vector<std::thread::id> ran_on(kItems);
+  std::atomic<size_t> done{0};
+  ParallelFor(&pool, kItems, [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    if (done.fetch_add(1) + 1 == kItems) release.set_value();
+  });
+  for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(ran_on[i], caller) << i;
+}
+
+TEST(ThreadPool, ParallelForWithoutWorkersRunsSeriallyOnCaller) {
+  // A null pool, an empty pool and a shut-down pool all degrade to a plain
+  // loop on the calling thread, in index order, instead of deadlocking.
+  ThreadPool empty(0);
+  ThreadPool stopped(2);
+  stopped.Shutdown();
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &empty,
+                           &stopped}) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    ParallelFor(pool, 100, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    ASSERT_EQ(order.size(), 100u);
+    for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  }
+}
+
+TEST(ThreadPool, ParallelForUnevenCostsAllComplete) {
+  // Every 50th item sleeps, and so does every item a pool thread runs; the
+  // caller's other items are trivial. The shared counter hands out indices
+  // as threads free up, so all complete and each runs once, and since the
+  // caller runs out of work first, ParallelFor must wait for the helpers.
+  ThreadPool pool(3);
+  constexpr size_t kItems = 2000;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> runs(kItems);
+  ParallelFor(&pool, kItems, [&](size_t i) {
+    if (i % 50 == 0 || std::this_thread::get_id() != caller) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    runs[i].fetch_add(1);
+  });
+  for (size_t i = 0; i < kItems; ++i) ASSERT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, ParallelForConcurrentCallersShareOnePool) {
+  // Bulk registrations from several connections share the server's one
+  // ingest pool; each caller's loop must still see each index exactly once.
+  ThreadPool pool(3);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 5; ++round) ExpectEachIndexOnce(&pool, 500);
+    });
+  }
+  for (auto& t : callers) t.join();
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
-// Kernel-parity and SQ8 quantization suite (ISSUE 10).
+// Kernel-parity suite for the dispatched float kernels.
 //
-// The dispatch contract under test: every tier's float kernel agrees with
-// the scalar reference within a documented FMA reassociation bound, the
-// int8 kernel agrees *exactly* on every tier (integer arithmetic has no
-// rounding), DotBatch row i is bit-identical to Dot on that row, and a
-// VectorIndex with the SQ8 mirror enabled returns scores bit-identical to
-// the exact float paths for every id it returns — quantization may only
-// change recall, never a returned score.
+// The dispatch contract under test: every tier's Dot agrees with the scalar
+// reference within a documented FMA reassociation bound, the scalar tier is
+// the reference bit for bit, and DotBatch row i is bit-identical to Dot on
+// that row.
 //
 // The whole binary is registered twice with ctest: once as `kernels_suite`
 // (native dispatch) and once as `kernels_force_scalar` with
@@ -18,14 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "embed/embedding.hpp"
 #include "gtest/gtest.h"
-#include "search/vector_index.hpp"
-#include "simd/sq8.hpp"
 
 namespace laminar {
 namespace {
@@ -40,14 +33,6 @@ const size_t kOffsets[] = {0, 1, 3};
 std::vector<float> RandomFloats(Rng& rng, size_t n) {
   std::vector<float> v(n);
   for (float& x : v) x = static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  return v;
-}
-
-std::vector<int8_t> RandomCodes(Rng& rng, size_t n) {
-  std::vector<int8_t> v(n);
-  for (int8_t& c : v) {
-    c = static_cast<int8_t>(static_cast<int>(rng.NextBelow(255)) - 127);
-  }
   return v;
 }
 
@@ -121,44 +106,6 @@ TEST(SimdKernels, FloatDotMatchesScalarWithinFmaBound) {
   simd::SetTier(before);
 }
 
-TEST(SimdKernels, Int8DotExactOnEveryTier) {
-  Rng rng(0x5eed0002ULL);
-  const simd::Tier before = simd::ActiveTier();
-  for (size_t dims : kDims) {
-    for (size_t off : kOffsets) {
-      std::vector<int8_t> a = RandomCodes(rng, dims + off);
-      std::vector<int8_t> b = RandomCodes(rng, dims + off);
-      const int32_t want =
-          simd::DotI8Scalar(a.data() + off, b.data() + off, dims);
-      for (simd::Tier tier : AvailableTiers()) {
-        ASSERT_EQ(simd::SetTier(tier), tier);
-        EXPECT_EQ(simd::DotI8(a.data() + off, b.data() + off, dims), want)
-            << "tier=" << simd::TierName(tier) << " dims=" << dims
-            << " off=" << off;
-      }
-    }
-  }
-  simd::SetTier(before);
-}
-
-TEST(SimdKernels, Int8SaturationCornersExact) {
-  // +/-127 everywhere maximizes every intermediate: a 16-bit madd pair
-  // reaches 2*127*127 = 32258, within int16? No — 32258 < 32767 holds, and
-  // that is exactly why the AVX madd_epi16 path is exact; prove the corner.
-  const simd::Tier before = simd::ActiveTier();
-  for (size_t dims : kDims) {
-    std::vector<int8_t> hi(dims, 127), lo(dims, -127);
-    const int32_t want_hi = static_cast<int32_t>(dims) * 127 * 127;
-    for (simd::Tier tier : AvailableTiers()) {
-      ASSERT_EQ(simd::SetTier(tier), tier);
-      EXPECT_EQ(simd::DotI8(hi.data(), hi.data(), dims), want_hi);
-      EXPECT_EQ(simd::DotI8(hi.data(), lo.data(), dims), -want_hi);
-      EXPECT_EQ(simd::DotI8(lo.data(), lo.data(), dims), want_hi);
-    }
-  }
-  simd::SetTier(before);
-}
-
 TEST(SimdKernels, DotBatchBitIdenticalToPerRowDot) {
   Rng rng(0x5eed0003ULL);
   const simd::Tier before = simd::ActiveTier();
@@ -179,262 +126,6 @@ TEST(SimdKernels, DotBatchBitIdenticalToPerRowDot) {
       }
     }
   }
-  simd::SetTier(before);
-}
-
-TEST(Sq8, QuantizedScoreTracksFloatDot) {
-  Rng rng(0x5eed0004ULL);
-  const size_t dims = 64;
-  const size_t rows = 256;
-  std::vector<float> block(rows * dims);
-  std::vector<int8_t> codes(rows * dims);
-  std::vector<float> scales(rows), offsets(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    std::vector<float> row = RandomFloats(rng, dims);
-    float norm = 0.0f;
-    for (float x : row) norm += x * x;
-    norm = std::sqrt(norm);
-    for (size_t i = 0; i < dims; ++i) block[r * dims + i] = row[i] / norm;
-    simd::QuantizeRow(block.data() + r * dims, dims, codes.data() + r * dims,
-                      &scales[r], &offsets[r]);
-  }
-  const simd::Sq8View view{codes.data(), scales.data(), offsets.data(), dims};
-
-  std::vector<float> qf = RandomFloats(rng, dims);
-  float qnorm = 0.0f;
-  for (float x : qf) qnorm += x * x;
-  qnorm = std::sqrt(qnorm);
-  for (float& x : qf) x /= qnorm;
-  simd::Sq8Query q8;
-  simd::QuantizeQuery(qf.data(), dims, &q8);
-  ASSERT_EQ(q8.codes.size(), dims);
-
-  // Unit vectors, so every true score is in [-1, 1]; 8-bit codes on both
-  // sides keep the approximation within a few percent — far tighter than
-  // the rerank over-fetch needs, but wide enough to never flake.
-  for (size_t r = 0; r < rows; ++r) {
-    const float exact =
-        simd::DotScalar(qf.data(), block.data() + r * dims, dims);
-    const float approx = simd::Sq8Score(q8, view, r);
-    EXPECT_NEAR(approx, exact, 0.05f) << "row " << r;
-  }
-}
-
-TEST(Sq8, ConstantAndZeroRowsQuantizeExactly) {
-  const size_t dims = 33;
-  std::vector<float> row(dims, 0.25f);
-  std::vector<int8_t> codes(dims, 99);
-  float scale = -1.0f, offset = -1.0f;
-  simd::QuantizeRow(row.data(), dims, codes.data(), &scale, &offset);
-  EXPECT_EQ(scale, 0.0f);
-  EXPECT_EQ(offset, 0.25f);
-  for (int8_t c : codes) EXPECT_EQ(c, 0);
-
-  std::vector<float> zero(dims, 0.0f);
-  simd::Sq8Query q8;
-  simd::QuantizeQuery(zero.data(), dims, &q8);
-  EXPECT_EQ(q8.scale, 0.0f);
-  EXPECT_EQ(q8.code_sum, 0);
-}
-
-search::VectorIndexOptions QuantFlatOptions() {
-  search::VectorIndexOptions o;
-  o.strategy = search::IndexStrategy::kFlat;
-  o.quantize = true;
-  o.rerank_overfetch = 4.0;
-  return o;
-}
-
-embed::Vector ClusteredVector(Rng& rng, size_t dims, uint32_t cluster) {
-  embed::Vector v(dims);
-  Rng centroid_rng(0xc105ULL + cluster);
-  for (size_t i = 0; i < dims; ++i) {
-    const float c = static_cast<float>(centroid_rng.NextDouble() * 2.0 - 1.0);
-    v[i] = c + 0.15f * static_cast<float>(rng.NextDouble() * 2.0 - 1.0);
-  }
-  return v;
-}
-
-/// Returned-score parity: every id `got` returns must carry the bit-exact
-/// score the reference result assigns it. Returns the id overlap count.
-size_t CheckScoreParity(const std::vector<search::ScoredId>& got,
-                        const std::vector<search::ScoredId>& want) {
-  std::unordered_map<int64_t, float> want_scores;
-  want_scores.reserve(want.size());
-  for (const search::ScoredId& w : want) want_scores.emplace(w.id, w.score);
-  size_t hits = 0;
-  for (const search::ScoredId& g : got) {
-    auto it = want_scores.find(g.id);
-    if (it == want_scores.end()) continue;
-    ++hits;
-    EXPECT_EQ(std::memcmp(&g.score, &it->second, sizeof(float)), 0)
-        << "id " << g.id << " quantized-path score differs from exact";
-  }
-  return hits;
-}
-
-TEST(VectorIndexQuant, FlatReturnedScoresBitIdenticalAndRecallHigh) {
-  const size_t dims = 32, n = 2000, k = 10, nqueries = 20;
-  Rng rng(0x5eed0005ULL);
-  search::VectorIndex quant(dims, QuantFlatOptions());
-  search::VectorIndexOptions plain_opts;
-  plain_opts.strategy = search::IndexStrategy::kFlat;
-  search::VectorIndex plain(dims, plain_opts);
-  for (size_t i = 0; i < n; ++i) {
-    embed::Vector v = ClusteredVector(rng, dims, static_cast<uint32_t>(i % 8));
-    quant.Upsert(static_cast<int64_t>(i), v);
-    plain.Upsert(static_cast<int64_t>(i), v);
-  }
-  ASSERT_TRUE(quant.DebugQuantConsistent());
-  ASSERT_TRUE(quant.stats().quantized);
-  ASSERT_GT(quant.stats().quant_bytes, 0u);
-
-  double recall_sum = 0.0;
-  for (size_t qi = 0; qi < nqueries; ++qi) {
-    embed::Vector q = ClusteredVector(rng, dims, static_cast<uint32_t>(qi % 8));
-    std::vector<search::ScoredId> want = plain.TopK(q, k);
-    std::vector<search::ScoredId> got = quant.TopK(q, k);
-    ASSERT_EQ(got.size(), want.size());
-    recall_sum += static_cast<double>(CheckScoreParity(got, want)) /
-                  static_cast<double>(want.size());
-    // BruteForceTopK must stay exact (and bit-equal to TopK's scores) even
-    // with the mirror on — it never routes through the quantized path.
-    CheckScoreParity(got, quant.BruteForceTopK(q, k));
-  }
-  EXPECT_GE(recall_sum / nqueries, 0.95);
-}
-
-TEST(VectorIndexQuant, HnswTraversalOverMirrorKeepsParity) {
-  const size_t dims = 32, n = 3000, k = 10, nqueries = 20;
-  Rng rng(0x5eed0006ULL);
-  search::VectorIndexOptions opts;
-  opts.strategy = search::IndexStrategy::kHnsw;
-  opts.quantize = true;
-  opts.rerank_overfetch = 4.0;
-  opts.recall_probe_interval = 0;
-  search::VectorIndex index(dims, opts);
-  index.BeginBulk();
-  for (size_t i = 0; i < n; ++i) {
-    index.Upsert(static_cast<int64_t>(i),
-                 ClusteredVector(rng, dims, static_cast<uint32_t>(i % 8)));
-  }
-  index.EndBulk(nullptr);
-  ASSERT_TRUE(index.ann_active());
-  ASSERT_TRUE(index.DebugQuantConsistent());
-
-  double recall_sum = 0.0;
-  for (size_t qi = 0; qi < nqueries; ++qi) {
-    embed::Vector q = ClusteredVector(rng, dims, static_cast<uint32_t>(qi % 8));
-    std::vector<search::ScoredId> want = index.BruteForceTopK(q, k);
-    std::vector<search::ScoredId> got = index.TopK(q, k);
-    ASSERT_EQ(got.size(), k);
-    recall_sum += static_cast<double>(CheckScoreParity(got, want)) /
-                  static_cast<double>(want.size());
-  }
-  EXPECT_GE(recall_sum / nqueries, 0.90);
-}
-
-TEST(VectorIndexQuant, MirrorStaysConsistentThroughChurn) {
-  const size_t dims = 16;
-  Rng rng(0x5eed0007ULL);
-
-  // Flat churn: upserts, in-place replaces, swap-and-pop removes, shrink.
-  search::VectorIndex flat(dims, QuantFlatOptions());
-  for (int64_t i = 0; i < 300; ++i) {
-    flat.Upsert(i, ClusteredVector(rng, dims, static_cast<uint32_t>(i % 4)));
-  }
-  for (int64_t i = 0; i < 300; i += 3) {
-    flat.Upsert(i, ClusteredVector(rng, dims, static_cast<uint32_t>(i % 4)));
-  }
-  ASSERT_TRUE(flat.DebugQuantConsistent());
-  for (int64_t i = 0; i < 300; i += 2) EXPECT_TRUE(flat.Remove(i));
-  ASSERT_TRUE(flat.DebugQuantConsistent());
-  EXPECT_EQ(flat.size(), 150u);
-
-  // hnsw churn: tombstoning replaces/removes, then enough dead rows to
-  // trigger compaction (which rebuilds the mirror alongside the graph).
-  search::VectorIndexOptions hopts;
-  hopts.strategy = search::IndexStrategy::kHnsw;
-  hopts.quantize = true;
-  hopts.max_dead_fraction = 0.2;
-  search::VectorIndex hnsw(dims, hopts);
-  hnsw.BeginBulk();
-  for (int64_t i = 0; i < 400; ++i) {
-    hnsw.Upsert(i, ClusteredVector(rng, dims, static_cast<uint32_t>(i % 4)));
-  }
-  hnsw.EndBulk(nullptr);
-  ASSERT_TRUE(hnsw.DebugQuantConsistent());
-  const uint64_t before_compactions = hnsw.stats().compactions;
-  for (int64_t i = 0; i < 200; ++i) {
-    hnsw.Upsert(i, ClusteredVector(rng, dims, static_cast<uint32_t>(i % 4)));
-  }
-  for (int64_t i = 200; i < 300; ++i) EXPECT_TRUE(hnsw.Remove(i));
-  EXPECT_GT(hnsw.stats().compactions, before_compactions);
-  ASSERT_TRUE(hnsw.DebugQuantConsistent());
-  EXPECT_EQ(hnsw.size(), 300u);
-
-  hnsw.Clear();
-  EXPECT_TRUE(hnsw.DebugQuantConsistent());
-  EXPECT_EQ(hnsw.size(), 0u);  // capacity may linger, like data_/ids_
-}
-
-TEST(VectorIndexQuant, SetQuantizetogglesMirrorWithoutChangingScores) {
-  const size_t dims = 24, n = 1200, k = 8;
-  Rng rng(0x5eed0008ULL);
-  search::VectorIndexOptions opts;
-  opts.strategy = search::IndexStrategy::kFlat;
-  search::VectorIndex index(dims, opts);
-  for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
-    index.Upsert(i, ClusteredVector(rng, dims, static_cast<uint32_t>(i % 4)));
-  }
-  EXPECT_FALSE(index.stats().quantized);
-  embed::Vector q = ClusteredVector(rng, dims, 1);
-  std::vector<search::ScoredId> before = index.TopK(q, k);
-
-  index.SetQuantize(true);
-  ASSERT_TRUE(index.DebugQuantConsistent());
-  EXPECT_TRUE(index.stats().quantized);
-  std::vector<search::ScoredId> quant = index.TopK(q, k);
-  CheckScoreParity(quant, before);
-
-  index.SetQuantize(false);
-  EXPECT_FALSE(index.stats().quantized);
-  EXPECT_EQ(index.stats().quant_bytes, 0u);
-  std::vector<search::ScoredId> after = index.TopK(q, k);
-  ASSERT_EQ(after.size(), before.size());
-  for (size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after[i].id, before[i].id);
-    EXPECT_EQ(std::memcmp(&after[i].score, &before[i].score, sizeof(float)),
-              0);
-  }
-}
-
-TEST(VectorIndexQuant, ForcedScalarTierKeepsQuantParity) {
-  // The whole contract must also hold on the portable kernels — the same
-  // checks the kernels_force_scalar ctest entry runs process-wide, pinned
-  // here explicitly so the native run covers the fallback too.
-  const simd::Tier before = simd::ActiveTier();
-  ASSERT_EQ(simd::SetTier(simd::Tier::kScalar), simd::Tier::kScalar);
-  const size_t dims = 16, n = 800, k = 5;
-  Rng rng(0x5eed0009ULL);
-  search::VectorIndex quant(dims, QuantFlatOptions());
-  search::VectorIndexOptions plain_opts;
-  plain_opts.strategy = search::IndexStrategy::kFlat;
-  search::VectorIndex plain(dims, plain_opts);
-  for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
-    embed::Vector v = ClusteredVector(rng, dims, static_cast<uint32_t>(i % 4));
-    quant.Upsert(i, v);
-    plain.Upsert(i, v);
-  }
-  double recall_sum = 0.0;
-  for (size_t qi = 0; qi < 10; ++qi) {
-    embed::Vector q = ClusteredVector(rng, dims, static_cast<uint32_t>(qi % 4));
-    std::vector<search::ScoredId> want = plain.TopK(q, k);
-    std::vector<search::ScoredId> got = quant.TopK(q, k);
-    recall_sum += static_cast<double>(CheckScoreParity(got, want)) /
-                  static_cast<double>(want.size());
-  }
-  EXPECT_GE(recall_sum / 10.0, 0.9);
   simd::SetTier(before);
 }
 
