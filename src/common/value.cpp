@@ -49,6 +49,8 @@ void EscapeInto(std::string& out, const std::string& s) {
   out += '"';
 }
 
+}  // namespace
+
 void NumberInto(std::string& out, double d) {
   if (std::isnan(d) || std::isinf(d)) {
     out += "null";  // JSON has no NaN/Inf; match common serializer behaviour
@@ -64,8 +66,6 @@ void NumberInto(std::string& out, double d) {
   // type-preserving round trips matter for stored embeddings and specs.
   if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
-
-}  // namespace
 
 Value& ValueObject::operator[](const std::string& key) {
   for (auto& [k, v] : entries_) {

@@ -119,4 +119,8 @@ class Value {
       data_;
 };
 
+/// Appends the JSON text Value::ToJson writes for the double `d`, for
+/// writers that emit JSON without building a Value tree.
+void NumberInto(std::string& out, double d);
+
 }  // namespace laminar

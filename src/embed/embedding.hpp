@@ -23,10 +23,16 @@ void L2Normalize(Vector& v);
 /// and falls back to the simd::DotScalar reference loop.
 float Cosine(std::span<const float> a, std::span<const float> b);
 
-/// Serializes to the JSON array Laminar stores in the registry's
-/// 'descriptionEmbedding' CLOB column.
+/// Serializes to the text Laminar stores in the registry's
+/// 'descriptionEmbedding' CLOB column: {"dims":N,"nz":[[i,w],...]}, the
+/// entries whose bits are not all zero (so -0.0 is kept) in ascending index
+/// order. The hashed encoders fill ~1-3% of their dimensions.
 std::string ToJson(const Vector& v);
-/// Parses the JSON produced by ToJson; empty vector on malformed input.
+/// Decodes ToJson's sparse object, or the dense JSON array that rows written
+/// before it carry, bit-exactly. The text comes from snapshot files, WAL
+/// lines and leader fetches, so anything else — dims outside [0, 2^20], an
+/// index out of range or not ascending, a pair that is not [int, number] —
+/// returns an empty vector, which callers treat as "re-encode".
 Vector FromJson(std::string_view json_text);
 
 }  // namespace laminar::embed

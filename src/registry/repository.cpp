@@ -127,6 +127,10 @@ std::vector<PeRecord> Repository::AllPes() const {
   return out;
 }
 
+size_t Repository::PeCount() const {
+  return db_->GetTable(kPeTable)->size();
+}
+
 Result<int64_t> Repository::CreateWorkflow(const WorkflowRecord& wf) {
   Row row = Value::MakeObject();
   row["userId"] = wf.user_id;
@@ -182,6 +186,10 @@ std::vector<WorkflowRecord> Repository::AllWorkflows() const {
     out.push_back(RowToWorkflow(row));
   }
   return out;
+}
+
+size_t Repository::WorkflowCount() const {
+  return db_->GetTable(kWorkflowTable)->size();
 }
 
 Status Repository::LinkPe(int64_t workflow_id, int64_t pe_id) {

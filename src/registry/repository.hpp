@@ -74,6 +74,8 @@ class Repository {
   Status UpdatePe(int64_t id, const Row& fields);
   Status RemovePe(int64_t id);
   std::vector<PeRecord> AllPes() const;
+  /// Rows in the PE table, every tenant's, without copying any.
+  size_t PeCount() const;
 
   // Workflows.
   Result<int64_t> CreateWorkflow(const WorkflowRecord& wf);
@@ -82,6 +84,8 @@ class Repository {
   Status UpdateWorkflow(int64_t id, const Row& fields);
   Status RemoveWorkflow(int64_t id);
   std::vector<WorkflowRecord> AllWorkflows() const;
+  /// Rows in the workflow table, every tenant's, without copying any.
+  size_t WorkflowCount() const;
 
   // Workflow <-> PE links.
   Status LinkPe(int64_t workflow_id, int64_t pe_id);

@@ -1264,8 +1264,8 @@ Result<LaminarServer::Response> LaminarServer::LoadRegistry(Call& c) {
   if (Status st = search_.ReindexAll(ingest_pool_.get()); !st.ok()) return st;
   ResetTenantRowCounts();  // loaded rows replace all per-tenant counts
   Value resp = Value::MakeObject();
-  resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
-  resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
+  resp["pes"] = static_cast<int64_t>(repo_.PeCount());
+  resp["workflows"] = static_cast<int64_t>(repo_.WorkflowCount());
   return Json(resp);
 }
 
@@ -1394,8 +1394,10 @@ Result<LaminarServer::Response> LaminarServer::CodeCompletion(Call& c) {
 /// the two cannot disagree.
 Result<LaminarServer::Response> LaminarServer::Stats(Call&) {
   Value resp = Value::MakeObject();
-  resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
-  resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
+  // Table sizes, every tenant's rows: /stats holds the shared lock, so
+  // copying the rows to count them would hold off every write meanwhile.
+  resp["pes"] = static_cast<int64_t>(repo_.PeCount());
+  resp["workflows"] = static_cast<int64_t>(repo_.WorkflowCount());
   auto cache = engine_.resource_cache().stats();
   resp["cache"]["hits"] = static_cast<int64_t>(cache.hits);
   resp["cache"]["misses"] = static_cast<int64_t>(cache.misses);

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <initializer_list>
+
 #include <gtest/gtest.h>
 
 #include "embed/codet5_sim.hpp"
@@ -57,10 +59,70 @@ TEST(VectorJson, RoundTrips) {
   for (size_t i = 0; i < v.size(); ++i) EXPECT_FLOAT_EQ(back[i], v[i]);
 }
 
+// The stored column is outside input: snapshot files, WAL lines and leader
+// fetches all reach FromJson, and every malformed row must decode to an
+// empty vector (the search service then re-encodes the description).
+
+void ExpectRejected(std::initializer_list<const char*> texts) {
+  for (const char* text : texts) EXPECT_TRUE(FromJson(text).empty()) << text;
+}
+
 TEST(VectorJson, MalformedYieldsEmpty) {
-  EXPECT_TRUE(FromJson("not json").empty());
-  EXPECT_TRUE(FromJson("{\"a\":1}").empty());
-  EXPECT_TRUE(FromJson("[1, \"x\"]").empty());
+  // Only the dense array and the two-key sparse object are accepted.
+  ExpectRejected({"not json", "{\"a\":1}", "[1, \"x\"]", "", "42", "null",
+                  "\"[]\"", "true", R"({"dims":4,"nz":[)",
+                  R"({"dims":4,"nz":[],"extra":1})"});
+}
+
+TEST(VectorJson, SparseDimsMustBeAnIntegerUpTo2Pow20) {
+  // Allocating 2^40 or 2^63 - 1 floats before the bound check would throw
+  // std::bad_alloc (or abort under ASan) instead of returning empty.
+  ExpectRejected({R"({"nz":[]})", R"({"dims":null,"nz":[]})",
+                  R"({"dims":"4","nz":[]})", R"({"dims":4.0,"nz":[]})",
+                  R"({"dims":-1,"nz":[]})", R"({"dims":1048577,"nz":[]})",
+                  R"({"dims":1e12,"nz":[]})",
+                  R"({"dims":99999999999999999999,"nz":[]})",
+                  R"({"dims":1099511627776,"nz":[]})",
+                  R"({"dims":9223372036854775807,"nz":[[0,1.0]]})"});
+  EXPECT_EQ(FromJson(R"({"dims":1048576,"nz":[]})").size(), size_t{1} << 20);
+  EXPECT_TRUE(FromJson(R"({"dims":0,"nz":[]})").empty());
+  EXPECT_EQ(FromJson(R"({"nz":[[1,0.5]],"dims":3})"),
+            (Vector{0.0f, 0.5f, 0.0f}));
+}
+
+TEST(VectorJson, SparseNzMustBeAnArrayOfPairs) {
+  ExpectRejected({R"({"dims":4})", R"({"dims":4,"nz":null})",
+                  R"({"dims":4,"nz":{}})", R"({"dims":4,"nz":"[]"})",
+                  R"({"dims":4,"nz":[1,0.5]})", R"({"dims":4,"nz":[[]]})",
+                  R"({"dims":4,"nz":[[1]]})", R"({"dims":4,"nz":[[1,0.5,2]]})",
+                  R"({"dims":4,"nz":[{"1":0.5}]})"});
+}
+
+TEST(VectorJson, SparseIndicesMustBeIntegersInRange) {
+  ExpectRejected({R"({"dims":4,"nz":[[4,0.5]]})",
+                  R"({"dims":4,"nz":[[-1,0.5]]})",
+                  R"({"dims":4,"nz":[[1.0,0.5]]})",
+                  R"({"dims":4,"nz":[["1",0.5]]})",
+                  R"({"dims":4,"nz":[[null,0.5]]})",
+                  R"({"dims":0,"nz":[[0,0.5]]})"});
+  EXPECT_EQ(FromJson(R"({"dims":4,"nz":[[3,0.5]]})"),
+            (Vector{0.0f, 0.0f, 0.0f, 0.5f}));
+}
+
+TEST(VectorJson, SparseIndicesMustStrictlyAscend) {
+  ExpectRejected({R"({"dims":4,"nz":[[2,0.5],[1,0.25]]})",
+                  R"({"dims":4,"nz":[[1,0.5],[1,0.25]]})",
+                  R"({"dims":4,"nz":[[0,0.5],[2,0.25],[2,0.125]]})"});
+  EXPECT_EQ(FromJson(R"({"dims":4,"nz":[[0,0.5],[2,0.25]]})"),
+            (Vector{0.5f, 0.0f, 0.25f, 0.0f}));
+}
+
+TEST(VectorJson, SparseWeightsMustBeNumbers) {
+  ExpectRejected({R"({"dims":4,"nz":[[1,"0.5"]]})",
+                  R"({"dims":4,"nz":[[1,null]]})",
+                  R"({"dims":4,"nz":[[1,true]]})",
+                  R"({"dims":4,"nz":[[1,[0.5]]]})"});
+  EXPECT_EQ(FromJson(R"({"dims":2,"nz":[[1,2]]})"), (Vector{0.0f, 2.0f}));
 }
 
 TEST(HashedEncoder, DeterministicAndNormalized) {

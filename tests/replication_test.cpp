@@ -6,20 +6,24 @@
 // instances behind real TCP listeners — the replication path exercised is
 // identical to separate OS processes (same sockets, same protocol), while
 // teardown stays deterministic and sanitizer-friendly.
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "client/connect.hpp"
+#include "client/demo_workflows.hpp"
 #include "client/fanout.hpp"
 #include "common/json.hpp"
 #include "net/tcp.hpp"
 #include "server/server.hpp"
 #include "telemetry/telemetry.hpp"
+#include "dense_embedding.hpp"
 #include "scratch_dir.hpp"
 
 namespace laminar::client {
@@ -158,6 +162,107 @@ TEST_F(ReplicationTest, FollowerBootstrapsTailsAndServesIdenticalReads) {
   ASSERT_TRUE(follower_stats.ok());
   EXPECT_EQ(follower_stats->at("replication").GetString("role"), "follower");
   EXPECT_GE(follower_stats->at("replication").GetInt("recordsApplied"), 1);
+}
+
+/// Collects the response a handler writes.
+struct BufferedResponder : net::StreamResponder {
+  void SendChunk(std::string_view chunk) override { body.append(chunk); }
+  void End(int code) override { status = code; }
+  std::string body;
+  int status = 0;
+};
+
+TEST_F(ReplicationTest, FollowerAppliesDenseEmbeddingRecordsOfAnOlderLeader) {
+  StartLeader();
+  // A proxy in front of the leader ships every WAL record as a leader from
+  // before the sparse column would: descriptionEmbedding as a dense array.
+  const net::StreamHandler leader_handler = leader_->server->HandlerFn();
+  std::atomic<int> densified{0};
+  net::TcpListenerConfig proxy_config;
+  proxy_config.port = 0;
+  net::TcpListener proxy(
+      proxy_config,
+      [&](const net::HttpRequest& req, net::StreamResponder& out) {
+        if (req.path != "/replication/fetch") return leader_handler(req, out);
+        BufferedResponder fetched;
+        leader_handler(req, fetched);
+        Result<Value> body = json::Parse(fetched.body);
+        if (body.ok()) {
+          for (Value& line : (*body)["lines"].mutable_array()) {
+            Result<Value> record = json::Parse(line.as_string());
+            if (!record.ok() ||
+                record->at("data").GetString("descriptionEmbedding").empty()) {
+              continue;
+            }
+            DensifyEmbeddingColumn((*record)["data"]);
+            line = record->ToJson();
+            ++densified;
+          }
+          fetched.body = body->ToJson();
+        }
+        out.SendChunk(fetched.body);
+        out.End(fetched.status);
+      });
+  ASSERT_TRUE(proxy.Start().ok());
+
+  std::unique_ptr<TcpLaminarServer> follower = StartFollower(0, proxy.port());
+  ASSERT_NE(follower, nullptr);
+  Result<TcpClient> leader_cli = Dial(leader_->port());
+  Result<TcpClient> follower_cli = Dial(follower->port());
+  ASSERT_TRUE(leader_cli.ok() && follower_cli.ok());
+  AwaitCatchUp(*leader_cli->client, *follower_cli->client);
+
+  // Registrations, one of them summarized by the server, a workflow and a
+  // re-description all reach the follower through the fetch tail.
+  auto text_encodes = [] {
+    return telemetry::MetricsRegistry::Global()
+        .GetCounter("laminar_embed_encodes_total", "model=\"unixcoder\"")
+        .Value();
+  };
+  const uint64_t encodes_before = text_encodes();
+  std::vector<int64_t> ids;
+  for (const char* name : {"DenseReader", "DenseFilter", "DenseSink"}) {
+    Result<PeInfo> pe = leader_cli->client->RegisterPe(
+        PeCode(name), name,
+        std::string(name) == "DenseSink" ? "" : "streams tuples by key");
+    ASSERT_TRUE(pe.ok()) << pe.status().ToString();
+    ids.push_back(pe->id);
+  }
+  const DemoWorkflow* demo = FindDemoWorkflow("isprime_wf");
+  ASSERT_TRUE(leader_cli->client
+                  ->RegisterWorkflow(demo->name, demo->spec, demo->pes,
+                                     demo->code)
+                  .ok());
+  ASSERT_TRUE(leader_cli->client
+                  ->UpdatePeDescription(ids[1], "drops tuples below a bound")
+                  .ok());
+  AwaitCatchUp(*leader_cli->client, *follower_cli->client);
+  // 3 PE rows, 3 workflow PE rows, the workflow row and the update.
+  EXPECT_GE(densified.load(), 8);
+  // Only the leader encoded descriptions (3 PEs, the workflow's 3 and the
+  // workflow); the follower decoded every dense row instead.
+  EXPECT_EQ(text_encodes() - encodes_before, 7u);
+
+  auto same = [](const Result<std::vector<SearchHit>>& a,
+                 const Result<std::vector<SearchHit>>& b) {
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->size(), b->size());
+    for (size_t i = 0; i < a->size(); ++i) {
+      EXPECT_EQ((*a)[i].id, (*b)[i].id);
+      EXPECT_EQ((*a)[i].score, (*b)[i].score);
+    }
+  };
+  for (const char* target : {"pe", "workflow"}) {
+    for (const char* query : {"streams tuples", "drops tuples", "prime"}) {
+      same(leader_cli->client->SearchRegistrySemantic(query, target),
+           follower_cli->client->SearchRegistrySemantic(query, target));
+    }
+    same(leader_cli->client->CodeRecommendation(PeCode("Probe"), target, "llm"),
+         follower_cli->client->CodeRecommendation(PeCode("Probe"), target,
+                                                  "llm"));
+  }
+  follower.reset();
+  proxy.Stop();
 }
 
 TEST_F(ReplicationTest, FollowerRejectsMutationsWith421) {

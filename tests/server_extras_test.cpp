@@ -2,12 +2,16 @@
 // /registry/load, plus error-path behaviour of the protocol layer.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
+#include "common/json.hpp"
 #include "scratch_dir.hpp"
 
 namespace laminar::client {
@@ -46,6 +50,90 @@ TEST(ServerExtras, StatsReflectActivity) {
   EXPECT_EQ(indexes.at("peText").GetInt("rows"), 3);
   EXPECT_EQ(indexes.at("workflowCode").GetInt("rows"), 1);
   EXPECT_FALSE(stats->at("search").contains("vectorIndex"));
+}
+
+std::string PeCode(const std::string& cls) {
+  return "class " + cls + ":\n    def process(self, x):\n        return x\n";
+}
+
+TEST(ServerExtras, StatsAndLoadCountEveryTenantsRows) {
+  ScratchDir dir;
+  const std::string path = dir.File("snapshot.json");
+  InProcessLaminar laminar = ConnectInProcess(FastServer());
+  ExtraClient acme = AttachClient(*laminar.server);
+  acme.client->SetTenant("acme");
+  ExtraClient zeta = AttachClient(*laminar.server);
+  zeta.client->SetTenant("zeta");
+  std::vector<int64_t> defaults;
+  for (int i = 0; i < 4; ++i) {
+    Result<PeInfo> pe = laminar.client->RegisterPe(
+        PeCode("Shared" + std::to_string(i)), "", "reads tuples");
+    ASSERT_TRUE(pe.ok()) << pe.status().ToString();
+    defaults.push_back(pe->id);
+  }
+  std::vector<int64_t> acmes;
+  for (int i = 0; i < 3; ++i) {
+    Result<PeInfo> pe = acme.client->RegisterPe(
+        PeCode("Acme" + std::to_string(i)), "", "");
+    ASSERT_TRUE(pe.ok()) << pe.status().ToString();
+    acmes.push_back(pe->id);
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(
+        zeta.client->RegisterPe(PeCode("Zeta" + std::to_string(i))).ok());
+  }
+  const DemoWorkflow* demo = FindDemoWorkflow("isprime_wf");
+  ASSERT_TRUE(acme.client
+                  ->RegisterWorkflow(demo->name, demo->spec, demo->pes,
+                                     demo->code)
+                  .ok());
+  ASSERT_TRUE(laminar.client->RemovePe(defaults[0]).ok());
+  ASSERT_TRUE(acme.client->RemovePe(acmes[0]).ok());
+  ASSERT_TRUE(
+      laminar.client->UpdatePeDescription(defaults[1], "filters tuples").ok());
+  // 4 + 3 + 2 + the workflow's 3, less 2 removed.
+  const int64_t pes = 10;
+
+  // Counts are the tables' sizes, the same for every tenant: acme's own
+  // view lists only its rows and the default tenant's.
+  for (LaminarClient* client : {laminar.client.get(), acme.client.get(),
+                                zeta.client.get()}) {
+    Result<Value> stats = client->GetStats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->GetInt("pes"), pes) << client->tenant();
+    EXPECT_EQ(stats->GetInt("workflows"), 1) << client->tenant();
+  }
+  auto acme_view = acme.client->GetRegistry();
+  ASSERT_TRUE(acme_view.ok());
+  EXPECT_EQ(acme_view->first.size(), 8u);
+
+  // The snapshot holds those rows, each description embedding in the
+  // sparse form, and a load reports exactly its row counts.
+  ASSERT_TRUE(laminar.client->SaveRegistry(path).ok());
+  std::ifstream in(path);
+  Result<Value> doc = json::Parse(std::string(
+      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const Value::Array& pe_rows =
+      doc->at("processing_element").at("rows").as_array();
+  const Value::Array& wf_rows = doc->at("workflow").at("rows").as_array();
+  EXPECT_EQ(static_cast<int64_t>(pe_rows.size()), pes);
+  EXPECT_EQ(wf_rows.size(), 1u);
+  for (const Value::Array* rows : {&pe_rows, &wf_rows}) {
+    for (const Value& row : *rows) {
+      EXPECT_EQ(row.GetString("descriptionEmbedding")
+                    .rfind(R"({"dims":4096,"nz":[[)", 0),
+                0u)
+          << row.GetString("description");
+    }
+  }
+  InProcessLaminar loaded = ConnectInProcess(FastServer());
+  Value body = Value::MakeObject();
+  body["path"] = path;
+  Result<Value> reply = loaded.client->CallEndpoint("/registry/load", body);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->GetInt("pes"), static_cast<int64_t>(pe_rows.size()));
+  EXPECT_EQ(reply->GetInt("workflows"), static_cast<int64_t>(wf_rows.size()));
 }
 
 TEST(ServerExtras, SaveAndLoadRoundTrip) {

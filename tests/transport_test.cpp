@@ -6,8 +6,6 @@
 // connections, large-body round trips (EAGAIN partial writes), and a full
 // two-OS-process round trip against a spawned laminar_serve.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -18,6 +16,7 @@
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
 #include "common/byte_buffer.hpp"
+#include "serve_process.hpp"
 
 namespace laminar::client {
 namespace {
@@ -248,34 +247,9 @@ TEST(TcpTransport, TwoProcessRoundTrip) {
   if (bin == nullptr || bin[0] == '\0') {
     GTEST_SKIP() << "LAMINAR_SERVE_BIN not set (run via ctest)";
   }
-  int to_child[2];    // our writes -> child stdin
-  int from_child[2];  // child stdout -> our reads
-  ASSERT_EQ(pipe(to_child), 0);
-  ASSERT_EQ(pipe(from_child), 0);
-  pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    execl(bin, bin, "--port", "0", "--stdin-eof", "--cold-start-ms", "0",
-          (char*)nullptr);
-    _exit(127);
-  }
-  close(to_child[0]);
-  close(from_child[1]);
-
-  // First stdout line: "laminar_serve listening on 127.0.0.1:<port>".
-  std::string line;
-  char ch;
-  while (read(from_child[0], &ch, 1) == 1 && ch != '\n') line.push_back(ch);
-  size_t colon = line.rfind(':');
-  ASSERT_NE(colon, std::string::npos) << "unexpected banner: " << line;
-  uint16_t port = static_cast<uint16_t>(std::stoi(line.substr(colon + 1)));
-  ASSERT_GT(port, 0);
+  ServeProcess server(bin, {"--cold-start-ms", "0"});
+  const uint16_t port = server.port();
+  ASSERT_GT(port, 0) << "laminar_serve printed no listening banner";
 
   {
     Result<TcpClient> cli = ConnectTcp("127.0.0.1", port);
@@ -290,12 +264,8 @@ TEST(TcpTransport, TwoProcessRoundTrip) {
     EXPECT_GT(outcome.stats.GetInt("tuples"), 0);
   }  // disconnect before shutting the server down
 
-  close(to_child[1]);  // stdin EOF => laminar_serve exits cleanly
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  close(from_child[0]);
-  EXPECT_TRUE(WIFEXITED(status)) << "laminar_serve died abnormally";
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // stdin EOF => laminar_serve exits cleanly.
+  EXPECT_TRUE(server.Stop()) << "laminar_serve died abnormally";
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "common/value.hpp"
 #include "embed/embedding.hpp"
 #include "embed/unixcoder_sim.hpp"
+#include "dense_embedding.hpp"
 
 namespace laminar {
 namespace {
@@ -151,20 +153,62 @@ TEST(JsonSerialize, DoublesAndWidenedFloatsRoundTripBitExactly) {
   }
 }
 
+/// Both stored forms of `v` — ToJson's sparse object and the dense array of
+/// older rows — decode back to `v` bit for bit.
+void ExpectEmbeddingRoundTrip(const embed::Vector& v) {
+  for (const std::string& text : {embed::ToJson(v), DenseEmbeddingJson(v)}) {
+    const embed::Vector back = embed::FromJson(text);
+    ASSERT_EQ(back.size(), v.size()) << text.substr(0, 80);
+    for (size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(back[i]), std::bit_cast<uint32_t>(v[i]))
+          << "dimension " << i << " of " << text.substr(0, 80);
+    }
+  }
+}
+
 TEST(JsonSerialize, EmbeddingSurvivesToJsonFromJsonBitExactly) {
   const embed::UnixcoderSim encoder;
   const embed::Vector v = encoder.EncodeText(
       "Checks whether a number is prime and returns it if so.");
   ASSERT_EQ(v.size(), 4096u);
-  const embed::Vector back = embed::FromJson(embed::ToJson(v));
-  ASSERT_EQ(back.size(), v.size());
-  size_t nonzero = 0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint32_t>(back[i]), std::bit_cast<uint32_t>(v[i]))
-        << "dimension " << i;
-    nonzero += v[i] != 0.0f;
-  }
+  const size_t nonzero = static_cast<size_t>(
+      std::count_if(v.begin(), v.end(), [](float x) {
+        return std::bit_cast<uint32_t>(x) != 0;
+      }));
   EXPECT_GT(nonzero, 0u);
+  ExpectEmbeddingRoundTrip(v);
+  // The stored text lists only the non-zero dimensions.
+  const std::string text = embed::ToJson(v);
+  EXPECT_EQ(text.rfind("{\"dims\":4096,\"nz\":[[", 0), 0u) << text;
+  EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '[')),
+            nonzero + 1);
+  EXPECT_LT(text.size(), DenseEmbeddingJson(v).size() / 4);
+}
+
+TEST(JsonSerialize, SparseEmbeddingKeepsEveryNonZeroBitPattern) {
+  const float flt_max = std::numeric_limits<float>::max();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float big_sub = std::numeric_limits<float>::min() / 3.0f;
+  // -0.0 has a sign bit, so it is stored and comes back as -0.0.
+  ExpectEmbeddingRoundTrip({0.0f, -0.0f, sub, -sub, big_sub, flt_max,
+                            -flt_max, 1.0f, 0.0f, -3.0f, 0.1f, 0.0f});
+  EXPECT_EQ(embed::ToJson({0.0f, -0.0f, 1.5f, 0.0f, 2.0f}),
+            R"({"dims":5,"nz":[[1,-0.0],[2,1.5],[4,2.0]]})");
+  // An all-zero vector keeps its size with an empty list.
+  ExpectEmbeddingRoundTrip(embed::Vector(4096, 0.0f));
+  EXPECT_EQ(embed::ToJson(embed::Vector(4096, 0.0f)),
+            R"({"dims":4096,"nz":[]})");
+  ExpectEmbeddingRoundTrip({0.5f, -0.25f, 1.0f});
+  Rng rng(0x5ba75e);
+  embed::Vector random(4096, 0.0f);
+  for (int i = 0; i < 200; ++i) {
+    random[rng.NextBelow(random.size())] =
+        std::bit_cast<float>(static_cast<uint32_t>(rng.NextU64()));
+  }
+  for (float& x : random) {
+    if (!std::isfinite(x)) x = 1.0f;
+  }
+  ExpectEmbeddingRoundTrip(random);
 }
 
 TEST(JsonSerialize, NonFiniteBecomesNull) {
