@@ -170,9 +170,8 @@ class BenchReport {
     histograms_[series] = std::move(entry);
   }
 
-  /// Writes BENCH_<name>.json (returns false and warns on I/O failure —
-  /// benches keep their exit status for correctness, not reporting).
-  bool Write() const {
+  /// The report as Write() would save it now.
+  Value Document() const {
     Value doc = Value::MakeObject();
     doc["bench"] = name_;
     doc["wall_ms"] = watch_.ElapsedMillis();
@@ -180,6 +179,13 @@ class BenchReport {
     doc["metrics"] = metrics_;
     doc["rows"] = rows_;
     doc["histograms"] = histograms_;
+    return doc;
+  }
+
+  /// Writes BENCH_<name>.json (returns false and warns on I/O failure —
+  /// benches keep their exit status for correctness, not reporting).
+  bool Write() const {
+    const Value doc = Document();
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream out(path);
     if (!out) {

@@ -115,7 +115,12 @@ bool Value::as_bool(bool fallback) const {
 
 int64_t Value::as_int(int64_t fallback) const {
   if (const int64_t* i = std::get_if<int64_t>(&data_)) return *i;
-  if (const double* d = std::get_if<double>(&data_)) return static_cast<int64_t>(*d);
+  if (const double* d = std::get_if<double>(&data_)) {
+    // Truncates; a double outside [-2^63, 2^63), or NaN, has no int64 value
+    // (the cast would be undefined), so it reads as the fallback.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    return *d >= -kTwo63 && *d < kTwo63 ? static_cast<int64_t>(*d) : fallback;
+  }
   if (const bool* b = std::get_if<bool>(&data_)) return *b ? 1 : 0;
   return fallback;
 }

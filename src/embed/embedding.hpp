@@ -20,7 +20,8 @@ void L2Normalize(Vector& v);
 
 /// Cosine similarity in [-1, 1]; 0 if either vector is zero or sizes differ.
 /// The dot product runs on simd::Dot, which dispatches to AVX2/AVX-512/NEON
-/// and falls back to the simd::DotScalar reference loop.
+/// and falls back to the simd::DotScalar reference loop. Search ranks
+/// through search::PostingsIndex instead; this is for tests.
 float Cosine(std::span<const float> a, std::span<const float> b);
 
 /// Serializes to the text Laminar stores in the registry's

@@ -10,6 +10,9 @@
 namespace laminar::search {
 namespace {
 
+constexpr size_t kDefaultLimit = 5;  ///< paper: top five results
+constexpr size_t kQueryCacheCapacity = 256;
+
 /// Query-kind instrumentation: laminar_search_queries_total{kind=...} and a
 /// latency histogram laminar_search_query_ms{kind=...}, plus a trace span.
 struct QueryMetrics {
@@ -32,17 +35,13 @@ telemetry::Counter& EncodeCounter(const char* model) {
 
 }  // namespace
 
-SearchService::SearchService(registry::Repository& repo, SearchConfig config)
+SearchService::SearchService(registry::Repository& repo)
     : repo_(&repo),
-      config_(config),
-      unixcoder_(config.unixcoder),
-      reacc_(config.reacc),
-      aroma_(config.aroma),
-      pe_text_index_(config.unixcoder.dims, "peText"),
-      pe_code_index_(config.reacc.dims, "peCode"),
-      workflow_text_index_(config.unixcoder.dims, "workflowText"),
-      workflow_code_index_(config.reacc.dims, "workflowCode"),
-      query_cache_(config.query_cache_capacity) {}
+      pe_text_index_(unixcoder_.dims(), "peText"),
+      pe_code_index_(reacc_.dims(), "peCode"),
+      workflow_text_index_(unixcoder_.dims(), "workflowText"),
+      workflow_code_index_(reacc_.dims(), "workflowCode"),
+      query_cache_(kQueryCacheCapacity) {}
 
 embed::Vector SearchService::TextEmbeddingFor(
     const std::string& stored_json, const std::string& description) const {
@@ -161,7 +160,7 @@ void SearchService::Clear() {
   workflow_code_index_.Clear();
   query_cache_.Clear();
   // AromaEngine has no bulk clear; rebuild it.
-  aroma_ = spt::AromaEngine(config_.aroma);
+  aroma_ = spt::AromaEngine();
 }
 
 std::vector<std::pair<std::string, PostingsIndexStats>>
@@ -211,7 +210,7 @@ std::vector<SearchHit> SearchService::LiteralSearch(const std::string& term,
   static QueryMetrics qm = QueryMetrics::For("literal");
   qm.queries.Inc();
   telemetry::ScopedSpan span("search.literal", &qm.latency_ms);
-  if (limit == 0) limit = config_.default_limit;
+  if (limit == 0) limit = kDefaultLimit;
   const auto& docs = target == SearchTarget::kPe ? pe_docs_ : workflow_docs_;
   std::vector<SearchHit> hits;
   for (const auto& [id, doc] : docs) {
@@ -266,7 +265,7 @@ std::vector<SearchHit> SearchService::SemanticSearch(const std::string& query,
   static QueryMetrics qm = QueryMetrics::For("semantic");
   qm.queries.Inc();
   telemetry::ScopedSpan span("search.semantic", &qm.latency_ms);
-  if (limit == 0) limit = config_.default_limit;
+  if (limit == 0) limit = kDefaultLimit;
   embed::Vector q = query_cache_.GetOrCompute("unixcoder", query, [&] {
     EncodeCounter("unixcoder").Inc();
     return unixcoder_.EncodeText(query);
@@ -282,7 +281,7 @@ std::vector<SearchHit> SearchService::CodeSearchLlm(const std::string& code,
   static QueryMetrics qm = QueryMetrics::For("llm");
   qm.queries.Inc();
   telemetry::ScopedSpan span("search.llm", &qm.latency_ms);
-  if (limit == 0) limit = config_.default_limit;
+  if (limit == 0) limit = kDefaultLimit;
   embed::Vector q = query_cache_.GetOrCompute("reacc", code, [&] {
     EncodeCounter("reacc").Inc();
     return reacc_.EncodeCode(code);
@@ -305,7 +304,7 @@ Result<std::vector<RecommendationHit>> SearchService::CodeRecommendation(
   static QueryMetrics qm = QueryMetrics::For("recommend");
   qm.queries.Inc();
   telemetry::ScopedSpan span("search.recommend", &qm.latency_ms);
-  if (limit == 0) limit = config_.default_limit;
+  if (limit == 0) limit = kDefaultLimit;
   if (target == SearchTarget::kPe) {
     Result<std::vector<spt::Recommendation>> recs = aroma_.Recommend(code);
     if (!recs.ok()) return recs.status();
@@ -335,7 +334,7 @@ Result<std::vector<RecommendationHit>> SearchService::CodeRecommendation(
   if (!pe_hits.ok()) return pe_hits.status();
   std::map<int64_t, RecommendationHit> by_workflow;
   for (const spt::SptIndex::Hit& pe_hit : pe_hits.value()) {
-    if (pe_hit.score < config_.recommend_min_score) continue;
+    if (pe_hit.score < aroma_.config().min_overlap_score) continue;
     for (int64_t wf_id : repo_->WorkflowsUsingPe(pe_hit.doc_id)) {
       RecommendationHit& hit = by_workflow[wf_id];
       if (hit.id == 0) {

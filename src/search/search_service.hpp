@@ -53,20 +53,14 @@ struct RecommendationHit {
   size_t occurrences = 1;    ///< for workflow recommendations
 };
 
-struct SearchConfig {
-  size_t default_limit = 5;           ///< paper: top five results
-  double recommend_min_score = 6.0;   ///< paper §VI-A default threshold
-  /// LRU capacity of the (model, query text) -> embedding cache; 0 disables
-  /// it. Hits/misses surface as laminar_search_query_cache_*_total.
-  size_t query_cache_capacity = 256;
-  embed::UnixcoderConfig unixcoder;
-  embed::ReaccConfig reacc;
-  spt::AromaConfig aroma;
-};
-
+/// The service runs the default encoders and Aroma engine. A limit of 0
+/// means the paper's top five; workflow recommendation keeps PEs scoring at
+/// least the engine's min_overlap_score (§VI-A). Query embeddings are cached
+/// in a 256-entry LRU whose hits and misses surface as
+/// laminar_search_query_cache_*_total.
 class SearchService {
  public:
-  SearchService(registry::Repository& repo, SearchConfig config = {});
+  explicit SearchService(registry::Repository& repo);
 
   /// Two-phase registration (ISSUE 5). Prepare* runs every expensive step —
   /// description/code encodes and the SPT parse+featurization — against
@@ -158,7 +152,6 @@ class SearchService {
   Result<std::vector<RecommendationHit>> CodeRecommendation(
       const std::string& code, SearchTarget target, size_t limit = 0) const;
 
-  const SearchConfig& config() const { return config_; }
   const embed::UnixcoderSim& text_encoder() const { return unixcoder_; }
   const embed::ReaccSim& code_encoder() const { return reacc_; }
   const spt::AromaEngine& aroma() const { return aroma_; }
@@ -189,7 +182,6 @@ class SearchService {
                                  const std::string& description) const;
 
   registry::Repository* repo_;
-  SearchConfig config_;
   embed::UnixcoderSim unixcoder_;
   embed::ReaccSim reacc_;
   spt::AromaEngine aroma_;  ///< indexes PE snippets by pe id

@@ -78,6 +78,36 @@ bool TenantCanSee(const std::string& requester, const std::string& row_tenant) {
   return owner == kDefaultTenant || owner == requester;
 }
 
+/// Why `field` of `body` is neither absent nor an integer in [lo, hi]; empty
+/// when it is one of those. A numeric field is checked here before any cast,
+/// so a client value can never reach an undefined or wrapping conversion.
+std::string IntegerFieldError(const Value& body, std::string_view field,
+                              int64_t lo, int64_t hi) {
+  const Value& v = body.at(field);
+  if (v.is_null()) return "";  // absent -> default applies
+  const double d = v.as_double();
+  if (!v.is_number() || !std::isfinite(d) || d != std::floor(d)) {
+    return "must be an integer";
+  }
+  if (d < static_cast<double>(lo) || d > static_cast<double>(hi)) {
+    return "out of range [" + std::to_string(lo) + ", " + std::to_string(hi) +
+           "]";
+  }
+  return "";
+}
+
+/// The `limit` of a search route: an integer in [0, 1000], or `fallback`
+/// when absent. What 0 means is the route's (SearchService's top five, or no
+/// completions).
+Result<size_t> SearchLimit(const Value& body, size_t fallback) {
+  if (std::string why = IntegerFieldError(body, "limit", 0, 1000);
+      !why.empty()) {
+    return Status::InvalidArgument("invalid 'limit': " + why);
+  }
+  return static_cast<size_t>(
+      body.GetInt("limit", static_cast<int64_t>(fallback)));
+}
+
 /// Boundary validation of /execute run options (the bugfix sweep): every
 /// numeric knob is type-, range- and finiteness-checked *before* any value
 /// is cast into RunOptions, so NaN/negative deadlines or zero batch sizes
@@ -103,18 +133,8 @@ Status ValidateRunOptions(const Value& body) {
   };
   auto check_integer = [&](std::string_view field, int64_t lo,
                            int64_t hi) -> Status {
-    const Value& v = body.at(field);
-    if (v.is_null()) return Status::Ok();
-    if (!v.is_number()) return bad(field, "must be an integer");
-    const double d = v.as_double();
-    if (!std::isfinite(d) || d != std::floor(d)) {
-      return bad(field, "must be an integer");
-    }
-    if (d < static_cast<double>(lo) || d > static_cast<double>(hi)) {
-      return bad(field, "out of range [" + std::to_string(lo) + ", " +
-                            std::to_string(hi) + "]");
-    }
-    return Status::Ok();
+    std::string why = IntegerFieldError(body, field, lo, hi);
+    return why.empty() ? Status::Ok() : bad(field, why);
   };
   // Durations: finite and non-negative (0 = disabled). The upper bound is
   // ~285 years in ms — far past meaningful, but it keeps ms->us conversions
@@ -247,7 +267,7 @@ std::span<const LaminarServer::Route> LaminarServer::Routes() {
 LaminarServer::LaminarServer(ServerConfig config)
     : config_(std::move(config)),
       repo_(db_),
-      search_(repo_, config_.search),
+      search_(repo_),
       engine_(config_.engine),
       admission_(config_.tenant_quotas, config_.tenant_overrides),
       run_queue_(config_.run_workers > 0 ? config_.run_workers
@@ -1333,45 +1353,50 @@ Result<LaminarServer::Response> LaminarServer::BulkRegister(Call& c) {
       });
 }
 
-/// {target,term,limit?} -> {hits}
+/// {target,term,limit?} -> {hits}; every search route reads limit through
+/// SearchLimit.
 Result<LaminarServer::Response> LaminarServer::LiteralSearch(Call& c) {
+  Result<size_t> limit = SearchLimit(c.body, 0);
+  if (!limit.ok()) return limit.status();
   const search::SearchTarget target = ParseTarget(c.body);
   return Json(VisibleHits(
-      search_.LiteralSearch(c.body.GetString("term"), target,
-                            static_cast<size_t>(c.body.GetInt("limit", 0))),
+      search_.LiteralSearch(c.body.GetString("term"), target, limit.value()),
       c.tenant, target));
 }
 
 /// {target,query,limit?} -> {hits}
 Result<LaminarServer::Response> LaminarServer::SemanticSearch(Call& c) {
+  Result<size_t> limit = SearchLimit(c.body, 0);
+  if (!limit.ok()) return limit.status();
   const search::SearchTarget target = ParseTarget(c.body);
   return Json(VisibleHits(
-      search_.SemanticSearch(c.body.GetString("query"), target,
-                             static_cast<size_t>(c.body.GetInt("limit", 0))),
+      search_.SemanticSearch(c.body.GetString("query"), target, limit.value()),
       c.tenant, target));
 }
 
 /// {target,code,embedding_type?,limit?} -> {hits}: Aroma structural
 /// recommendation over SPTs ("spt", the default) or code embeddings ("llm").
 Result<LaminarServer::Response> LaminarServer::CodeSearch(Call& c) {
+  Result<size_t> limit = SearchLimit(c.body, 0);
+  if (!limit.ok()) return limit.status();
   const search::SearchTarget target = ParseTarget(c.body);
   const std::string code = c.body.GetString("code");
-  const size_t limit = static_cast<size_t>(c.body.GetInt("limit", 0));
   if (c.body.GetString("embedding_type", "spt") == "llm") {
-    return Json(VisibleHits(search_.CodeSearchLlm(code, target, limit),
+    return Json(VisibleHits(search_.CodeSearchLlm(code, target, limit.value()),
                             c.tenant, target));
   }
   Result<std::vector<search::RecommendationHit>> recs =
-      search_.CodeRecommendation(code, target, limit);
+      search_.CodeRecommendation(code, target, limit.value());
   if (!recs.ok()) return recs.status();
   return Json(VisibleHits(recs.value(), c.tenant, target));
 }
 
 /// {code,limit?} -> {completions:[{id,name,score,continuation}]}
 Result<LaminarServer::Response> LaminarServer::CodeCompletion(Call& c) {
-  Result<std::vector<spt::Completion>> completions = search_.CodeCompletion(
-      c.body.GetString("code"),
-      static_cast<size_t>(c.body.GetInt("limit", 3)));
+  Result<size_t> limit = SearchLimit(c.body, 3);
+  if (!limit.ok()) return limit.status();
+  Result<std::vector<spt::Completion>> completions =
+      search_.CodeCompletion(c.body.GetString("code"), limit.value());
   if (!completions.ok()) return completions.status();
   Value resp = Value::MakeObject();
   Value arr = Value::MakeArray();

@@ -46,8 +46,6 @@ namespace laminar::server {
 
 struct ServerConfig {
   engine::EngineConfig engine;
-  /// Search tier: result limits, query cache, encoders and Aroma options.
-  search::SearchConfig search;
   /// Name of the implicit user owning unauthenticated registrations.
   std::string default_user = "laminar";
   /// Helper threads for the ingest pool: /registry/bulk_register prepares

@@ -1,10 +1,10 @@
 // Runtime-dispatched float32 dot-product kernels.
 //
-// embed::Cosine ranks through Dot, so the Figs. 10, 11 and 13 reproductions
-// run on it; perfbench's traced pass times DotBatch and stamps every run
-// with TierName(ActiveTier()), which the server also reports in /stats
-// (search.simd.tier). No server request runs a kernel: semantic search
-// scores from postings (search/postings_index.hpp).
+// embed::Cosine runs Dot, for tests; perfbench's traced pass times DotBatch
+// and stamps every run with TierName(ActiveTier()), which the server also
+// reports in /stats (search.simd.tier). No server request and no figure
+// reproduction runs a kernel: semantic search and Figs. 10-13 rank from
+// postings (search/postings_index.hpp, bench/bench_quality.cpp).
 //
 // The layer detects the widest vector unit the host offers (AVX-512F/BW,
 // AVX2+FMA, or NEON) once at startup and routes two kernels through it:

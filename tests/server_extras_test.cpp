@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <string>
@@ -286,6 +287,91 @@ TEST(ServerExtras, DeeplyNestedCodeIsAnsweredNotFatal) {
   auto resp = laminar.client_side->Call(health);
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->first, 200);
+}
+
+// `limit` on a search route is absent or an integer in [0, 1000]. -1 used to
+// cast to SIZE_MAX and return the whole registry, and 2^62 - 2 wrapped the
+// workflow-recommendation width 4 * limit + 8 to 0.
+TEST(ServerExtras, SearchLimitMustBeAnIntegerUpTo1000) {
+  InProcessLaminar laminar = ConnectInProcess(FastServer());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(laminar.client
+                    ->RegisterPe(PeCode("Reader" + std::to_string(i)), "",
+                                 "reads tuples")
+                    .ok());
+  }
+  const search::SearchService& search = laminar.server->search();
+  const std::string code = PeCode("Reader0");
+  struct Route {
+    const char* path;
+    std::string fields;  ///< the body without its limit
+    std::function<std::vector<int64_t>(size_t)> want;  ///< ids at a limit
+  };
+  auto ids = [](const auto& hits) {
+    std::vector<int64_t> out;
+    for (const auto& hit : hits) out.push_back(hit.id);
+    return out;
+  };
+  const std::vector<Route> routes = {
+      {"/search/literal", R"("term":"reader")",
+       [&](size_t n) {
+         return ids(
+             search.LiteralSearch("reader", search::SearchTarget::kPe, n));
+       }},
+      {"/search/semantic", R"("query":"reads tuples")",
+       [&](size_t n) {
+         return ids(search.SemanticSearch("reads tuples",
+                                          search::SearchTarget::kPe, n));
+       }},
+      {"/search/code", "\"code\":" + Value(code).ToJson(),
+       [&](size_t n) {
+         return ids(
+             search.CodeRecommendation(code, search::SearchTarget::kPe, n)
+                 .value());
+       }},
+      {"/search/complete", "\"code\":" + Value(code).ToJson(),
+       [&](size_t n) {
+         std::vector<int64_t> out;
+         auto completions = search.CodeCompletion(code, n);
+         for (const spt::Completion& c : completions.value()) {
+           out.push_back(c.snippet_id);
+         }
+         return out;
+       }},
+  };
+  auto call = [&](const Route& route, const std::string& limit) {
+    net::HttpRequest req;
+    req.path = route.path;
+    req.body = "{" + route.fields +
+               (limit.empty() ? "" : ",\"limit\":" + limit) + "}";
+    auto resp = laminar.client_side->Call(req);
+    EXPECT_TRUE(resp.ok());
+    return resp.ok() ? *resp : std::pair<int, std::string>{0, ""};
+  };
+  for (const Route& route : routes) {
+    for (const char* bad : {"-1", "1.5", "1e300", "\"5\"", "true", "1001",
+                            "4611686018427387902"}) {
+      auto [status, body] = call(route, bad);
+      EXPECT_EQ(status, 400) << route.path << " limit " << bad;
+      EXPECT_NE(body.find("limit"), std::string::npos) << route.path;
+    }
+    const bool complete = std::string(route.path) == "/search/complete";
+    for (auto [limit, n] : std::vector<std::pair<std::string, size_t>>{
+             {"", complete ? 3 : 5}, {"0", complete ? 0 : 5}, {"1", 1},
+             {"1000", 1000}}) {
+      auto [status, body] = call(route, limit);
+      ASSERT_EQ(status, 200)
+          << route.path << " limit " << limit << ": " << body;
+      Result<Value> reply = json::Parse(body);
+      ASSERT_TRUE(reply.ok());
+      std::vector<int64_t> got;
+      for (const Value& hit :
+           reply->at(complete ? "completions" : "hits").as_array()) {
+        got.push_back(hit.GetInt("id"));
+      }
+      EXPECT_EQ(got, route.want(n)) << route.path << " limit " << limit;
+    }
+  }
 }
 
 TEST(ServerExtras, ExecuteRejectsGarbageResourcesField) {

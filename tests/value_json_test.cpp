@@ -38,6 +38,31 @@ TEST(Value, CrossTypeCoercions) {
   EXPECT_EQ(Value(5).as_string(), "");     // strings never coerce
 }
 
+// A double with no int64 value reads as the fallback instead of hitting an
+// undefined cast; every GetInt on a request body goes through here.
+TEST(Value, AsIntOfOutOfRangeDoubleIsTheFallback) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  for (double d : {1e300, -1e300, 9.3e18, kTwo63,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(Value(d).as_int(-7), -7) << d;
+  }
+  EXPECT_EQ(Value(-kTwo63).as_int(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Value(3.7).as_int(), 3);
+  EXPECT_EQ(Value(-3.7).as_int(), -3);
+  for (int64_t i : {int64_t{0}, int64_t{-1}, int64_t{1} << 62,
+                    std::numeric_limits<int64_t>::max(),
+                    std::numeric_limits<int64_t>::min()}) {
+    EXPECT_EQ(Value(i).as_int(-7), i);
+  }
+  Result<Value> body = json::Parse(R"({"limit":1e300,"id":9.3e18,"n":12})");
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body->GetInt("limit", 5), 5);
+  EXPECT_EQ(body->GetInt("id", 0), 0);
+  EXPECT_EQ(body->GetInt("n", 0), 12);
+}
+
 TEST(Value, ObjectInsertionOrderPreserved) {
   Value obj = Value::MakeObject();
   obj["zeta"] = 1;
