@@ -1,20 +1,22 @@
 // bench_aroma — per-stage cost of Aroma structural recommendation, the
 // paper's default code-to-code path (§VI-A), over growing corpora.
 //
-// For 300, 1.2k, 3.6k and 12k generated PEs it indexes every PE's flat
-// features (line occurrences on, as AromaEngine does) and runs
+// For 300, 1.2k, 3.6k, 12k and 100k generated PEs it indexes every PE's
+// flat features (line occurrences on, as AromaEngine does) and runs
 // DropCode(0.5) queries through the stages of AromaEngine::Recommend one at
 // a time, as Recommend runs them:
 //   featurize  parse + SPT + feature extraction of the query, and its flat
 //              form (sorted once, shared by the stages below);
 //   topk       SptIndex::TopK by overlap, k = AromaConfig::retrieve_top;
-//   prune      PruneAgainstQuery on every candidate at or above the overlap
-//              threshold, then the containment rerank;
-//   cluster    ClusterCandidates over the reranked candidates, opening at
-//              most max_recommendations clusters;
+//   cluster    ClusterCandidates over the candidates at or above the
+//              overlap threshold, in TopK order (which is the containment
+//              rerank order), opening at most max_recommendations clusters;
+//   prune      PruneAgainstQuery on each returned cluster's representative;
 //   total      the sum of the four.
 // Each row also reports the slots TopK touched (the documents sharing a
-// feature with the query) and the candidates pruned. Every timing is the
+// feature with the query), the candidates pruned, and where the postings
+// live: the posting lists, how many are count columns, and the bytes the
+// (slot, count) pairs and the columns have allocated. Every timing is the
 // median of 3 trials over the same queries, with the min and max beside it.
 // Rows go to BENCH_aroma.json, stamped with the host.
 //
@@ -29,7 +31,10 @@
 //       recommendations;
 //   (d) on a churned corpus, Search (every metric), Recommend (full and
 //       simplified) and Complete equal the FeatureBag reference pipeline
-//       for DropCode 0, 0.5, 0.75 and 0.9 queries in tail and random mode.
+//       for DropCode 0, 0.5, 0.75 and 0.9 queries in tail and random mode;
+//   (e) a candidate's pruned overlap equals its TopK overlap score, for
+//       every TopK(100) candidate of those queries — the identity that lets
+//       Recommend prune only the representatives it returns.
 // Exit status 1 on any mismatch.
 //
 // Usage: bench_aroma [--smoke]
@@ -98,37 +103,22 @@ QueryStages RunStages(const spt::SptIndex& index,
   out.topk = MsSince(t0);
 
   t0 = Clock::now();
-  struct Reranked {
-    int64_t doc_id;
-    spt::PruneResult prune;
-  };
-  std::vector<Reranked> reranked;
+  std::vector<spt::ClusterInput> inputs;
   for (const spt::SptIndex::Hit& hit : hits) {
-    if (hit.score < config.min_overlap_score) continue;
-    spt::PruneResult prune =
-        spt::PruneAgainstQuery(query, *index.Get(hit.doc_id));
-    ++out.pruned;
-    if (prune.overlap <= 0.0) continue;
-    reranked.push_back(Reranked{hit.doc_id, std::move(prune)});
+    if (hit.score < config.min_overlap_score) break;
+    inputs.push_back(spt::ClusterInput{hit.doc_id, index.Get(hit.doc_id)});
   }
-  std::sort(reranked.begin(), reranked.end(),
-            [](const Reranked& a, const Reranked& b) {
-              if (a.prune.containment != b.prune.containment) {
-                return a.prune.containment > b.prune.containment;
-              }
-              return a.doc_id < b.doc_id;
-            });
-  out.prune = MsSince(t0);
+  const std::vector<std::vector<size_t>> clusters = spt::ClusterCandidates(
+      inputs, config.cluster_jaccard, config.max_recommendations);
+  out.cluster = MsSince(t0);
 
   t0 = Clock::now();
-  std::vector<spt::ClusterInput> inputs;
-  for (const Reranked& r : reranked) {
-    inputs.push_back(spt::ClusterInput{r.doc_id, index.Get(r.doc_id)});
+  for (const std::vector<size_t>& cluster : clusters) {
+    spt::PruneAgainstQuery(query, *inputs[cluster.front()].features);
+    ++out.pruned;
   }
-  spt::ClusterCandidates(inputs, config.cluster_jaccard,
-                         config.max_recommendations);
-  out.cluster = MsSince(t0);
-  out.total = out.featurize + out.topk + out.prune + out.cluster;
+  out.prune = MsSince(t0);
+  out.total = out.featurize + out.topk + out.cluster + out.prune;
 
   out.touched = index.TopK(query, index.size(), spt::Metric::kOverlap).size();
   return out;
@@ -150,6 +140,7 @@ struct Trial {
   double total_p50 = 0, total_p95 = 0;
   size_t queries = 0;
   double touched = 0, pruned = 0;  ///< per-query means
+  spt::SptIndex::PostingStats postings;
 };
 
 Trial RunTrial(const dataset::CodeSearchNetPeDataset& ds,
@@ -162,6 +153,7 @@ Trial RunTrial(const dataset::CodeSearchNetPeDataset& ds,
     index.Add(ex.id, Flat(ex.pe_code, options));
   }
   trial.build_s = build.ElapsedSeconds();
+  trial.postings = index.Stats();
 
   QueryStages sum;
   std::vector<double> totals;
@@ -216,12 +208,14 @@ int RunSweep() {
   std::printf("== Aroma recommendation, per stage (DropCode 0.5 queries, "
               "median of %d trials) ==\n\n",
               kTrials);
-  std::printf("%-8s %-9s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-9s\n",
-              "corpus", "build s", "featurize", "topk", "prune", "cluster",
-              "total", "p50", "touched", "pruned");
+  std::printf("%-8s %-9s %-10s %-9s %-9s %-9s %-9s %-9s %-9s %-7s %-8s "
+              "%-10s %-10s\n",
+              "corpus", "build s", "featurize", "topk", "cluster", "prune",
+              "total", "p50", "touched", "pruned", "columns", "sparse MB",
+              "column MB");
   bench::BenchReport report("aroma");
   report.Set("trials", static_cast<int64_t>(kTrials));
-  for (size_t variants : {10u, 40u, 120u, 400u}) {
+  for (size_t variants : {10u, 40u, 120u, 400u, 3334u}) {
     const dataset::CodeSearchNetPeDataset ds = Corpus(variants);
     std::vector<Trial> trials;
     for (int t = 0; t < kTrials; ++t) {
@@ -248,17 +242,27 @@ int RunSweep() {
                                  [](const Trial& t) { return t.total_p50; });
     AddSpread(row, "total_p95_ms", trials,
               [](const Trial& t) { return t.total_p95; });
-    // The same queries in every trial, so the counts do not vary.
+    // The same corpus and queries in every trial, so the counts do not
+    // vary.
+    const spt::SptIndex::PostingStats& postings = trials[0].postings;
     row["slots_touched"] = trials[0].touched;
     row["candidates_pruned"] = trials[0].pruned;
+    row["posting_lists"] = static_cast<int64_t>(postings.lists);
+    row["columns"] = static_cast<int64_t>(postings.columns);
+    row["posting_bytes_sparse"] = static_cast<int64_t>(postings.sparse_bytes);
+    row["posting_bytes_dense"] = static_cast<int64_t>(postings.column_bytes);
     std::printf("%-8zu %-9.2f %-10.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f "
-                "%-9.1f %-9.1f\n",
-                ds.size(), build_s, featurize, topk, prune, cluster, total, p50,
-                trials[0].touched, trials[0].pruned);
+                "%-9.1f %-7.1f %-8zu %-10.2f %-10.2f\n",
+                ds.size(), build_s, featurize, topk, cluster, prune, total,
+                p50, trials[0].touched, trials[0].pruned, postings.columns,
+                static_cast<double>(postings.sparse_bytes) / 1e6,
+                static_cast<double>(postings.column_bytes) / 1e6);
   }
   std::printf("\nms are means per query; p50 is the median total. topk "
-              "scores every touched slot, so it grows with the corpus; prune "
-              "and cluster see at most retrieve_top candidates.\n");
+              "scores every touched slot, so it grows with the corpus; "
+              "cluster sees at most retrieve_top candidates and prune at "
+              "most max_recommendations. Posting bytes are allocated "
+              "capacity.\n");
   report.Write();
   return 0;
 }
@@ -368,6 +372,20 @@ int RunSmoke() {
     expect(false, mismatch.c_str(), 0);
   }
   checks += queries.size();
+
+  // (e) Pruned overlap == TopK overlap score, on the churned corpus.
+  spt::SptIndex churned;
+  for (const auto& [id, bag] : corpus.bags) {
+    churned.Add(id, spt::FlatFeatures::From(bag));
+  }
+  for (const std::string& code : queries) {
+    const spt::FlatFeatures query = Flat(code, options);
+    for (const spt::SptIndex::Hit& hit : churned.TopK(query, 100)) {
+      expect(spt::PruneAgainstQuery(query, *churned.Get(hit.doc_id)).overlap ==
+                 hit.score,
+             "pruned overlap != TopK score", static_cast<size_t>(hit.doc_id));
+    }
+  }
 
   std::printf("bench_aroma --smoke: %zu checks, %zu failures (%zu PEs)\n",
               checks, failures, ds.size());

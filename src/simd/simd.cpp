@@ -110,6 +110,64 @@ __attribute__((target("avx512f"))) void DotBatchAvx512(const float* query,
   }
 }
 
+// AddMinU8: the min runs on bytes, then each group of bytes is widened to
+// uint64_t lanes and added to the sums.
+__attribute__((target("avx2"))) inline void AddWidened4(uint64_t* sums,
+                                                       __m128i counts) {
+  __m256i* at = reinterpret_cast<__m256i*>(sums);
+  _mm256_storeu_si256(at, _mm256_add_epi64(_mm256_loadu_si256(at),
+                                           _mm256_cvtepu8_epi64(counts)));
+}
+
+__attribute__((target("avx2"))) void AddMinU8Avx2(uint64_t* sums,
+                                                  const uint8_t* counts,
+                                                  size_t n, uint8_t q) {
+  const __m128i qv = _mm_set1_epi8(static_cast<char>(q));
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i c = _mm_min_epu8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(counts + i)), qv);
+    AddWidened4(sums + i, c);
+    AddWidened4(sums + i + 4, _mm_srli_si128(c, 4));
+    AddWidened4(sums + i + 8, _mm_srli_si128(c, 8));
+    AddWidened4(sums + i + 12, _mm_srli_si128(c, 12));
+  }
+  AddMinU8Scalar(sums + i, counts + i, n - i, q);
+}
+
+__attribute__((target("avx512f"))) inline void AddWidened8(uint64_t* sums,
+                                                          __m128i counts) {
+  // The maskz form with a full mask: the plain one trips GCC 12's
+  // -Wuninitialized inside its own header.
+  _mm512_storeu_si512(
+      sums, _mm512_add_epi64(_mm512_loadu_si512(sums),
+                             _mm512_maskz_cvtepu8_epi64(0xFF, counts)));
+}
+
+__attribute__((target("avx512f"))) void AddMinU8Avx512(uint64_t* sums,
+                                                       const uint8_t* counts,
+                                                       size_t n, uint8_t q) {
+  const __m256i qv = _mm256_set1_epi8(static_cast<char>(q));
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i c = _mm256_min_epu8(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(counts + i)), qv);
+    const __m128i lo = _mm256_castsi256_si128(c);
+    const __m128i hi = _mm256_extracti128_si256(c, 1);
+    AddWidened8(sums + i, lo);
+    AddWidened8(sums + i + 8, _mm_unpackhi_epi64(lo, lo));
+    AddWidened8(sums + i + 16, hi);
+    AddWidened8(sums + i + 24, _mm_unpackhi_epi64(hi, hi));
+  }
+  for (; i + 8 <= n; i += 8) {
+    AddWidened8(sums + i,
+                _mm_min_epu8(_mm_loadl_epi64(
+                                 reinterpret_cast<const __m128i*>(counts + i)),
+                             _mm256_castsi256_si128(qv)));
+  }
+  AddMinU8Scalar(sums + i, counts + i, n - i, q);
+}
+
 #endif  // LAMINAR_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -165,10 +223,12 @@ void DotBatchScalar(const float* query, const float* rows, size_t n_rows,
 using DotFn = float (*)(const float*, const float*, size_t);
 using DotBatchFn = void (*)(const float*, const float*, size_t, size_t,
                             float*);
+using AddMinU8Fn = void (*)(uint64_t*, const uint8_t*, size_t, uint8_t);
 
 struct KernelTable {
   DotFn dot = &DotScalarImpl;
   DotBatchFn dot_batch = &DotBatchScalar;
+  AddMinU8Fn add_min_u8 = &AddMinU8Scalar;
   Tier tier = Tier::kScalar;
 };
 
@@ -177,15 +237,15 @@ KernelTable TableFor(Tier tier) {
   switch (tier) {
 #if LAMINAR_SIMD_X86
     case Tier::kAvx512:
-      t = {&DotAvx512, &DotBatchAvx512, Tier::kAvx512};
+      t = {&DotAvx512, &DotBatchAvx512, &AddMinU8Avx512, Tier::kAvx512};
       break;
     case Tier::kAvx2:
-      t = {&DotAvx2, &DotBatchAvx2, Tier::kAvx2};
+      t = {&DotAvx2, &DotBatchAvx2, &AddMinU8Avx2, Tier::kAvx2};
       break;
 #endif
 #if LAMINAR_SIMD_NEON
     case Tier::kNeon:
-      t = {&DotNeon, &DotBatchNeon, Tier::kNeon};
+      t = {&DotNeon, &DotBatchNeon, &AddMinU8Scalar, Tier::kNeon};
       break;
 #endif
     default:
@@ -300,6 +360,10 @@ float Dot(const float* a, const float* b, size_t n) {
 void DotBatch(const float* query, const float* rows, size_t n_rows,
               size_t dims, float* out) {
   Table()->dot_batch(query, rows, n_rows, dims, out);
+}
+
+void AddMinU8(uint64_t* sums, const uint8_t* counts, size_t n, uint8_t q) {
+  Table()->add_min_u8(sums, counts, n, q);
 }
 
 }  // namespace laminar::simd

@@ -1,24 +1,31 @@
-// Runtime-dispatched float32 dot-product kernels.
+// Runtime-dispatched kernels: float32 dot products and one integer
+// min-accumulate.
 //
-// embed::Cosine runs Dot, for tests; perfbench's traced pass times DotBatch
-// and stamps every run with TierName(ActiveTier()), which the server also
-// reports in /stats (search.simd.tier). No server request and no figure
-// reproduction runs a kernel: semantic search and Figs. 10-13 rank from
-// postings (search/postings_index.hpp, bench/bench_quality.cpp).
+// Every Aroma recommendation and spt code search runs AddMinU8: SptIndex
+// scores the postings of its common features from dense count columns
+// (spt/index.hpp), one kernel call per column the query reads. The float
+// kernels serve no server request: embed::Cosine runs Dot, for tests, and
+// perfbench's traced pass times DotBatch. Semantic search and Figs. 10-13
+// rank from postings (search/postings_index.hpp, bench/bench_quality.cpp).
+// perfbench stamps every run with TierName(ActiveTier()), which the server
+// also reports in /stats (search.simd.tier).
 //
 // The layer detects the widest vector unit the host offers (AVX-512F/BW,
-// AVX2+FMA, or NEON) once at startup and routes two kernels through it:
+// AVX2+FMA, or NEON) once at startup and routes three kernels through it:
 //
 //   Dot       one float32 dot product
 //   DotBatch  one query against N contiguous float32 rows
+//   AddMinU8  sums[i] += min(q, counts[i]) over uint64_t sums and byte
+//             counts (NEON runs the scalar loop)
 //
-// The portable fallback is the 4x-unrolled scalar loop DotScalar, which is
-// also the reference the kernel tests compare every tier against (laminar_simd
-// has no dependencies). Float results may differ from the
-// scalar tier in the final ULPs on AVX tiers (FMA contracts the
-// multiply-add), but a given tier is deterministic: the same inputs always
-// produce the same bits, and DotBatch row i is bit-identical to Dot on that
-// row.
+// The portable fallbacks are the 4x-unrolled scalar loop DotScalar and the
+// plain loop AddMinU8Scalar, which are also the references the kernel tests
+// compare every tier against (laminar_simd has no dependencies). AddMinU8 is
+// integer arithmetic, so every tier equals AddMinU8Scalar exactly. Float
+// results may differ from the scalar tier in the final ULPs on AVX tiers
+// (FMA contracts the multiply-add), but a given tier is deterministic: the
+// same inputs always produce the same bits, and DotBatch row i is
+// bit-identical to Dot on that row.
 //
 // Dispatch is process-wide. The environment variable LAMINAR_SIMD
 // (scalar|avx2|avx512|neon|auto) pins a tier at startup — the force-scalar
@@ -29,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace laminar::simd {
 
@@ -81,5 +89,15 @@ float Dot(const float* a, const float* b, size_t n);
 /// bit-for-bit (each row runs through the same per-row kernel as Dot).
 void DotBatch(const float* query, const float* rows, size_t n_rows,
               size_t dims, float* out);
+
+/// Portable reference for AddMinU8, and its scalar tier.
+inline void AddMinU8Scalar(uint64_t* sums, const uint8_t* counts, size_t n,
+                           uint8_t q) {
+  for (size_t i = 0; i < n; ++i) sums[i] += counts[i] < q ? counts[i] : q;
+}
+
+/// Dispatched sums[i] += min(q, counts[i]) for i < n (no alignment
+/// requirement on either pointer). Exact on every tier.
+void AddMinU8(uint64_t* sums, const uint8_t* counts, size_t n, uint8_t q);
 
 }  // namespace laminar::simd

@@ -1,15 +1,25 @@
 #include "spt/index.hpp"
 
 #include <algorithm>
+#include <limits>
 
+#include "simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace laminar::spt {
 namespace {
 
+/// The density rule: a list becomes a column at live * kPromote >= N and
+/// goes back to pairs at live * kDemote < N, N being the slot high-water
+/// mark; a column holds counts up to kColumnMax.
+constexpr uint64_t kPromote = 8;
+constexpr uint64_t kDemote = 16;
+constexpr uint32_t kColumnMax = std::numeric_limits<uint8_t>::max();
+
 /// Per-thread TopK scratch, shared by every index the thread queries: the
 /// slot-indexed sums (integer for overlap and containment, double for
-/// cosine) and the slots the current call touched.
+/// cosine) and the slots the current call touched. Every sum is zero
+/// between calls.
 struct Scratch {
   std::vector<uint64_t> counts;
   std::vector<double> dots;
@@ -21,30 +31,35 @@ Scratch& ThreadScratch() {
   return scratch;
 }
 
-/// Zeroes the touched entries when TopK returns, so the next call on this
-/// thread starts from all-zero arrays without clearing all of them.
-class TouchedReset {
- public:
-  explicit TouchedReset(Scratch& s) : s_(s) {}
-  ~TouchedReset() {
-    for (uint32_t slot : s_.touched) {
-      s_.counts[slot] = 0;
-      s_.dots[slot] = 0.0;
-    }
-    s_.touched.clear();
-  }
-  TouchedReset(const TouchedReset&) = delete;
-  TouchedReset& operator=(const TouchedReset&) = delete;
-
- private:
-  Scratch& s_;
-};
+bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 }  // namespace
 
 SptIndex::SptIndex()
     : postings_read_(&telemetry::MetricsRegistry::Global().GetCounter(
           "laminar_search_postings_read_total", "index=\"spt\"")) {}
+
+void SptIndex::Redecide(PostingList& list) {
+  const uint64_t slots = slot_ids_.size();
+  const uint64_t live = list.live;
+  if (list.dense()) {
+    if (list.wide == 0 && live * kDemote >= slots) return;
+    list.sparse.reserve(list.live);
+    for (size_t slot = 0; slot < list.column.size(); ++slot) {
+      if (list.column[slot] != 0) {
+        list.sparse.push_back(
+            Posting{static_cast<uint32_t>(slot), list.column[slot]});
+      }
+    }
+    std::vector<uint8_t>().swap(list.column);
+  } else if (list.wide == 0 && live * kPromote >= slots) {
+    list.column.assign(slots, 0);
+    for (const Posting& p : list.sparse) {
+      list.column[p.slot] = static_cast<uint8_t>(p.count);
+    }
+    std::vector<Posting>().swap(list.sparse);
+  }
+}
 
 void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
   Remove(doc_id);
@@ -53,6 +68,10 @@ void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
     slot = static_cast<uint32_t>(slot_ids_.size());
     slot_ids_.push_back(doc_id);
     slot_norms_.push_back(doc.norm);
+    // Columns promoted while N was smaller may now sit below 1/16 of it.
+    if (IsPowerOfTwo(slot_ids_.size())) {
+      for (auto& [hash, list] : postings_) Redecide(list);
+    }
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
@@ -62,7 +81,20 @@ void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
   // A zero count adds nothing to any metric, so it needs no posting; every
   // posting then contributes a positive term in TopK.
   for (const FlatFeatures::Feature& f : doc.features) {
-    if (f.count > 0) postings_[f.hash].push_back(Posting{slot, f.count});
+    if (f.count == 0) continue;
+    PostingList& list = postings_[f.hash];
+    if (f.count > kColumnMax) {
+      ++list.wide;
+      Redecide(list);  // a column cannot hold this count: back to pairs
+    }
+    ++list.live;
+    if (list.dense()) {
+      if (slot >= list.column.size()) list.column.resize(size_t{slot} + 1);
+      list.column[slot] = static_cast<uint8_t>(f.count);
+    } else {
+      list.sparse.push_back(Posting{slot, f.count});
+    }
+    Redecide(list);
   }
   docs_.emplace(doc_id, Doc{slot, std::move(doc)});
 }
@@ -72,16 +104,28 @@ bool SptIndex::Remove(int64_t doc_id) {
   if (it == docs_.end()) return false;
   const uint32_t slot = it->second.slot;
   for (const FlatFeatures::Feature& f : it->second.features.features) {
+    if (f.count == 0) continue;  // Add made no posting for it
     auto pit = postings_.find(f.hash);
     if (pit == postings_.end()) continue;
-    std::vector<Posting>& list = pit->second;
-    auto pos = std::find_if(list.begin(), list.end(), [slot](const Posting& p) {
-      return p.slot == slot;
-    });
-    if (pos == list.end()) continue;
-    *pos = list.back();  // postings are unordered: swap-remove
-    list.pop_back();
-    if (list.empty()) postings_.erase(pit);
+    PostingList& list = pit->second;
+    if (list.dense()) {
+      // Covered: the column was made N long with the document already in
+      // it, or grew to its slot when the document joined.
+      list.column[slot] = 0;
+    } else {
+      auto pos = std::find_if(
+          list.sparse.begin(), list.sparse.end(),
+          [slot](const Posting& p) { return p.slot == slot; });
+      if (pos == list.sparse.end()) continue;
+      if (pos->count > kColumnMax) --list.wide;
+      *pos = list.sparse.back();  // pairs are unordered: swap-remove
+      list.sparse.pop_back();
+    }
+    if (--list.live == 0) {
+      postings_.erase(pit);
+    } else {
+      Redecide(list);
+    }
   }
   free_slots_.push_back(slot);
   docs_.erase(it);
@@ -101,40 +145,69 @@ const FlatFeatures* SptIndex::Get(int64_t doc_id) const {
   return it == docs_.end() ? nullptr : &it->second.features;
 }
 
+SptIndex::PostingStats SptIndex::Stats() const {
+  PostingStats stats;
+  stats.lists = postings_.size();
+  for (const auto& [hash, list] : postings_) {
+    if (list.dense()) ++stats.columns;
+    stats.sparse_bytes += list.sparse.capacity() * sizeof(Posting);
+    stats.column_bytes += list.column.capacity();
+  }
+  return stats;
+}
+
 std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
                                           Metric metric) const {
   if (k == 0) return {};
   if (metric == Metric::kContainment && query.total == 0) return {};
+  const size_t slots = slot_ids_.size();
   Scratch& s = ThreadScratch();
-  if (s.counts.size() < slot_ids_.size()) {
-    s.counts.resize(slot_ids_.size(), 0);
-    s.dots.resize(slot_ids_.size(), 0.0);
+  if (s.counts.size() < slots) {
+    s.counts.resize(slots, 0);
+    s.dots.resize(slots, 0.0);
   }
-  TouchedReset reset(s);
+  // Allocated up front, so nothing between the first write to the sums and
+  // the walk that resets them can throw and leave them dirty.
+  s.touched.reserve(slots);
+  std::vector<Hit> top;
+  top.reserve(std::min(k, slots));
 
-  // Sum each query feature's postings into a per-slot sum; a slot joins
-  // `touched` on its first (always positive) term.
+  // Sum each query feature's postings into a per-slot sum. A pair records
+  // its slot in `touched` on the slot's first (always positive) term; a
+  // column adds to every slot it covers without recording any.
+  bool read_column = false;
   uint64_t read = 0;
-  auto accumulate = [&](auto& sums, auto term) {
-    for (const FlatFeatures::Feature& f : query.features) {
-      if (f.count == 0) continue;
-      auto pit = postings_.find(f.hash);
-      if (pit == postings_.end()) continue;
-      read += pit->second.size();
-      for (const Posting& p : pit->second) {
-        auto& sum = sums[p.slot];
+  for (const FlatFeatures::Feature& f : query.features) {
+    if (f.count == 0) continue;
+    auto pit = postings_.find(f.hash);
+    if (pit == postings_.end()) continue;
+    const PostingList& list = pit->second;
+    read += list.live;
+    read_column |= list.dense();
+    if (metric == Metric::kCosine) {
+      const double q = f.count;
+      if (list.dense()) {
+        for (size_t slot = 0; slot < list.column.size(); ++slot) {
+          if (list.column[slot] != 0) s.dots[slot] += q * list.column[slot];
+        }
+        continue;
+      }
+      for (const Posting& p : list.sparse) {
+        double& sum = s.dots[p.slot];
+        if (sum == 0.0) s.touched.push_back(p.slot);
+        sum += q * static_cast<double>(p.count);
+      }
+    } else if (list.dense()) {
+      // Column counts are at most 255, so min(q, d) = min(min(q, 255), d).
+      simd::AddMinU8(s.counts.data(), list.column.data(), list.column.size(),
+                     static_cast<uint8_t>(std::min(f.count, kColumnMax)));
+    } else {
+      for (const Posting& p : list.sparse) {
+        uint64_t& sum = s.counts[p.slot];
         if (sum == 0) s.touched.push_back(p.slot);
-        sum += term(f.count, p.count);
+        sum += std::min(f.count, p.count);
       }
     }
-  };
-  if (metric == Metric::kCosine) {
-    accumulate(s.dots, [](uint32_t q, uint32_t d) {
-      return static_cast<double>(q) * static_cast<double>(d);
-    });
-  } else {
-    accumulate(s.counts,
-               [](uint32_t q, uint32_t d) { return uint64_t{std::min(q, d)}; });
   }
   postings_read_->Inc(read);
 
@@ -142,19 +215,25 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
     if (a.score != b.score) return a.score > b.score;
     return a.doc_id < b.doc_id;
   };
-  // Bounded heap whose front is the worst of the current top k.
-  std::vector<Hit> top;
-  top.reserve(std::min(k, s.touched.size()));
-  for (uint32_t slot : s.touched) {
-    Hit hit{slot_ids_[slot], 0.0};
+  // Scores a slot with a non-zero sum, resets the sum, and offers the hit
+  // to a bounded heap whose front is the worst of the current top k.
+  auto visit = [&](uint32_t slot) {
+    Hit hit;
     if (metric == Metric::kCosine) {
-      hit.score = s.dots[slot] / (query.norm * slot_norms_[slot]);
+      double& dot = s.dots[slot];
+      if (dot == 0.0) return;
+      hit.score = dot / (query.norm * slot_norms_[slot]);
+      dot = 0.0;
     } else {
-      hit.score = static_cast<double>(s.counts[slot]);
+      uint64_t& count = s.counts[slot];
+      if (count == 0) return;
+      hit.score = static_cast<double>(count);
       if (metric == Metric::kContainment) {
         hit.score /= static_cast<double>(query.total);
       }
+      count = 0;
     }
+    hit.doc_id = slot_ids_[slot];
     if (top.size() < k) {
       top.push_back(hit);
       std::push_heap(top.begin(), top.end(), better);
@@ -163,7 +242,13 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
       top.back() = hit;
       std::push_heap(top.begin(), top.end(), better);
     }
+  };
+  if (read_column) {
+    for (uint32_t slot = 0; slot < slots; ++slot) visit(slot);
+  } else {
+    for (uint32_t slot : s.touched) visit(slot);
   }
+  s.touched.clear();
   std::sort_heap(top.begin(), top.end(), better);
   return top;
 }

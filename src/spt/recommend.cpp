@@ -23,6 +23,51 @@ std::string ExtractLines(const std::string& source,
   return out;
 }
 
+/// The invariants Recommend's pruning relies on, which FlatFeatures::From
+/// always meets: features strictly ascending by hash with counts >= 1 that
+/// sum to `total`, and occurrences in ascending (line, feature) order, each
+/// naming a feature in range, exactly `count` of them per feature.
+Status CheckFlat(const FlatFeatures& flat) {
+  uint64_t total = 0;
+  for (size_t i = 0; i < flat.features.size(); ++i) {
+    const FlatFeatures::Feature& f = flat.features[i];
+    if (f.count == 0) {
+      return Status::InvalidArgument("feature with a zero count");
+    }
+    if (i > 0 && flat.features[i - 1].hash >= f.hash) {
+      return Status::InvalidArgument("features not strictly ascending");
+    }
+    total += f.count;
+  }
+  if (total != flat.total) {
+    return Status::InvalidArgument("total is not the sum of the counts");
+  }
+  std::vector<uint32_t> tagged(flat.features.size(), 0);
+  const FlatFeatures::Occurrence* last = nullptr;
+  for (const FlatFeatures::Occurrence& occ : flat.occurrences) {
+    if (occ.feature >= flat.features.size()) {
+      return Status::InvalidArgument("occurrence names no feature");
+    }
+    if (last != nullptr && (occ.line < last->line ||
+                            (occ.line == last->line &&
+                             occ.feature < last->feature))) {
+      return Status::InvalidArgument(
+          "occurrences not in (line, feature) order");
+    }
+    if (tagged[occ.feature] == flat.features[occ.feature].count) {
+      return Status::InvalidArgument("more occurrences than the count");
+    }
+    ++tagged[occ.feature];
+    last = &occ;
+  }
+  for (size_t i = 0; i < tagged.size(); ++i) {
+    if (tagged[i] != flat.features[i].count) {
+      return Status::InvalidArgument("fewer occurrences than the count");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 AromaEngine::AromaEngine(AromaConfig config) : config_(std::move(config)) {
@@ -42,6 +87,7 @@ Status AromaEngine::AddSnippetWithFeatures(int64_t id, std::string_view code,
   if (features.total == 0) {
     return Status::InvalidArgument("snippet produced no features");
   }
+  if (Status valid = CheckFlat(features); !valid.ok()) return valid;
   index_.Add(id, std::move(features));
   sources_[id] = std::string(code);
   return Status::Ok();
@@ -98,53 +144,44 @@ Result<std::vector<Recommendation>> AromaEngine::Recommend(
   std::vector<SptIndex::Hit> hits =
       index_.TopK(query, config_.retrieve_top, Metric::kOverlap);
 
-  // Stage 3: prune each candidate against the query and rerank.
-  struct Reranked {
-    int64_t doc_id;
-    PruneResult prune;
-  };
-  std::vector<Reranked> reranked;
-  reranked.reserve(hits.size());
-  for (const auto& hit : hits) {
-    if (hit.score < config_.min_overlap_score) continue;
-    const FlatFeatures* doc = index_.Get(hit.doc_id);
-    if (doc == nullptr) continue;
-    PruneResult prune = PruneAgainstQuery(query, *doc);
-    if (prune.overlap <= 0.0) continue;
-    reranked.push_back(Reranked{hit.doc_id, std::move(prune)});
-  }
-  std::sort(reranked.begin(), reranked.end(),
-            [](const Reranked& a, const Reranked& b) {
-              if (a.prune.containment != b.prune.containment) {
-                return a.prune.containment > b.prune.containment;
-              }
-              return a.doc_id < b.doc_id;
-            });
-
-  // Stage 4: cluster structurally similar candidates. Only the first
+  // Stage 3 reranks the candidates by the containment of their pruned
+  // snippets, which is already the TopK order. Every counted occurrence of
+  // a stored document carries a line (AddSnippetWithFeatures checks it),
+  // and the greedy prune stops only when no line adds overlap, so it has
+  // consumed min(q, d) of every shared feature: a candidate's pruned
+  // overlap is its TopK score, and containment divides that by the fixed
+  // |q|. (containment desc, id asc) is therefore (score desc, id asc), and
+  // only the candidates that represent a returned cluster need pruning.
+  //
+  // Stage 4: cluster the candidates at or above the threshold, in that
+  // order. Clustering reads whole documents, and only the first
   // max_recommendations clusters are returned, so no more are opened.
   std::vector<ClusterInput> inputs;
-  inputs.reserve(reranked.size());
-  for (const auto& r : reranked) {
-    inputs.push_back(ClusterInput{r.doc_id, index_.Get(r.doc_id)});
+  inputs.reserve(hits.size());
+  for (const auto& hit : hits) {
+    if (hit.score < config_.min_overlap_score) break;  // scores descend
+    inputs.push_back(ClusterInput{hit.doc_id, index_.Get(hit.doc_id)});
   }
   std::vector<std::vector<size_t>> clusters = ClusterCandidates(
       inputs, config_.cluster_jaccard, config_.max_recommendations);
 
-  // Stage 5: one recommendation per cluster, from its best-ranked member.
+  // Stage 5: one recommendation per cluster, from its best-ranked member,
+  // pruned against the query.
   std::vector<Recommendation> out;
+  out.reserve(clusters.size());
   for (const auto& cluster : clusters) {
-    const Reranked& rep = reranked[cluster.front()];
+    const ClusterInput& rep = inputs[cluster.front()];
+    PruneResult prune = PruneAgainstQuery(query, *rep.features);
     Recommendation rec;
     rec.snippet_id = rep.doc_id;
-    rec.score = rep.prune.overlap;
-    rec.containment = rep.prune.containment;
+    rec.score = prune.overlap;
+    rec.containment = prune.containment;
     rec.cluster_size = cluster.size();
-    rec.pruned_lines = rep.prune.lines;
     auto src = sources_.find(rep.doc_id);
     if (src != sources_.end()) {
-      rec.recommended_code = ExtractLines(src->second, rep.prune.lines);
+      rec.recommended_code = ExtractLines(src->second, prune.lines);
     }
+    rec.pruned_lines = std::move(prune.lines);
     out.push_back(std::move(rec));
   }
   return out;

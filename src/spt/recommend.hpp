@@ -62,7 +62,9 @@ class AromaEngine {
   /// committing never reparses or sorts. The features must come from
   /// Featurize on *this* engine's options: FeatureBagToJson drops the
   /// per-feature line occurrences that prune/rerank need, so the in-memory
-  /// form (not a JSON round-trip) is required.
+  /// form (not a JSON round-trip) is required. Fails with InvalidArgument,
+  /// indexing nothing, unless the features are a well-formed flat document
+  /// with a line occurrence for every count, as FlatFeatures::From builds.
   Status AddSnippetWithFeatures(int64_t id, std::string_view code,
                                 FlatFeatures features);
   bool RemoveSnippet(int64_t id);

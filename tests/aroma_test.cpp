@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <thread>
 
 #include "aroma_reference.hpp"
+#include "common/rng.hpp"
 #include "common/value.hpp"
 #include "dataset/generator.hpp"
 #include "spt/index.hpp"
@@ -355,6 +357,65 @@ TEST(AromaEngineEdge, RejectsEmptySnippet) {
   EXPECT_FALSE(engine.AddSnippet(1, "").ok());
 }
 
+TEST(AromaEngineEdge, RejectsMalformedFlatFeatures) {
+  // Recommend prunes only the candidates it returns, which is exact only
+  // when every counted occurrence carries a line; an occurrence past the
+  // feature array would make the prune read out of bounds.
+  const std::string code =
+      "def total(a, b):\n    s = a + b\n    s = s * b\n    return s\n";
+  AromaEngine engine;
+  ASSERT_TRUE(engine.AddSnippet(1, code).ok());
+  Result<FeatureBag> bag = engine.Featurize(code);
+  ASSERT_TRUE(bag.ok());
+  const FlatFeatures good = FlatFeatures::From(bag.value());
+  ASSERT_GE(good.features.size(), 3u);
+  ASSERT_NE(good.occurrences.front().line, good.occurrences.back().line);
+
+  std::vector<std::pair<std::string, FlatFeatures>> bad;
+  auto variant = [&](std::string what, auto edit) {
+    FlatFeatures flat = good;
+    edit(flat);
+    bad.emplace_back(std::move(what), std::move(flat));
+  };
+  variant("features out of order",
+          [](FlatFeatures& f) { std::swap(f.features[0], f.features[1]); });
+  variant("a repeated hash",
+          [](FlatFeatures& f) { f.features[1].hash = f.features[0].hash; });
+  variant("a zero count", [](FlatFeatures& f) {
+    f.total -= f.features[0].count;
+    f.features[0].count = 0;
+  });
+  variant("total above the counts", [](FlatFeatures& f) { ++f.total; });
+  variant("an occurrence past the features", [](FlatFeatures& f) {
+    f.occurrences.back().feature = static_cast<uint32_t>(f.features.size());
+  });
+  variant("an untagged count",
+          [](FlatFeatures& f) { f.occurrences.pop_back(); });
+  variant("an occurrence beyond the count", [](FlatFeatures& f) {
+    f.occurrences.push_back(f.occurrences.back());
+  });
+  variant("no occurrences at all",
+          [](FlatFeatures& f) { f.occurrences.clear(); });
+  variant("occurrences out of order", [](FlatFeatures& f) {
+    std::swap(f.occurrences.front(), f.occurrences.back());
+  });
+
+  const auto before = engine.Search(code, 5, Metric::kOverlap);
+  ASSERT_TRUE(before.ok());
+  for (const auto& [what, flat] : bad) {
+    for (int64_t id : {1, 2}) {  // a replacement and a new id
+      const Status status = engine.AddSnippetWithFeatures(id, code, flat);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+      EXPECT_EQ(engine.size(), 1u) << what;
+    }
+  }
+  const auto after = engine.Search(code, 5, Metric::kOverlap);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(reference::SameHits(after.value(), before.value()));
+  EXPECT_TRUE(engine.AddSnippetWithFeatures(2, code, good).ok());
+  EXPECT_EQ(engine.size(), 2u);
+}
+
 TEST(FeatureBagJson, RoundTrips) {
   Result<SptNodePtr> spt = SptFromSource("x = f(1)\n");
   ASSERT_TRUE(spt.ok());
@@ -522,6 +583,31 @@ TEST_F(AromaParityTest, PruneEqualsMapReferenceOnTopCandidates) {
   EXPECT_GT(prunes, 5000u);
 }
 
+// Recommend prunes only the candidates it returns because a candidate's
+// pruned overlap is its TopK overlap score, which makes the containment
+// rerank the TopK order. Checked on every candidate of partial queries.
+TEST_F(AromaParityTest, PrunedOverlapEqualsTheTopKScore) {
+  size_t checked = 0;
+  for (size_t i = 0; i < ds_.size(); i += 6) {
+    for (dataset::DropMode mode :
+         {dataset::DropMode::kTail, dataset::DropMode::kRandom}) {
+      for (double drop : {0.0, 0.5, 0.75, 0.9}) {
+        const FlatFeatures query = FlatFeatures::From(Feat(
+            dataset::DropCode(ds_.example(i).pe_code, drop, mode, 99 + i),
+            true));
+        for (const SptIndex::Hit& hit : index_.TopK(query, 100)) {
+          ASSERT_EQ(PruneAgainstQuery(query, *index_.Get(hit.doc_id)).overlap,
+                    hit.score)
+              << "example " << i << " drop " << drop << " doc "
+              << hit.doc_id;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 20000u);
+}
+
 TEST_F(AromaParityTest, ConcurrentReadersSeeSerialResults) {
   // The server runs TopK and prune under a shared lock, so readers race.
   std::vector<FeatureBag> queries;
@@ -633,6 +719,109 @@ TEST(SptIndex, RemovingADocInEveryPostingKeepsTheRestExact) {
   EXPECT_TRUE(index.TopK(flat_query, 10).empty());
   index.Add(7, FlatFeatures::From(BagOf({{10, 1}})));
   EXPECT_EQ(Pairs(index.TopK(flat_query, 10)), (Ranked{{7, 1.0}}));
+}
+
+// A seeded Add/Remove sequence over synthetic documents whose common
+// features drift, so posting lists become count columns on Add, go back
+// to pairs on Remove and when the slot high-water mark N reaches a power of
+// two (it passes 256, 512 and 1,024), and freed slots are reused. One
+// document holds a count of 300, which a column cannot, and some queries
+// ask for 300 of a feature. After every step TopK must equal the brute
+// force for every metric and k.
+TEST(SptIndex, ChurnAcrossTheDensityThresholdsEqualsBruteForce) {
+  Rng rng(0x5eed0023ULL);
+  SptIndex index;
+  std::map<int64_t, FeatureBag> bags;
+  // Feature 7 is in half the documents, 200 times in one of 8 of those
+  // (the most a column holds is 255); the rest come from a window of 24
+  // that slides with the step, or from a long tail of rare ones.
+  auto make = [&](size_t step) {
+    FeatureBag bag;
+    if (rng.NextBelow(2) == 0) {
+      for (int c = rng.NextBelow(8) == 0 ? 200 : 1; c > 0; --c) bag.Add(7);
+    }
+    const size_t features = 2 + rng.NextBelow(6);
+    for (size_t i = 0; i < features; ++i) {
+      const uint64_t hash = rng.NextBelow(4) != 0
+                                ? 1000 + step / 40 + rng.NextBelow(24)
+                                : 100000 + rng.NextBelow(5000);
+      for (uint64_t c = 1 + rng.NextBelow(3); c > 0; --c) bag.Add(hash);
+    }
+    return bag;
+  };
+  FeatureBag wide;
+  for (int i = 0; i < 300; ++i) wide.Add(7);
+  constexpr int64_t kWideId = 1'000'000;
+  int64_t next_id = 0;
+  size_t most_live = 0;
+  size_t promoted_on_add = 0, demoted_on_add = 0, demoted_on_remove = 0;
+  for (size_t step = 0; step < 2600; ++step) {
+    // Grow past 1,024 live documents, shrink, then grow into freed slots.
+    const uint64_t adds_per_8 = step < 1700 ? 7 : step < 2200 ? 1 : 6;
+    // The wide document has the largest id, so it is never drawn below.
+    const size_t others = bags.size() - bags.count(kWideId);
+    const size_t columns_before = index.Stats().columns;
+    bool added = true;
+    if (step == 700 || step == 2300) {
+      bags[kWideId] = wide;
+      index.Add(kWideId, FlatFeatures::From(wide));
+    } else if (step == 900 || step == 2500) {
+      ASSERT_TRUE(index.Remove(kWideId));
+      bags.erase(kWideId);
+      added = false;
+    } else if (others == 0 || rng.NextBelow(8) < adds_per_8) {
+      // Now and then replace a live document instead of adding one.
+      const int64_t id =
+          others > 0 && rng.NextBelow(10) == 0
+              ? std::next(bags.begin(), rng.NextBelow(others))->first
+              : next_id++;
+      bags[id] = make(step);
+      index.Add(id, FlatFeatures::From(bags[id]));
+    } else {
+      auto victim = std::next(bags.begin(), rng.NextBelow(others));
+      ASSERT_TRUE(index.Remove(victim->first));
+      bags.erase(victim);
+      added = false;
+    }
+    const size_t columns_after = index.Stats().columns;
+    if (step == 700 || step == 2300) {
+      EXPECT_LT(columns_after, columns_before) << "feature 7 stays a column";
+    } else if (step == 900 || step == 2500) {
+      EXPECT_EQ(columns_after, columns_before + 1) << "7 is no column again";
+    }
+    if (added && columns_after > columns_before) ++promoted_on_add;
+    if (added && columns_after < columns_before) ++demoted_on_add;
+    if (!added && columns_after < columns_before) ++demoted_on_remove;
+    most_live = std::max(most_live, index.size());
+    ASSERT_EQ(index.size(), bags.size());
+
+    FeatureBag query = make(step);
+    if (step % 5 == 0) {
+      for (int i = 0; i < 300; ++i) query.Add(7);
+    } else if (step % 5 == 1) {
+      query = FeatureBag{};
+      query.Add(100000 + rng.NextBelow(5000));  // rare features only
+      query.Add(100000 + rng.NextBelow(5000));
+    }
+    const FlatFeatures flat_query = FlatFeatures::From(query);
+    std::vector<std::pair<int64_t, const FeatureBag*>> live;
+    for (const auto& [id, bag] : bags) live.emplace_back(id, &bag);
+    for (Metric metric : kMetrics) {
+      const Ranked all = Pairs(
+          reference::BruteForceTopK(live, query, live.size() + 1, metric));
+      for (size_t k : {size_t{1}, size_t{5}, size_t{100}, index.size() + 1}) {
+        const Ranked want(all.begin(),
+                          all.begin() + std::min(k, all.size()));
+        ASSERT_EQ(Pairs(index.TopK(flat_query, k, metric)), want)
+            << "step " << step << " metric " << static_cast<int>(metric)
+            << " k " << k;
+      }
+    }
+  }
+  EXPECT_GT(most_live, 1024u);
+  EXPECT_GT(promoted_on_add, 0u);
+  EXPECT_GT(demoted_on_add, 0u);
+  EXPECT_GT(demoted_on_remove, 0u);
 }
 
 // The whole pipeline on 1,200 PEs under slot-reusing churn: Search (every

@@ -1,9 +1,9 @@
-// Kernel-parity suite for the dispatched float kernels.
+// Kernel-parity suite for the dispatched kernels.
 //
 // The dispatch contract under test: every tier's Dot agrees with the scalar
 // reference within a documented FMA reassociation bound, the scalar tier is
-// the reference bit for bit, and DotBatch row i is bit-identical to Dot on
-// that row.
+// the reference bit for bit, DotBatch row i is bit-identical to Dot on
+// that row, and every tier's AddMinU8 equals its scalar reference exactly.
 //
 // The whole binary is registered twice with ctest: once as `kernels_suite`
 // (native dispatch) and once as `kernels_force_scalar` with
@@ -12,6 +12,7 @@
 #include "simd/simd.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -123,6 +124,42 @@ TEST(SimdKernels, DotBatchBitIdenticalToPerRowDot) {
         ASSERT_EQ(std::memcmp(&out[r], &one, sizeof(float)), 0)
             << "tier=" << simd::TierName(tier) << " dims=" << dims
             << " row=" << r;
+      }
+    }
+  }
+  simd::SetTier(before);
+}
+
+TEST(SimdKernels, AddMinU8ExactOnEveryTier) {
+  // Every length 0..257 crosses each tier's 32-, 16- and 8-byte blocks and
+  // its scalar tail; the sums and counts start at independent unaligned
+  // offsets, the counts are mostly 0 and 255 with random bytes between, and
+  // the sums start large, so a lane that drops a carry or a high byte
+  // differs.
+  Rng rng(0x5eed0004ULL);
+  const simd::Tier before = simd::ActiveTier();
+  for (size_t n = 0; n <= 257; ++n) {
+    for (size_t off : kOffsets) {
+      std::vector<uint8_t> counts(n + off);
+      for (uint8_t& c : counts) {
+        const uint64_t r = rng.NextBelow(4);
+        c = r == 0   ? 0
+            : r == 1 ? 255
+                     : static_cast<uint8_t>(rng.NextBelow(256));
+      }
+      std::vector<uint64_t> start(n + off);
+      for (uint64_t& x : start) x = rng.NextU64() >> 1;
+      for (uint8_t q : {uint8_t{0}, uint8_t{1}, uint8_t{7}, uint8_t{255}}) {
+        std::vector<uint64_t> want = start;
+        simd::AddMinU8Scalar(want.data() + off, counts.data() + off, n, q);
+        for (simd::Tier tier : AvailableTiers()) {
+          ASSERT_EQ(simd::SetTier(tier), tier);
+          std::vector<uint64_t> got = start;
+          simd::AddMinU8(got.data() + off, counts.data() + off, n, q);
+          ASSERT_EQ(got, want) << "tier=" << simd::TierName(tier)
+                               << " n=" << n << " off=" << off
+                               << " q=" << int{q};
+        }
       }
     }
   }
