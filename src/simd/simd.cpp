@@ -1,6 +1,5 @@
 #include "simd/simd.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -135,39 +134,6 @@ __attribute__((target("avx2"))) void AddMinU8Avx2(uint64_t* sums,
   AddMinU8Scalar(sums + i, counts + i, n - i, q);
 }
 
-__attribute__((target("avx512f"))) inline void AddWidened8(uint64_t* sums,
-                                                          __m128i counts) {
-  // The maskz form with a full mask: the plain one trips GCC 12's
-  // -Wuninitialized inside its own header.
-  _mm512_storeu_si512(
-      sums, _mm512_add_epi64(_mm512_loadu_si512(sums),
-                             _mm512_maskz_cvtepu8_epi64(0xFF, counts)));
-}
-
-__attribute__((target("avx512f"))) void AddMinU8Avx512(uint64_t* sums,
-                                                       const uint8_t* counts,
-                                                       size_t n, uint8_t q) {
-  const __m256i qv = _mm256_set1_epi8(static_cast<char>(q));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i c = _mm256_min_epu8(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(counts + i)), qv);
-    const __m128i lo = _mm256_castsi256_si128(c);
-    const __m128i hi = _mm256_extracti128_si256(c, 1);
-    AddWidened8(sums + i, lo);
-    AddWidened8(sums + i + 8, _mm_unpackhi_epi64(lo, lo));
-    AddWidened8(sums + i + 16, hi);
-    AddWidened8(sums + i + 24, _mm_unpackhi_epi64(hi, hi));
-  }
-  for (; i + 8 <= n; i += 8) {
-    AddWidened8(sums + i,
-                _mm_min_epu8(_mm_loadl_epi64(
-                                 reinterpret_cast<const __m128i*>(counts + i)),
-                             _mm256_castsi256_si128(qv)));
-  }
-  AddMinU8Scalar(sums + i, counts + i, n - i, q);
-}
-
 #endif  // LAMINAR_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -237,7 +203,9 @@ KernelTable TableFor(Tier tier) {
   switch (tier) {
 #if LAMINAR_SIMD_X86
     case Tier::kAvx512:
-      t = {&DotAvx512, &DotBatchAvx512, &AddMinU8Avx512, Tier::kAvx512};
+      // One x86 AddMinU8: a 512-bit one gained too little end to end to
+      // keep (DESIGN.md §3j).
+      t = {&DotAvx512, &DotBatchAvx512, &AddMinU8Avx2, Tier::kAvx512};
       break;
     case Tier::kAvx2:
       t = {&DotAvx2, &DotBatchAvx2, &AddMinU8Avx2, Tier::kAvx2};
@@ -299,28 +267,17 @@ Tier Clamp(Tier requested) {
   return Tier::kScalar;
 }
 
-/// The active kernel table. Initialized on first use (honoring LAMINAR_SIMD)
-/// and replaced wholesale by SetTier. Individual function-pointer loads are
-/// relaxed atomics so first-use races between readers are benign — every
-/// candidate value is a valid kernel.
-std::atomic<const KernelTable*> g_table{nullptr};
-
-const KernelTable* InitTable() {
-  static KernelTable storage;  // process-lifetime; SetTier rewrites it
-  Tier tier = Detect();
-  if (const char* env = std::getenv("LAMINAR_SIMD")) {
-    tier = Clamp(ParseTierName(env));
-  }
-  storage = TableFor(tier);
-  const KernelTable* expected = nullptr;
-  g_table.compare_exchange_strong(expected, &storage,
-                                  std::memory_order_acq_rel);
-  return g_table.load(std::memory_order_acquire);
+Tier InitialTier() {
+  const char* env = std::getenv("LAMINAR_SIMD");
+  return env != nullptr ? Clamp(ParseTierName(env)) : Detect();
 }
 
-inline const KernelTable* Table() {
-  const KernelTable* t = g_table.load(std::memory_order_acquire);
-  return t != nullptr ? t : InitTable();
+/// The process-wide kernel table: built once, on first use, honoring
+/// LAMINAR_SIMD (a function-local static, so concurrent first calls wait
+/// for one initialization), and rewritten in place by SetTier.
+KernelTable* Table() {
+  static KernelTable table = TableFor(InitialTier());
+  return &table;
 }
 
 }  // namespace
@@ -345,11 +302,10 @@ Tier ActiveTier() { return Table()->tier; }
 
 Tier SetTier(Tier tier) {
   const Tier chosen = Clamp(tier);
-  const KernelTable* current = Table();  // ensures storage exists
   // Rewrite the single process-wide table in place: not safe against
   // concurrently executing kernels (documented), but keeps every later
   // reader on one coherent table without allocation.
-  *const_cast<KernelTable*>(current) = TableFor(chosen);
+  *Table() = TableFor(chosen);
   return chosen;
 }
 

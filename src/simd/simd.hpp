@@ -16,7 +16,8 @@
 //   Dot       one float32 dot product
 //   DotBatch  one query against N contiguous float32 rows
 //   AddMinU8  sums[i] += min(q, counts[i]) over uint64_t sums and byte
-//             counts (NEON runs the scalar loop)
+//             counts (the AVX-512 tier runs the AVX2 loop, NEON the
+//             scalar one)
 //
 // The portable fallbacks are the 4x-unrolled scalar loop DotScalar and the
 // plain loop AddMinU8Scalar, which are also the references the kernel tests
@@ -27,12 +28,13 @@
 // same inputs always produce the same bits, and DotBatch row i is
 // bit-identical to Dot on that row.
 //
-// Dispatch is process-wide. The environment variable LAMINAR_SIMD
-// (scalar|avx2|avx512|neon|auto) pins a tier at startup — the force-scalar
-// override the kernel test suite runs under — and SetTier() does the same
-// programmatically for benches. SetTier is not safe concurrently with
-// in-flight kernels; call it at startup or from single-threaded test/bench
-// code only.
+// Dispatch is process-wide, resolved once on the first kernel call (safe
+// when several threads make it at once). The environment variable
+// LAMINAR_SIMD (scalar|avx2|avx512|neon|auto) pins a tier at startup — the
+// force-scalar override the kernel test suite runs under — and SetTier()
+// does the same programmatically for benches. SetTier is not safe
+// concurrently with in-flight kernels; call it at startup or from
+// single-threaded test/bench code only.
 #pragma once
 
 #include <cstddef>

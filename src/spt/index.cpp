@@ -17,13 +17,11 @@ constexpr uint64_t kDemote = 16;
 constexpr uint32_t kColumnMax = std::numeric_limits<uint8_t>::max();
 
 /// Per-thread TopK scratch, shared by every index the thread queries: the
-/// slot-indexed sums (integer for overlap and containment, double for
-/// cosine) and the slots the current call touched. Every sum is zero
-/// between calls.
+/// slot-indexed sums, integer for overlap and containment, double for
+/// cosine. Every sum is zero between calls.
 struct Scratch {
   std::vector<uint64_t> counts;
   std::vector<double> dots;
-  std::vector<uint32_t> touched;
 };
 
 Scratch& ThreadScratch() {
@@ -168,14 +166,11 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
   }
   // Allocated up front, so nothing between the first write to the sums and
   // the walk that resets them can throw and leave them dirty.
-  s.touched.reserve(slots);
   std::vector<Hit> top;
   top.reserve(std::min(k, slots));
 
-  // Sum each query feature's postings into a per-slot sum. A pair records
-  // its slot in `touched` on the slot's first (always positive) term; a
-  // column adds to every slot it covers without recording any.
-  bool read_column = false;
+  // Sum each query feature's postings into a per-slot sum: pairs one at a
+  // time, a column over every slot it covers.
   uint64_t read = 0;
   for (const FlatFeatures::Feature& f : query.features) {
     if (f.count == 0) continue;
@@ -183,7 +178,6 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
     if (pit == postings_.end()) continue;
     const PostingList& list = pit->second;
     read += list.live;
-    read_column |= list.dense();
     if (metric == Metric::kCosine) {
       const double q = f.count;
       if (list.dense()) {
@@ -193,9 +187,7 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
         continue;
       }
       for (const Posting& p : list.sparse) {
-        double& sum = s.dots[p.slot];
-        if (sum == 0.0) s.touched.push_back(p.slot);
-        sum += q * static_cast<double>(p.count);
+        s.dots[p.slot] += q * static_cast<double>(p.count);
       }
     } else if (list.dense()) {
       // Column counts are at most 255, so min(q, d) = min(min(q, 255), d).
@@ -203,9 +195,7 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
                      static_cast<uint8_t>(std::min(f.count, kColumnMax)));
     } else {
       for (const Posting& p : list.sparse) {
-        uint64_t& sum = s.counts[p.slot];
-        if (sum == 0) s.touched.push_back(p.slot);
-        sum += std::min(f.count, p.count);
+        s.counts[p.slot] += std::min(f.count, p.count);
       }
     }
   }
@@ -215,18 +205,18 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
     if (a.score != b.score) return a.score > b.score;
     return a.doc_id < b.doc_id;
   };
-  // Scores a slot with a non-zero sum, resets the sum, and offers the hit
-  // to a bounded heap whose front is the worst of the current top k.
-  auto visit = [&](uint32_t slot) {
+  // Every slot with a non-zero sum gets its score, has the sum reset, and
+  // competes for a bounded heap whose front is the worst of the top k.
+  for (uint32_t slot = 0; slot < slots; ++slot) {
     Hit hit;
     if (metric == Metric::kCosine) {
       double& dot = s.dots[slot];
-      if (dot == 0.0) return;
+      if (dot == 0.0) continue;
       hit.score = dot / (query.norm * slot_norms_[slot]);
       dot = 0.0;
     } else {
       uint64_t& count = s.counts[slot];
-      if (count == 0) return;
+      if (count == 0) continue;
       hit.score = static_cast<double>(count);
       if (metric == Metric::kContainment) {
         hit.score /= static_cast<double>(query.total);
@@ -242,13 +232,7 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
       top.back() = hit;
       std::push_heap(top.begin(), top.end(), better);
     }
-  };
-  if (read_column) {
-    for (uint32_t slot = 0; slot < slots; ++slot) visit(slot);
-  } else {
-    for (uint32_t slot : s.touched) visit(slot);
   }
-  s.touched.clear();
   std::sort_heap(top.begin(), top.end(), better);
   return top;
 }

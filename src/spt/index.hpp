@@ -25,18 +25,19 @@
 // TopK walks the query's features once. Every metric decomposes by feature,
 // so each posting adds its term — min(q, d) for overlap and containment,
 // q * d for cosine — into a score array indexed by slot. Pairs scatter one
-// at a time and record the slots they touch; a column adds min(q, d) over
-// all its slots with one dispatched integer kernel (simd::AddMinU8), and
-// cosine reads its non-zero bytes. Overlap and containment sum in uint64_t
-// (a sum never exceeds the query's total), cosine in double, with each
-// slot's terms added in query-feature order whatever the encoding. The
-// array is thread_local. The slots with a non-zero sum — every slot if a
-// column was read, else the touched ones — then get their final score
-// (cosine divides by |q| * |d|, containment by |q|), are reset, and compete
-// for a bounded top-k heap ordered by (score desc, id asc). Every term is
-// an integer, so the sums are exact and independent of posting order: the
-// returned (id, score) lists equal the per-pair OverlapScore /
-// CosineSimilarity / ContainmentScore ranking bit for bit.
+// at a time; a column adds min(q, d) over all its slots with one
+// dispatched integer kernel (simd::AddMinU8), and cosine reads its
+// non-zero bytes. Overlap and containment sum in uint64_t (a sum never
+// exceeds the query's total), cosine in double, with each slot's terms
+// added in query-feature order whatever the encoding. The array is
+// thread_local. One walk over every slot then gives each non-zero sum its
+// final score (cosine divides by |q| * |d|, containment by |q|), resets
+// it, and lets it compete for a bounded top-k heap ordered by (score desc,
+// id asc); a query reads the boilerplate columns, so nearly every slot
+// holds a sum anyway (DESIGN.md §3k). Every term is an integer, so the
+// sums are exact and independent of posting order: the returned
+// (id, score) lists equal the per-pair OverlapScore / CosineSimilarity /
+// ContainmentScore ranking bit for bit.
 #pragma once
 
 #include <cstdint>
