@@ -251,6 +251,7 @@ int RunSweep() {
     row["columns"] = static_cast<int64_t>(postings.columns);
     row["posting_bytes_sparse"] = static_cast<int64_t>(postings.sparse_bytes);
     row["posting_bytes_dense"] = static_cast<int64_t>(postings.column_bytes);
+    row["posting_bytes_headers"] = static_cast<int64_t>(postings.header_bytes);
     std::printf("%-8zu %-9.2f %-10.3f %-9.3f %-9.3f %-9.3f %-9.3f %-9.3f "
                 "%-9.1f %-7.1f %-8zu %-10.2f %-10.2f\n",
                 ds.size(), build_s, featurize, topk, cluster, prune, total,

@@ -181,7 +181,7 @@ struct Ingestor {
     std::unique_lock lock(mu);
     registry::PeRecord pe = MakeRecord(spec);
     pe.description_embedding =
-        embed::ToJson(search.text_encoder().EncodeText(pe.description));
+        embed::ToJson(search.text_encoder().Encode(pe.description));
     Result<spt::FeatureBag> bag = search.aroma().Featurize(pe.code);
     if (bag.ok() && bag->total > 0) {
       pe.spt_embedding = spt::FeatureBagToJson(*bag);

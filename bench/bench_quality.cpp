@@ -157,12 +157,11 @@ int main(int argc, char** argv) {
     for (const dataset::PeExample& ex : ds.examples()) {
       const std::string summary = codet5.Summarize(ex.pe_code, contexts[c]);
       f1[c] += TokenF1(summary, ex.description);
-      index.Upsert(ex.id, unixcoder.EncodeText(summary));
+      index.Upsert(ex.id, unixcoder.Encode(summary));
     }
     f1[c] /= static_cast<double>(ds.size());
     Ranked ranked = RankAll(ds, [&](const dataset::PeExample& ex) {
-                      return Ids(
-                          index.TopK(unixcoder.EncodeText(ex.query), kMaxK));
+                      return Ids(index.TopK(unixcoder.Encode(ex.query), kMaxK));
                     }).first;
     // The full class's lists, ranked last, are Fig. 11's.
     text_to_code = search::PrecisionRecallCurve(ranked, relevant, kMaxK);
@@ -199,7 +198,7 @@ int main(int argc, char** argv) {
   const embed::ReaccSim reacc;
   search::PostingsIndex reacc_index(reacc.dims());
   for (const dataset::PeExample& ex : ds.examples()) {
-    reacc_index.Upsert(ex.id, reacc.EncodeCode(ex.pe_code));
+    reacc_index.Upsert(ex.id, reacc.Encode(ex.pe_code));
   }
   auto curve = [&](const std::string& slug, const std::string& title,
                    auto rank) {
@@ -227,8 +226,8 @@ int main(int argc, char** argv) {
                         [&](const dataset::PeExample& ex) {
                           const std::string query =
                               dataset::DropCode(ex.pe_code, drop);
-                          return Ids(reacc_index.TopK(reacc.EncodeCode(query),
-                                                      kMaxK));
+                          return Ids(
+                              reacc_index.TopK(reacc.Encode(query), kMaxK));
                         });
   }
   std::printf("max F1 across drop levels: Aroma %.4f (paper reference: 0.63), "

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -15,9 +17,11 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/hashing.hpp"
 #include "common/value.hpp"
 #include "dataset/generator.hpp"
 #include "search/metrics.hpp"
+#include "simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace laminar::bench {
@@ -96,10 +100,60 @@ inline void PrintHistogramSummary(
   std::printf("\n");
 }
 
-/// Where a report was recorded: hardware threads, CPU model and the build
-/// type this bench was compiled with (LAMINAR_BUILD_TYPE, set by
-/// bench/CMakeLists.txt), so files from different hosts are not mistaken
-/// for one trajectory.
+/// The sources a report was built from: the git commit when
+/// LAMINAR_SOURCE_DIR (set by bench/CMakeLists.txt) is a checkout, with
+/// "-dirty" when tracked files differ from it, else an FNV-1a digest of the
+/// .cpp, .hpp and .txt files under src, bench and examples — perfbench's
+/// rule (perfbench/run.py), with its own hash.
+inline std::string SourceId() {
+  namespace fs = std::filesystem;
+  const fs::path root = LAMINAR_SOURCE_DIR;
+  std::error_code ec;
+  if (fs::exists(root / ".git", ec)) {
+    const std::string git = "git -C '" + root.string() + "' ";
+    const std::string cmd = git + "rev-parse HEAD 2>/dev/null && { " + git +
+                            "diff --quiet HEAD -- 2>/dev/null || echo dirty; }";
+    if (FILE* pipe = popen(cmd.c_str(), "r")) {
+      char line[64] = {};
+      std::string commit;
+      if (std::fgets(line, sizeof line, pipe) != nullptr) commit = line;
+      const bool dirty = std::fgets(line, sizeof line, pipe) != nullptr;
+      const bool ok = pclose(pipe) == 0;
+      while (!commit.empty() && commit.back() == '\n') commit.pop_back();
+      if (ok && !commit.empty()) return dirty ? commit + "-dirty" : commit;
+    }
+  }
+  std::vector<fs::path> files;
+  for (const char* top : {"src", "bench", "examples"}) {
+    for (fs::recursive_directory_iterator it(root / top, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      const std::string ext = it->path().extension().string();
+      if (it->is_regular_file() &&
+          (ext == ".cpp" || ext == ".hpp" || ext == ".txt")) {
+        files.push_back(it->path());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const fs::path& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    digest = hashing::Fnv1a64(fs::relative(file, root).string(), digest);
+    digest = hashing::Fnv1a64(bytes, digest);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return std::string("src-fnv1a64:") + hex;
+}
+
+/// Where a report was recorded: hardware threads, CPU model, the SIMD tier
+/// the kernels dispatch to, the build type and sanitizer this bench was
+/// compiled with (LAMINAR_BUILD_TYPE, set by bench/CMakeLists.txt) and the
+/// sources (SourceId), as perfbench stamps its runs, so files from different
+/// hosts or builds are not mistaken for one trajectory.
 inline Value HostStamp() {
   std::string cpu = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -109,10 +163,20 @@ inline Value HostStamp() {
       break;
     }
   }
+#if defined(__SANITIZE_ADDRESS__)
+  const char* sanitizer = "address";
+#elif defined(__SANITIZE_THREAD__)
+  const char* sanitizer = "thread";
+#else
+  const char* sanitizer = "none";
+#endif
   Value host = Value::MakeObject();
   host["nproc"] = static_cast<int64_t>(std::thread::hardware_concurrency());
   host["cpu"] = cpu;
+  host["simd"] = std::string(simd::TierName(simd::ActiveTier()));
   host["build_type"] = std::string(LAMINAR_BUILD_TYPE);
+  host["sanitizer"] = std::string(sanitizer);
+  host["commit"] = SourceId();
   return host;
 }
 
@@ -121,7 +185,8 @@ inline Value HostStamp() {
 /// so successive runs form a perf trajectory that scripts can diff. The
 /// shape is deliberately simple:
 ///   { "bench": ..., "wall_ms": ...,        // whole-binary wall time
-///     "host": { nproc, cpu, build_type },  // see HostStamp
+///     "host": { nproc, cpu, simd, build_type, sanitizer, commit },
+///                                          // see HostStamp
 ///     "metrics": { flat scalars/strings }, // headline numbers
 ///     "rows": [ {...}, ... ],              // one object per table row
 ///     "histograms": { series -> {n, mean_ms, p50_ms, p95_ms, p99_ms} } }

@@ -64,7 +64,7 @@ void BM_UnixcoderEncode(benchmark::State& state) {
       "a processing element that detects anomalies in streaming sensor "
       "temperature readings using a rolling z score window";
   for (auto _ : state) {
-    auto v = model.EncodeText(text);
+    auto v = model.Encode(text);
     benchmark::DoNotOptimize(v);
   }
 }
@@ -74,7 +74,7 @@ void BM_ReaccEncode(benchmark::State& state) {
   embed::ReaccSim model;
   const std::string& code = SamplePeCode();
   for (auto _ : state) {
-    auto v = model.EncodeCode(code);
+    auto v = model.Encode(code);
     benchmark::DoNotOptimize(v);
   }
 }

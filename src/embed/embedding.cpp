@@ -3,11 +3,15 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
-#include <cstdint>
 
 #include "common/json.hpp"
 
 namespace laminar::embed {
+namespace {
+
+bool NonZeroBits(float x) { return std::bit_cast<uint32_t>(x) != 0; }
+
+}  // namespace
 
 float Norm(std::span<const float> a) {
   float sum = 0.0f;
@@ -15,10 +19,25 @@ float Norm(std::span<const float> a) {
   return std::sqrt(sum);
 }
 
-void L2Normalize(Vector& v) {
-  float n = Norm(v);
+float Norm(const SparseVector& v) {
+  float sum = 0.0f;
+  for (const SparseVector::Entry& e : v.entries) sum += e.value * e.value;
+  return std::sqrt(sum);
+}
+
+void L2Normalize(SparseVector& v) {
+  const float n = Norm(v);
   if (n <= 0.0f) return;
-  for (float& x : v) x /= n;
+  for (SparseVector::Entry& e : v.entries) e.value /= n;
+  std::erase_if(v.entries, [](const SparseVector::Entry& e) {
+    return !NonZeroBits(e.value);
+  });
+}
+
+Vector ToDense(const SparseVector& v) {
+  Vector out(v.dims, 0.0f);
+  for (const SparseVector::Entry& e : v.entries) out[e.index] = e.value;
+  return out;
 }
 
 float Cosine(std::span<const float> a, std::span<const float> b) {
@@ -29,26 +48,25 @@ float Cosine(std::span<const float> a, std::span<const float> b) {
   return simd::Dot(a.data(), b.data(), a.size()) / (na * nb);
 }
 
-std::string ToJson(const Vector& v) {
+std::string ToJson(const SparseVector& v) {
   // Written straight into one string, without a Value tree.
-  size_t nonzero = 0;
-  for (float x : v) nonzero += std::bit_cast<uint32_t>(x) != 0;
   std::string out;
-  out.reserve(24 + nonzero * 24);
+  out.reserve(24 + v.entries.size() * 24);
   char digits[24];
   out += "{\"dims\":";
   out.append(digits,
-             std::to_chars(digits, digits + sizeof digits, v.size()).ptr);
+             std::to_chars(digits, digits + sizeof digits, v.dims).ptr);
   out += ",\"nz\":[";
   bool first = true;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (std::bit_cast<uint32_t>(v[i]) == 0) continue;
+  for (const SparseVector::Entry& e : v.entries) {
+    if (!NonZeroBits(e.value)) continue;
     if (!first) out += ',';
     first = false;
     out += '[';
-    out.append(digits, std::to_chars(digits, digits + sizeof digits, i).ptr);
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof digits, e.index).ptr);
     out += ',';
-    NumberInto(out, static_cast<double>(v[i]));
+    NumberInto(out, static_cast<double>(e.value));
     out += ']';
   }
   out += "]}";
@@ -57,30 +75,36 @@ std::string ToJson(const Vector& v) {
 
 namespace {
 
-/// The largest `dims` a sparse row may declare: 256x the encoders' 4,096, and
-/// small enough (4 MB) that a hostile row cannot exhaust memory.
+/// The largest `dims` a sparse row may declare: 256x the encoders' 4,096.
+/// Decoding never allocates it, but the bound keeps indices in uint32_t and
+/// a hostile row from posing as a vector no encoder makes.
 constexpr int64_t kMaxSparseDims = int64_t{1} << 20;
 
-Vector FromDense(const Value::Array& values) {
-  Vector out;
-  out.reserve(values.size());
-  for (const Value& x : values) {
-    if (!x.is_number()) return {};
-    out.push_back(static_cast<float>(x.as_double()));
+/// The legacy dense array. Its length is bounded by the text, so the index
+/// of a parsed element fits uint32_t (2^32 elements would not fit memory).
+SparseVector FromDense(const Value::Array& values) {
+  SparseVector out;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!values[i].is_number()) return {};
+    const float x = static_cast<float>(values[i].as_double());
+    if (NonZeroBits(x)) {
+      out.entries.push_back({static_cast<uint32_t>(i), x});
+    }
   }
+  out.dims = values.size();
   return out;
 }
 
-Vector FromSparse(const Value::Object& object) {
+SparseVector FromSparse(const Value::Object& object) {
   const Value* dims = object.Find("dims");
   const Value* nz = object.Find("nz");
   if (object.size() != 2 || dims == nullptr || nz == nullptr) return {};
-  // Bound dims before allocating anything.
   if (!dims->is_int() || dims->as_int() < 0 ||
       dims->as_int() > kMaxSparseDims || !nz->is_array()) {
     return {};
   }
-  Vector out(static_cast<size_t>(dims->as_int()), 0.0f);
+  SparseVector out;
+  out.entries.reserve(nz->size());
   int64_t previous = -1;
   for (const Value& pair : nz->as_array()) {
     if (!pair.is_array() || pair.size() != 2) return {};
@@ -92,14 +116,19 @@ Vector FromSparse(const Value::Object& object) {
       return {};
     }
     previous = index.as_int();
-    out[static_cast<size_t>(previous)] = static_cast<float>(weight.as_double());
+    const float x = static_cast<float>(weight.as_double());
+    // A listed +0.0 is the dense zero it stands for: no entry.
+    if (NonZeroBits(x)) {
+      out.entries.push_back({static_cast<uint32_t>(previous), x});
+    }
   }
+  out.dims = static_cast<size_t>(dims->as_int());
   return out;
 }
 
 }  // namespace
 
-Vector FromJson(std::string_view json_text) {
+SparseVector FromJson(std::string_view json_text) {
   Result<Value> parsed = json::Parse(json_text);
   if (!parsed.ok()) return {};
   if (parsed->is_object()) return FromSparse(parsed->as_object());

@@ -37,7 +37,7 @@ std::vector<std::string> CodeTokens(std::string_view code) {
 
 ReaccSim::ReaccSim(ReaccConfig config) : config_(config) {}
 
-Vector ReaccSim::EncodeCode(std::string_view code) const {
+SparseVector ReaccSim::Encode(std::string_view code) const {
   HashedEncoder enc(config_.dims, kCodeSpaceSeed);
   std::vector<std::string> tokens = CodeTokens(code);
   for (const std::string& t : tokens) {

@@ -29,7 +29,12 @@ class ReaccSim {
 
   /// Embeds a code snippet. Tokenizes with the Python lexer when possible,
   /// falling back to whitespace tokens for unlexable fragments.
-  Vector EncodeCode(std::string_view code) const;
+  SparseVector Encode(std::string_view code) const;
+  /// Encode as a dense vector of dims() floats, for the dense SIMD kernels
+  /// (perfbench's scan timing) and tests.
+  Vector EncodeCode(std::string_view code) const {
+    return ToDense(Encode(code));
+  }
 
   size_t dims() const { return config_.dims; }
 

@@ -46,7 +46,7 @@ std::string StemLite(const std::string& w) {
 
 UnixcoderSim::UnixcoderSim(UnixcoderConfig config) : config_(config) {}
 
-Vector UnixcoderSim::EncodeText(std::string_view text) const {
+SparseVector UnixcoderSim::Encode(std::string_view text) const {
   HashedEncoder enc(config_.dims, kTextSpaceSeed);
   std::vector<std::string> words = strings::WordTokens(text);
   for (size_t i = 0; i < words.size(); ++i) {

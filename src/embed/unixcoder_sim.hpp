@@ -30,7 +30,12 @@ class UnixcoderSim {
 
   /// Embeds free text (a query or a PE/workflow description). Deterministic;
   /// L2-normalized.
-  Vector EncodeText(std::string_view text) const;
+  SparseVector Encode(std::string_view text) const;
+  /// Encode as a dense vector of dims() floats, for the dense SIMD kernels
+  /// (perfbench's scan timing) and tests.
+  Vector EncodeText(std::string_view text) const {
+    return ToDense(Encode(text));
+  }
 
   size_t dims() const { return config_.dims; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "embed/embedding.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace laminar::search {
@@ -18,10 +17,9 @@ inline bool Better(const Hit& a, const Hit& b) {
 }
 
 /// Per-thread query scratch, shared by every index the thread queries:
-/// the normalized query, the slot-indexed score array with its `seen`
-/// flags, and the list of slots the current call touched.
+/// the slot-indexed score array with its `seen` flags, and the list of
+/// slots the current call touched.
 struct Scratch {
-  std::vector<float> query;
   std::vector<double> score;
   std::vector<uint8_t> seen;
   std::vector<uint32_t> touched;
@@ -61,17 +59,14 @@ PostingsIndex::PostingsIndex(size_t dims, const std::string& label)
   }
 }
 
-std::span<const float> PostingsIndex::Normalized(
-    std::span<const float> embedding, std::vector<float>& out) const {
-  if (embedding.size() != dims_) return {};
+float PostingsIndex::Divisor(const embed::SparseVector& embedding) const {
+  if (embedding.dims != dims_) return 0.0f;
   const float norm = embed::Norm(embedding);
-  if (!(norm > 0.0f) || !std::isfinite(norm)) return {};
-  out.resize(dims_);
-  for (size_t i = 0; i < dims_; ++i) out[i] = embedding[i] / norm;
-  return out;
+  return norm > 0.0f && std::isfinite(norm) ? norm : 0.0f;
 }
 
-void PostingsIndex::Upsert(int64_t id, std::span<const float> embedding) {
+void PostingsIndex::Upsert(int64_t id,
+                           const embed::SparseVector& embedding) {
   Remove(id);
   uint32_t slot = 0;
   if (free_slots_.empty()) {
@@ -83,12 +78,15 @@ void PostingsIndex::Upsert(int64_t id, std::span<const float> embedding) {
     slot_ids_[slot] = id;
   }
   Row row{slot, {}};
-  std::vector<float> normalized;
-  const std::span<const float> w = Normalized(embedding, normalized);
-  for (size_t d = 0; d < w.size(); ++d) {
-    if (w[d] == 0.0f) continue;  // adds nothing to any dot product
-    postings_[static_cast<uint32_t>(d)].push_back(Posting{slot, w[d]});
-    row.dims.push_back(static_cast<uint32_t>(d));
+  const float norm = Divisor(embedding);
+  if (norm > 0.0f) {
+    row.dims.reserve(embedding.entries.size());
+    for (const embed::SparseVector::Entry& e : embedding.entries) {
+      const float w = e.value / norm;
+      if (w == 0.0f) continue;  // adds nothing to any dot product
+      postings_[e.index].push_back(Posting{slot, w});
+      row.dims.push_back(e.index);
+    }
   }
   posting_count_ += row.dims.size();
   rows_.emplace(id, std::move(row));
@@ -144,7 +142,7 @@ PostingsIndexStats PostingsIndex::stats() const {
   return out;
 }
 
-std::vector<Hit> PostingsIndex::TopK(std::span<const float> query,
+std::vector<Hit> PostingsIndex::TopK(const embed::SparseVector& query,
                                      size_t k) const {
   if (k == 0 || rows_.empty()) return {};
   Scratch& s = ThreadScratch();
@@ -156,12 +154,13 @@ std::vector<Hit> PostingsIndex::TopK(std::span<const float> query,
 
   // Ascending dimensions: each slot's terms are added in dimension order,
   // whatever the posting order within a list.
-  const std::span<const float> q = Normalized(query, s.query);
+  const float norm = Divisor(query);
   uint64_t read = 0;
-  for (size_t d = 0; d < q.size(); ++d) {
-    const double qd = q[d];
+  for (const embed::SparseVector::Entry& e : query.entries) {
+    if (norm == 0.0f) break;  // matches no row
+    const double qd = e.value / norm;
     if (qd == 0.0) continue;
-    auto pit = postings_.find(static_cast<uint32_t>(d));
+    auto pit = postings_.find(e.index);
     if (pit == postings_.end()) continue;
     read += pit->second.size();
     for (const Posting& p : pit->second) {

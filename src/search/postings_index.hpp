@@ -12,12 +12,15 @@
 //   * each dimension some row is non-zero in maps to one posting vector of
 //     (slot, weight), where the weight is the row's L2-normalized value in
 //     that dimension;
-//   * rows and queries are L2-normalized: each entry is divided, in float,
-//     by the vector's float embed::Norm. A zero, non-finite or wrong-size
-//     vector is not normalized: as a row it gets no postings, as a query it
-//     matches no row (see the ranking contract below).
+//   * rows and queries arrive as embed::SparseVectors and are
+//     L2-normalized: each entry is divided, in float, by the vector's float
+//     embed::Norm, and a quotient of 0 is dropped. A zero, non-finite or
+//     wrong-size vector is not normalized: as a row it gets no postings, as
+//     a query it matches no row (see the ranking contract below). The norm
+//     sums the entries in index order, so rows and queries read exactly what
+//     dividing the dense vector would give.
 //
-// TopK walks the query's non-zero dimensions in ascending order. Each
+// TopK walks the query's entries in ascending dimension order. Each
 // posting adds q[d] * w, in double, into a score array indexed by slot and
 // records the slots it touches. The array is thread_local, so concurrent
 // calls never share it, and each call resets it through its touched list
@@ -43,10 +46,11 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "embed/embedding.hpp"
 
 namespace laminar::telemetry {
 class Counter;
@@ -75,7 +79,7 @@ class PostingsIndex {
   explicit PostingsIndex(size_t dims, const std::string& label = "");
 
   /// Inserts or replaces the row for `id` (normalized copy, see above).
-  void Upsert(int64_t id, std::span<const float> embedding);
+  void Upsert(int64_t id, const embed::SparseVector& embedding);
   /// Returns false when the id was never inserted.
   bool Remove(int64_t id);
   void Clear();
@@ -87,7 +91,7 @@ class PostingsIndex {
   /// Top `k` rows by cosine similarity against `query` (raw encoder output;
   /// normalized here), sorted by score descending, ties by ascending id.
   /// k > size() returns every row.
-  std::vector<Hit> TopK(std::span<const float> query, size_t k) const;
+  std::vector<Hit> TopK(const embed::SparseVector& query, size_t k) const;
 
  private:
   struct Posting {
@@ -99,10 +103,9 @@ class PostingsIndex {
     std::vector<uint32_t> dims;  ///< dimensions holding one of its postings
   };
 
-  /// `embedding` / its L2 norm, or empty for a zero, non-finite or
-  /// wrong-size vector; zero quotients are dropped by the callers.
-  std::span<const float> Normalized(std::span<const float> embedding,
-                                    std::vector<float>& out) const;
+  /// The L2 norm every entry of `embedding` is divided by, or 0 for a
+  /// zero, non-finite or wrong-size vector, which gets no postings.
+  float Divisor(const embed::SparseVector& embedding) const;
 
   size_t dims_;
   /// id -> slot and posted dimensions, in ascending id order: the

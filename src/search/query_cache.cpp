@@ -27,9 +27,9 @@ QueryEmbeddingCache::QueryEmbeddingCache(size_t capacity)
   MissCounter();
 }
 
-embed::Vector QueryEmbeddingCache::GetOrCompute(
+embed::SparseVector QueryEmbeddingCache::GetOrCompute(
     std::string_view model, std::string_view text,
-    const std::function<embed::Vector()>& encode) {
+    const std::function<embed::SparseVector()>& encode) {
   std::string key;
   key.reserve(model.size() + 1 + text.size());
   key.append(model);
@@ -55,7 +55,7 @@ embed::Vector QueryEmbeddingCache::GetOrCompute(
   MissCounter().Inc();
 
   // Encode outside the lock: misses must not serialize behind each other.
-  embed::Vector embedding = encode();
+  embed::SparseVector embedding = encode();
   if (capacity_ == 0) return embedding;
 
   std::scoped_lock lock(mu_);

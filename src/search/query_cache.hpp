@@ -2,6 +2,7 @@
 // Interactive search traffic repeats queries heavily (SlsReuse, PAPERS.md:
 // retrieval latency dominates reuse UX), and the encoders are the most
 // expensive step of a cached-index query — a hit skips the encode entirely.
+// Entries are the encoders' sparse vectors, ~0.5 KB each.
 //
 // Thread-safe: GetOrCompute may be called concurrently from the server's
 // shared-lock read path, so the cache takes its own internal mutex (held
@@ -29,8 +30,9 @@ class QueryEmbeddingCache {
   /// stores the result and returns it. Concurrent misses for the same key
   /// may both encode (the encoders are deterministic, so either result is
   /// valid); the last store wins.
-  embed::Vector GetOrCompute(std::string_view model, std::string_view text,
-                             const std::function<embed::Vector()>& encode);
+  embed::SparseVector GetOrCompute(
+      std::string_view model, std::string_view text,
+      const std::function<embed::SparseVector()>& encode);
 
   struct Stats {
     uint64_t hits = 0;
@@ -45,7 +47,7 @@ class QueryEmbeddingCache {
  private:
   struct Entry {
     std::string key;
-    embed::Vector embedding;
+    embed::SparseVector embedding;
   };
 
   size_t capacity_;

@@ -43,14 +43,14 @@ SearchService::SearchService(registry::Repository& repo)
       workflow_code_index_(reacc_.dims(), "workflowCode"),
       query_cache_(kQueryCacheCapacity) {}
 
-embed::Vector SearchService::TextEmbeddingFor(
+embed::SparseVector SearchService::TextEmbeddingFor(
     const std::string& stored_json, const std::string& description) const {
   if (!stored_json.empty()) {
-    embed::Vector stored = embed::FromJson(stored_json);
-    if (!stored.empty()) return stored;
+    embed::SparseVector stored = embed::FromJson(stored_json);
+    if (stored.dims != 0) return stored;
   }
   EncodeCounter("unixcoder").Inc();
-  return unixcoder_.EncodeText(description);
+  return unixcoder_.Encode(description);
 }
 
 SearchService::PreparedPe SearchService::PreparePe(
@@ -63,7 +63,7 @@ SearchService::PreparedPe SearchService::PreparePe(
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
   EncodeCounter("reacc").Inc();
-  prepared.code_embedding = reacc_.EncodeCode(prepared.code);
+  prepared.code_embedding = reacc_.Encode(prepared.code);
   // Snippets with no extractable features (e.g. an empty stub) are simply
   // not indexed for recommendation rather than failing the registration.
   Result<spt::FeatureBag> bag = aroma_.Featurize(prepared.code);
@@ -83,7 +83,7 @@ SearchService::PreparedWorkflow SearchService::PrepareWorkflow(
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
   EncodeCounter("reacc").Inc();
-  prepared.code_embedding = reacc_.EncodeCode(code);
+  prepared.code_embedding = reacc_.Encode(code);
   return prepared;
 }
 
@@ -107,15 +107,15 @@ void SearchService::CommitWorkflow(int64_t workflow_id,
 }
 
 void SearchService::UpdatePeDescription(int64_t pe_id, std::string description,
-                                        embed::Vector text_embedding) {
+                                        embed::SparseVector text_embedding) {
   pe_text_index_.Upsert(pe_id, text_embedding);
   auto it = pe_docs_.find(pe_id);
   if (it != pe_docs_.end()) it->second.description = std::move(description);
 }
 
-void SearchService::UpdateWorkflowDescription(int64_t workflow_id,
-                                              std::string description,
-                                              embed::Vector text_embedding) {
+void SearchService::UpdateWorkflowDescription(
+    int64_t workflow_id, std::string description,
+    embed::SparseVector text_embedding) {
   workflow_text_index_.Upsert(workflow_id, text_embedding);
   auto it = workflow_docs_.find(workflow_id);
   if (it != workflow_docs_.end()) it->second.description = std::move(description);
@@ -241,7 +241,7 @@ std::vector<SearchHit> SearchService::LiteralSearch(const std::string& term,
 }
 
 std::vector<SearchHit> SearchService::RankTopK(
-    const embed::Vector& query, const PostingsIndex& index,
+    const embed::SparseVector& query, const PostingsIndex& index,
     const std::unordered_map<int64_t, Doc>& docs, size_t limit) const {
   std::vector<SearchHit> hits;
   hits.reserve(std::min(limit, index.size()));
@@ -266,10 +266,11 @@ std::vector<SearchHit> SearchService::SemanticSearch(const std::string& query,
   qm.queries.Inc();
   telemetry::ScopedSpan span("search.semantic", &qm.latency_ms);
   if (limit == 0) limit = kDefaultLimit;
-  embed::Vector q = query_cache_.GetOrCompute("unixcoder", query, [&] {
-    EncodeCounter("unixcoder").Inc();
-    return unixcoder_.EncodeText(query);
-  });
+  const embed::SparseVector q =
+      query_cache_.GetOrCompute("unixcoder", query, [&] {
+        EncodeCounter("unixcoder").Inc();
+        return unixcoder_.Encode(query);
+      });
   return target == SearchTarget::kPe
              ? RankTopK(q, pe_text_index_, pe_docs_, limit)
              : RankTopK(q, workflow_text_index_, workflow_docs_, limit);
@@ -282,9 +283,9 @@ std::vector<SearchHit> SearchService::CodeSearchLlm(const std::string& code,
   qm.queries.Inc();
   telemetry::ScopedSpan span("search.llm", &qm.latency_ms);
   if (limit == 0) limit = kDefaultLimit;
-  embed::Vector q = query_cache_.GetOrCompute("reacc", code, [&] {
+  const embed::SparseVector q = query_cache_.GetOrCompute("reacc", code, [&] {
     EncodeCounter("reacc").Inc();
-    return reacc_.EncodeCode(code);
+    return reacc_.Encode(code);
   });
   return target == SearchTarget::kPe
              ? RankTopK(q, pe_code_index_, pe_docs_, limit)

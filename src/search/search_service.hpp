@@ -80,16 +80,16 @@ class SearchService {
     std::string name;
     std::string description;
     std::string code;
-    embed::Vector text_embedding;
-    embed::Vector code_embedding;
+    embed::SparseVector text_embedding;
+    embed::SparseVector code_embedding;
     bool has_features = false;  ///< false: snippet yielded no SPT features
     spt::FlatFeatures features;
   };
   struct PreparedWorkflow {
     std::string name;
     std::string description;
-    embed::Vector text_embedding;
-    embed::Vector code_embedding;
+    embed::SparseVector text_embedding;
+    embed::SparseVector code_embedding;
   };
   PreparedPe PreparePe(std::string name, std::string description,
                        const std::string& stored_embedding_json,
@@ -105,9 +105,9 @@ class SearchService {
   /// embedding (encoded off-lock by the caller) without touching the code
   /// or SPT indexes — they depend only on the unchanged code.
   void UpdatePeDescription(int64_t pe_id, std::string description,
-                           embed::Vector text_embedding);
+                           embed::SparseVector text_embedding);
   void UpdateWorkflowDescription(int64_t workflow_id, std::string description,
-                                 embed::Vector text_embedding);
+                                 embed::SparseVector text_embedding);
 
   /// Index maintenance — the server calls these on registration/removal.
   /// AddPe/AddWorkflow read the record back from the repository.
@@ -174,12 +174,12 @@ class SearchService {
   /// ids with their metadata. Ranking order matches the legacy full-sort
   /// path: score descending, ties by ascending id.
   std::vector<SearchHit> RankTopK(
-      const embed::Vector& query, const PostingsIndex& index,
+      const embed::SparseVector& query, const PostingsIndex& index,
       const std::unordered_map<int64_t, Doc>& docs, size_t limit) const;
   /// Shared AddPe/AddWorkflow embedding step: prefers the stored embedding,
   /// encodes the description at most once otherwise (counted per model).
-  embed::Vector TextEmbeddingFor(const std::string& stored_json,
-                                 const std::string& description) const;
+  embed::SparseVector TextEmbeddingFor(const std::string& stored_json,
+                                       const std::string& description) const;
 
   registry::Repository* repo_;
   embed::UnixcoderSim unixcoder_;

@@ -1188,13 +1188,13 @@ Result<LaminarServer::Response> LaminarServer::UpdateDescription(
     Call& c, search::SearchTarget target) {
   const int64_t id = c.body.GetInt("id");
   std::string description = c.body.GetString("description");
-  embed::Vector embedding;
+  embed::SparseVector embedding;
   Value fields = Value::MakeObject();
   // The code and SPT indexes depend only on the unchanged code, so the
   // commit is a row update plus one text upsert — no removal/re-add.
   return Ingest(
       [&] {
-        embedding = search_.text_encoder().EncodeText(description);
+        embedding = search_.text_encoder().Encode(description);
         fields["description"] = description;
         fields["descriptionEmbedding"] = embed::ToJson(embedding);
         return Status::Ok();

@@ -73,6 +73,22 @@ __attribute__((target("avx2,fma"))) void DotBatchAvx2(const float* query,
   }
 }
 
+/// _mm512_reduce_add_ps's additions, in its order: the upper eight lanes
+/// plus the lower, then the upper four of those plus the lower, then lanes
+/// {0, 1} plus {2, 3}, then lane 0 plus lane 1. Written out because GCC 12's
+/// version extracts the upper half through an uninitialized register, which
+/// -Wall reports; the halves are read back from memory instead.
+__attribute__((target("avx512f"))) inline float ReduceAdd(__m512 v) {
+  alignas(64) float lanes[16];
+  _mm512_store_ps(lanes, v);
+  const __m256 s8 = _mm256_add_ps(_mm256_load_ps(lanes + 8),
+                                  _mm256_load_ps(lanes));
+  const __m128 s4 = _mm_add_ps(_mm256_extractf128_ps(s8, 1),
+                               _mm256_castps256_ps128(s8));
+  const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+  return _mm_cvtss_f32(s2) + _mm_cvtss_f32(_mm_shuffle_ps(s2, s2, 1));
+}
+
 __attribute__((target("avx512f"))) inline float DotAvx512Row(const float* a,
                                                              const float* b,
                                                              size_t n) {
@@ -89,7 +105,7 @@ __attribute__((target("avx512f"))) inline float DotAvx512Row(const float* a,
     acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
                            acc0);
   }
-  float sum = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+  float sum = ReduceAdd(_mm512_add_ps(acc0, acc1));
   for (; i < n; ++i) sum += a[i] * b[i];
   return sum;
 }

@@ -37,26 +37,36 @@ SptIndex::SptIndex()
     : postings_read_(&telemetry::MetricsRegistry::Global().GetCounter(
           "laminar_search_postings_read_total", "index=\"spt\"")) {}
 
-void SptIndex::Redecide(PostingList& list) {
+void SptIndex::Redecide(uint64_t hash, PostingList& list) {
   const uint64_t slots = slot_ids_.size();
-  const uint64_t live = list.live;
+  const uint64_t live = list.live();
   if (list.dense()) {
-    if (list.wide == 0 && live * kDemote >= slots) return;
-    list.sparse.reserve(list.live);
-    for (size_t slot = 0; slot < list.column.size(); ++slot) {
-      if (list.column[slot] != 0) {
-        list.sparse.push_back(
-            Posting{static_cast<uint32_t>(slot), list.column[slot]});
-      }
-    }
-    std::vector<uint8_t>().swap(list.column);
-  } else if (list.wide == 0 && live * kPromote >= slots) {
-    list.column.assign(slots, 0);
-    for (const Posting& p : list.sparse) {
-      list.column[p.slot] = static_cast<uint8_t>(p.count);
-    }
-    std::vector<Posting>().swap(list.sparse);
+    if (live * kDemote < slots) Demote(list);
+  } else if (live * kPromote >= slots && !wide_.contains(hash)) {
+    Promote(list);
   }
+}
+
+void SptIndex::Promote(PostingList& list) {
+  auto column = std::make_unique<Column>();
+  column->counts.assign(slot_ids_.size(), 0);
+  for (const Posting& p : list.sparse) {
+    column->counts[p.slot] = static_cast<uint8_t>(p.count);
+  }
+  column->live = static_cast<uint32_t>(list.sparse.size());
+  list.column = std::move(column);
+  std::vector<Posting>().swap(list.sparse);
+}
+
+void SptIndex::Demote(PostingList& list) {
+  const std::vector<uint8_t>& counts = list.column->counts;
+  list.sparse.reserve(list.column->live);
+  for (size_t slot = 0; slot < counts.size(); ++slot) {
+    if (counts[slot] != 0) {
+      list.sparse.push_back(Posting{static_cast<uint32_t>(slot), counts[slot]});
+    }
+  }
+  list.column.reset();
 }
 
 void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
@@ -68,7 +78,7 @@ void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
     slot_norms_.push_back(doc.norm);
     // Columns promoted while N was smaller may now sit below 1/16 of it.
     if (IsPowerOfTwo(slot_ids_.size())) {
-      for (auto& [hash, list] : postings_) Redecide(list);
+      for (auto& [hash, list] : postings_) Redecide(hash, list);
     }
   } else {
     slot = free_slots_.back();
@@ -82,17 +92,19 @@ void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
     if (f.count == 0) continue;
     PostingList& list = postings_[f.hash];
     if (f.count > kColumnMax) {
-      ++list.wide;
-      Redecide(list);  // a column cannot hold this count: back to pairs
+      ++wide_[f.hash];
+      // A column cannot hold this count: back to pairs.
+      if (list.dense()) Demote(list);
     }
-    ++list.live;
     if (list.dense()) {
-      if (slot >= list.column.size()) list.column.resize(size_t{slot} + 1);
-      list.column[slot] = static_cast<uint8_t>(f.count);
+      std::vector<uint8_t>& counts = list.column->counts;
+      if (slot >= counts.size()) counts.resize(size_t{slot} + 1);
+      counts[slot] = static_cast<uint8_t>(f.count);
+      ++list.column->live;
     } else {
       list.sparse.push_back(Posting{slot, f.count});
     }
-    Redecide(list);
+    Redecide(f.hash, list);
   }
   docs_.emplace(doc_id, Doc{slot, std::move(doc)});
 }
@@ -109,20 +121,24 @@ bool SptIndex::Remove(int64_t doc_id) {
     if (list.dense()) {
       // Covered: the column was made N long with the document already in
       // it, or grew to its slot when the document joined.
-      list.column[slot] = 0;
+      list.column->counts[slot] = 0;
+      --list.column->live;
     } else {
       auto pos = std::find_if(
           list.sparse.begin(), list.sparse.end(),
           [slot](const Posting& p) { return p.slot == slot; });
       if (pos == list.sparse.end()) continue;
-      if (pos->count > kColumnMax) --list.wide;
+      if (pos->count > kColumnMax) {
+        auto wide = wide_.find(f.hash);
+        if (--wide->second == 0) wide_.erase(wide);
+      }
       *pos = list.sparse.back();  // pairs are unordered: swap-remove
       list.sparse.pop_back();
     }
-    if (--list.live == 0) {
+    if (list.live() == 0) {
       postings_.erase(pit);
     } else {
-      Redecide(list);
+      Redecide(f.hash, list);
     }
   }
   free_slots_.push_back(slot);
@@ -136,6 +152,7 @@ void SptIndex::Clear() {
   slot_norms_.clear();
   free_slots_.clear();
   postings_.clear();
+  wide_.clear();
 }
 
 const FlatFeatures* SptIndex::Get(int64_t doc_id) const {
@@ -146,10 +163,14 @@ const FlatFeatures* SptIndex::Get(int64_t doc_id) const {
 SptIndex::PostingStats SptIndex::Stats() const {
   PostingStats stats;
   stats.lists = postings_.size();
+  stats.header_bytes = postings_.size() * sizeof(PostingList);
   for (const auto& [hash, list] : postings_) {
-    if (list.dense()) ++stats.columns;
     stats.sparse_bytes += list.sparse.capacity() * sizeof(Posting);
-    stats.column_bytes += list.column.capacity();
+    if (list.dense()) {
+      ++stats.columns;
+      stats.column_bytes += list.column->counts.capacity();
+      stats.header_bytes += sizeof(Column);
+    }
   }
   return stats;
 }
@@ -177,12 +198,13 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
     auto pit = postings_.find(f.hash);
     if (pit == postings_.end()) continue;
     const PostingList& list = pit->second;
-    read += list.live;
+    read += list.live();
     if (metric == Metric::kCosine) {
       const double q = f.count;
       if (list.dense()) {
-        for (size_t slot = 0; slot < list.column.size(); ++slot) {
-          if (list.column[slot] != 0) s.dots[slot] += q * list.column[slot];
+        const std::vector<uint8_t>& counts = list.column->counts;
+        for (size_t slot = 0; slot < counts.size(); ++slot) {
+          if (counts[slot] != 0) s.dots[slot] += q * counts[slot];
         }
         continue;
       }
@@ -191,7 +213,8 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
       }
     } else if (list.dense()) {
       // Column counts are at most 255, so min(q, d) = min(min(q, 255), d).
-      simd::AddMinU8(s.counts.data(), list.column.data(), list.column.size(),
+      simd::AddMinU8(s.counts.data(), list.column->counts.data(),
+                     list.column->counts.size(),
                      static_cast<uint8_t>(std::min(f.count, kColumnMax)));
     } else {
       for (const Posting& p : list.sparse) {

@@ -20,7 +20,9 @@
 // of two (lists promoted while the corpus was small do not stay dense). A
 // list holding a count above 255 stays pairs. A column covers the slots
 // below its length; the slots past it, and free slots, count zero, so
-// Remove zeroes one byte instead of searching the list.
+// Remove zeroes one byte instead of searching the list. The column is
+// allocated on promotion, which ~1.4% of lists ever reach, so every other
+// list costs a 32-byte header: its pairs and a null column pointer.
 //
 // TopK walks the query's features once. Every metric decomposes by feature,
 // so each posting adds its term — min(q, d) for overlap and containment,
@@ -41,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -76,6 +79,7 @@ class SptIndex {
     size_t columns = 0;
     size_t sparse_bytes = 0;  ///< (slot, count) pairs, 8 bytes each
     size_t column_bytes = 0;  ///< one byte per slot a column covers
+    size_t header_bytes = 0;  ///< each list's header and column object
   };
 
   /// Adds (or replaces) a document. Its features must be distinct, as
@@ -105,19 +109,27 @@ class SptIndex {
     uint32_t slot = 0;
     uint32_t count = 0;
   };
+  /// A promoted list's postings: one count per slot below its length.
+  struct Column {
+    std::vector<uint8_t> counts;
+    uint32_t live = 0;  ///< non-zero counts
+  };
   /// One feature's postings: `sparse` pairs in no particular order, or,
-  /// once `column` is non-empty, one count per slot below its length.
+  /// once promoted, a column.
   struct PostingList {
     std::vector<Posting> sparse;
-    std::vector<uint8_t> column;
-    uint32_t live = 0;  ///< documents holding the feature
-    uint32_t wide = 0;  ///< pairs whose count does not fit a byte
+    std::unique_ptr<Column> column;
 
-    bool dense() const { return !column.empty(); }
+    bool dense() const { return column != nullptr; }
+    /// Documents holding the feature.
+    size_t live() const { return dense() ? column->live : sparse.size(); }
   };
+  static_assert(sizeof(PostingList) <= 32, "a pair list's header");
 
-  /// Applies the density rule to `list` (see the file comment).
-  void Redecide(PostingList& list);
+  /// Applies the density rule to `hash`'s `list` (see the file comment).
+  void Redecide(uint64_t hash, PostingList& list);
+  void Promote(PostingList& list);
+  static void Demote(PostingList& list);
 
   /// doc id -> slot and flat features (node-based, so Get() pointers stay
   /// valid across other documents' Add and Remove).
@@ -129,6 +141,9 @@ class SptIndex {
   std::vector<uint32_t> free_slots_;
   /// feature hash -> the postings of every live document containing it.
   std::unordered_map<uint64_t, PostingList> postings_;
+  /// feature hash -> its pairs holding a count above 255, which keep the
+  /// list pairs; only features with such a pair have an entry.
+  std::unordered_map<uint64_t, uint32_t> wide_;
   telemetry::Counter* postings_read_ = nullptr;
 };
 

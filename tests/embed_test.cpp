@@ -8,6 +8,7 @@
 #include "embed/reacc_sim.hpp"
 #include "embed/unixcoder_sim.hpp"
 #include "simd/simd.hpp"
+#include "dense_embedding.hpp"
 
 namespace laminar::embed {
 namespace {
@@ -44,27 +45,27 @@ TEST(VectorMath, DotScalarHandlesRemainders) {
 }
 
 TEST(VectorMath, L2NormalizeUnitLength) {
-  Vector v = {3, 4};
+  SparseVector v = Sparse({3, 4});
   L2Normalize(v);
   EXPECT_NEAR(Norm(v), 1.0f, 1e-6);
-  Vector zero = {0, 0};
+  SparseVector zero = Sparse({0, 0});
   L2Normalize(zero);  // must not produce NaN
-  EXPECT_FLOAT_EQ(zero[0], 0.0f);
+  EXPECT_FLOAT_EQ(ToDense(zero)[0], 0.0f);
 }
 
 TEST(VectorJson, RoundTrips) {
   Vector v = {0.5f, -1.25f, 3.0f};
-  Vector back = FromJson(ToJson(v));
+  Vector back = ToDense(FromJson(ToJson(Sparse(v))));
   ASSERT_EQ(back.size(), v.size());
   for (size_t i = 0; i < v.size(); ++i) EXPECT_FLOAT_EQ(back[i], v[i]);
 }
 
 // The stored column is outside input: snapshot files, WAL lines and leader
-// fetches all reach FromJson, and every malformed row must decode to an
-// empty vector (the search service then re-encodes the description).
+// fetches all reach FromJson, and every malformed row must decode to dims 0
+// (the search service then re-encodes the description).
 
 void ExpectRejected(std::initializer_list<const char*> texts) {
-  for (const char* text : texts) EXPECT_TRUE(FromJson(text).empty()) << text;
+  for (const char* text : texts) EXPECT_EQ(FromJson(text).dims, 0u) << text;
 }
 
 TEST(VectorJson, MalformedYieldsEmpty) {
@@ -84,10 +85,21 @@ TEST(VectorJson, SparseDimsMustBeAnIntegerUpTo2Pow20) {
                   R"({"dims":99999999999999999999,"nz":[]})",
                   R"({"dims":1099511627776,"nz":[]})",
                   R"({"dims":9223372036854775807,"nz":[[0,1.0]]})"});
-  EXPECT_EQ(FromJson(R"({"dims":1048576,"nz":[]})").size(), size_t{1} << 20);
-  EXPECT_TRUE(FromJson(R"({"dims":0,"nz":[]})").empty());
-  EXPECT_EQ(FromJson(R"({"nz":[[1,0.5]],"dims":3})"),
+  EXPECT_EQ(FromJson(R"({"dims":1048576,"nz":[]})").dims, size_t{1} << 20);
+  EXPECT_EQ(FromJson(R"({"dims":0,"nz":[]})").dims, 0u);
+  EXPECT_EQ(ToDense(FromJson(R"({"nz":[[1,0.5]],"dims":3})")),
             (Vector{0.0f, 0.5f, 0.0f}));
+}
+
+TEST(VectorJson, WideSparseRowCostsItsEntriesNotItsDims) {
+  // A hostile row may declare 2^20 dimensions and list one; decoding holds
+  // that one entry rather than 2^20 floats.
+  const SparseVector v = FromJson(R"({"dims":1048576,"nz":[[5,0.5]]})");
+  EXPECT_EQ(v.dims, size_t{1} << 20);
+  ASSERT_EQ(v.entries.size(), 1u);
+  EXPECT_LE(v.entries.capacity(), 1u);
+  EXPECT_EQ(v.entries[0], (SparseVector::Entry{5, 0.5f}));
+  EXPECT_EQ(ToJson(v), R"({"dims":1048576,"nz":[[5,0.5]]})");
 }
 
 TEST(VectorJson, SparseNzMustBeAnArrayOfPairs) {
@@ -105,7 +117,7 @@ TEST(VectorJson, SparseIndicesMustBeIntegersInRange) {
                   R"({"dims":4,"nz":[["1",0.5]]})",
                   R"({"dims":4,"nz":[[null,0.5]]})",
                   R"({"dims":0,"nz":[[0,0.5]]})"});
-  EXPECT_EQ(FromJson(R"({"dims":4,"nz":[[3,0.5]]})"),
+  EXPECT_EQ(ToDense(FromJson(R"({"dims":4,"nz":[[3,0.5]]})")),
             (Vector{0.0f, 0.0f, 0.0f, 0.5f}));
 }
 
@@ -113,7 +125,7 @@ TEST(VectorJson, SparseIndicesMustStrictlyAscend) {
   ExpectRejected({R"({"dims":4,"nz":[[2,0.5],[1,0.25]]})",
                   R"({"dims":4,"nz":[[1,0.5],[1,0.25]]})",
                   R"({"dims":4,"nz":[[0,0.5],[2,0.25],[2,0.125]]})"});
-  EXPECT_EQ(FromJson(R"({"dims":4,"nz":[[0,0.5],[2,0.25]]})"),
+  EXPECT_EQ(ToDense(FromJson(R"({"dims":4,"nz":[[0,0.5],[2,0.25]]})")),
             (Vector{0.5f, 0.0f, 0.25f, 0.0f}));
 }
 
@@ -122,7 +134,8 @@ TEST(VectorJson, SparseWeightsMustBeNumbers) {
                   R"({"dims":4,"nz":[[1,null]]})",
                   R"({"dims":4,"nz":[[1,true]]})",
                   R"({"dims":4,"nz":[[1,[0.5]]]})"});
-  EXPECT_EQ(FromJson(R"({"dims":2,"nz":[[1,2]]})"), (Vector{0.0f, 2.0f}));
+  EXPECT_EQ(ToDense(FromJson(R"({"dims":2,"nz":[[1,2]]})")),
+            (Vector{0.0f, 2.0f}));
 }
 
 TEST(HashedEncoder, DeterministicAndNormalized) {
@@ -131,8 +144,8 @@ TEST(HashedEncoder, DeterministicAndNormalized) {
   e1.Add("beta", 0.5f);
   e2.Add("alpha", 1.0f);
   e2.Add("beta", 0.5f);
-  Vector v1 = e1.Finish();
-  Vector v2 = e2.Finish();
+  SparseVector v1 = e1.Finish();
+  SparseVector v2 = e2.Finish();
   EXPECT_EQ(v1, v2);
   EXPECT_NEAR(Norm(v1), 1.0f, 1e-5);
 }
@@ -141,14 +154,15 @@ TEST(HashedEncoder, SeedSeparatesSpaces) {
   HashedEncoder text(64, 1), code(64, 2);
   text.Add("prime", 1.0f);
   code.Add("prime", 1.0f);
-  EXPECT_LT(std::abs(Cosine(text.Finish(), code.Finish())), 0.99f);
+  EXPECT_LT(std::abs(Cosine(ToDense(text.Finish()), ToDense(code.Finish()))),
+            0.99f);
 }
 
 TEST(HashedEncoder, FinishResets) {
   HashedEncoder e(64, 1);
   e.Add("x", 1.0f);
-  Vector first = e.Finish();
-  Vector second = e.Finish();  // nothing accumulated
+  SparseVector first = e.Finish();
+  SparseVector second = e.Finish();  // nothing accumulated
   EXPECT_NEAR(Norm(second), 0.0f, 1e-6);
   EXPECT_NEAR(Norm(first), 1.0f, 1e-5);
 }

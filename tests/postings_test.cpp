@@ -24,6 +24,7 @@
 #include "search/postings_index.hpp"
 #include "search/search_service.hpp"
 #include "telemetry/telemetry.hpp"
+#include "dense_embedding.hpp"
 
 namespace laminar::search {
 namespace {
@@ -135,38 +136,38 @@ embed::Vector RandomSparse(Rng& rng, size_t dims, size_t nnz) {
 TEST(PostingsIndex, EmptyIndexReturnsNothing) {
   PostingsIndex index(4);
   const embed::Vector q = {1, 0, 0, 0};
-  EXPECT_TRUE(index.TopK(q, 5).empty());
-  index.Upsert(7, q);
-  EXPECT_TRUE(index.TopK(q, 0).empty());
+  EXPECT_TRUE(index.TopK(Sparse(q), 5).empty());
+  index.Upsert(7, Sparse(q));
+  EXPECT_TRUE(index.TopK(Sparse(q), 0).empty());
   ASSERT_TRUE(index.Remove(7));
   EXPECT_FALSE(index.Remove(7));
-  EXPECT_TRUE(index.TopK(q, 5).empty());
+  EXPECT_TRUE(index.TopK(Sparse(q), 5).empty());
   EXPECT_EQ(index.stats().rows, 0u);
   EXPECT_EQ(index.stats().postings, 0u);
 }
 
 TEST(PostingsIndex, RowsSharingNoDimensionScoreZeroByAscendingId) {
   PostingsIndex index(8);
-  index.Upsert(5, embed::Vector{1, 0, 0, 0, 0, 0, 0, 0});
-  index.Upsert(3, embed::Vector{0, 2, 0, 0, 0, 0, 0, 0});
-  index.Upsert(9, embed::Vector{0, 0, 3, 0, 0, 0, 0, 0});
+  index.Upsert(5, Sparse(embed::Vector{1, 0, 0, 0, 0, 0, 0, 0}));
+  index.Upsert(3, Sparse(embed::Vector{0, 2, 0, 0, 0, 0, 0, 0}));
+  index.Upsert(9, Sparse(embed::Vector{0, 0, 3, 0, 0, 0, 0, 0}));
   const embed::Vector q = {0, 0, 0, 0, 1, 0, 0, 0};
-  const Ranked got = Pairs(index.TopK(q, 3));
+  const Ranked got = Pairs(index.TopK(Sparse(q), 3));
   EXPECT_EQ(got, (Ranked{{3, 0.0}, {5, 0.0}, {9, 0.0}}));
 }
 
 TEST(PostingsIndex, NegativeScoresRankBelowZeroRowsAndCancellationsTie) {
   const float a = 1.0f / std::sqrt(2.0f);
   PostingsIndex index(3);
-  index.Upsert(10, embed::Vector{1, 1, 0});    // cosine 1
-  index.Upsert(4, embed::Vector{1, 0, 0});     // cosine a
-  index.Upsert(2, embed::Vector{1, -1, 0});    // touched, cancels to 0
-  index.Upsert(6, embed::Vector{0, 0, 1});     // untouched: 0
-  index.Upsert(1, embed::Vector{0, 0, 5});     // untouched: 0, lowest id
-  index.Upsert(8, embed::Vector{-1, 0, 0});    // -a
-  index.Upsert(7, embed::Vector{-1, -1, 0});   // -1
+  index.Upsert(10, Sparse(embed::Vector{1, 1, 0}));   // cosine 1
+  index.Upsert(4, Sparse(embed::Vector{1, 0, 0}));    // cosine a
+  index.Upsert(2, Sparse(embed::Vector{1, -1, 0}));   // touched, cancels to 0
+  index.Upsert(6, Sparse(embed::Vector{0, 0, 1}));    // untouched: 0
+  index.Upsert(1, Sparse(embed::Vector{0, 0, 5}));    // untouched, lowest id
+  index.Upsert(8, Sparse(embed::Vector{-1, 0, 0}));   // -a
+  index.Upsert(7, Sparse(embed::Vector{-1, -1, 0}));  // -1
   const embed::Vector q = {a, a, 0};
-  const Ranked got = Pairs(index.TopK(q, 100));
+  const Ranked got = Pairs(index.TopK(Sparse(q), 100));
   ASSERT_EQ(got.size(), 7u);
   const std::vector<int64_t> order = {10, 4, 1, 2, 6, 8, 7};
   for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(got[i].first, order[i]);
@@ -176,52 +177,52 @@ TEST(PostingsIndex, NegativeScoresRankBelowZeroRowsAndCancellationsTie) {
   EXPECT_LT(got[5].second, 0.0);
   EXPECT_NEAR(got[6].second, -1.0, kTolerance);
   // A k that stops inside the zero rows keeps the ascending-id prefix.
-  const Ranked four = Pairs(index.TopK(q, 4));
+  const Ranked four = Pairs(index.TopK(Sparse(q), 4));
   EXPECT_EQ(four, Ranked(got.begin(), got.begin() + 4));
 }
 
 TEST(PostingsIndex, ZeroAndWrongSizeQueriesReturnLowestIdsAtZero) {
   PostingsIndex index(4);
   for (int64_t id : {40, 10, 30, 20}) {
-    index.Upsert(id, embed::Vector{1, static_cast<float>(id), 0, 0});
+    index.Upsert(id, Sparse(embed::Vector{1, static_cast<float>(id), 0, 0}));
   }
   const Ranked want = {{10, 0.0}, {20, 0.0}, {30, 0.0}};
-  EXPECT_EQ(Pairs(index.TopK(embed::Vector(4, 0.0f), 3)), want);
-  EXPECT_EQ(Pairs(index.TopK(embed::Vector{1, 1, 1}, 3)), want);
-  EXPECT_EQ(Pairs(index.TopK(embed::Vector{}, 3)), want);
+  EXPECT_EQ(Pairs(index.TopK(Sparse(embed::Vector(4, 0.0f)), 3)), want);
+  EXPECT_EQ(Pairs(index.TopK(Sparse(embed::Vector{1, 1, 1}), 3)), want);
+  EXPECT_EQ(Pairs(index.TopK(Sparse(embed::Vector{}), 3)), want);
   const float nan = std::nanf("");
-  EXPECT_EQ(Pairs(index.TopK(embed::Vector{nan, 1, 0, 0}, 3)), want);
+  EXPECT_EQ(Pairs(index.TopK(Sparse(embed::Vector{nan, 1, 0, 0}), 3)), want);
 }
 
 TEST(PostingsIndex, ZeroAndWrongSizeStoredVectorsScoreZero) {
   PostingsIndex index(4);
-  index.Upsert(1, embed::Vector(4, 0.0f));
-  index.Upsert(2, embed::Vector{1, 2});
-  index.Upsert(3, embed::Vector{-1, 0, 0, 0});
-  index.Upsert(4, embed::Vector{1, 0, 0, 0});
+  index.Upsert(1, Sparse(embed::Vector(4, 0.0f)));
+  index.Upsert(2, Sparse(embed::Vector{1, 2}));
+  index.Upsert(3, Sparse(embed::Vector{-1, 0, 0, 0}));
+  index.Upsert(4, Sparse(embed::Vector{1, 0, 0, 0}));
   EXPECT_EQ(index.stats().postings, 2u);
-  const Ranked got = Pairs(index.TopK(embed::Vector{1, 0, 0, 0}, 10));
+  const Ranked got = Pairs(index.TopK(Sparse(embed::Vector{1, 0, 0, 0}), 10));
   EXPECT_EQ(got, (Ranked{{4, 1.0}, {1, 0.0}, {2, 0.0}, {3, -1.0}}));
 }
 
 TEST(PostingsIndex, ReplaceAndStatsTrackLivePostings) {
   PostingsIndex index(6);
-  index.Upsert(1, embed::Vector{1, 1, 1, 0, 0, 0});
-  index.Upsert(2, embed::Vector{0, 0, 1, 1, 0, 0});
+  index.Upsert(1, Sparse(embed::Vector{1, 1, 1, 0, 0, 0}));
+  index.Upsert(2, Sparse(embed::Vector{0, 0, 1, 1, 0, 0}));
   EXPECT_EQ(index.stats().postings, 5u);
-  index.Upsert(1, embed::Vector{0, 0, 0, 0, 0, 3});  // replace
+  index.Upsert(1, Sparse(embed::Vector{0, 0, 0, 0, 0, 3}));  // replace
   PostingsIndexStats stats = index.stats();
   EXPECT_EQ(stats.rows, 2u);
   EXPECT_EQ(stats.dims, 6u);
   EXPECT_EQ(stats.postings, 3u);
   EXPECT_GT(stats.bytes, 0u);
-  EXPECT_EQ(Pairs(index.TopK(embed::Vector{0, 0, 0, 0, 0, 1}, 1)),
+  EXPECT_EQ(Pairs(index.TopK(Sparse(embed::Vector{0, 0, 0, 0, 0, 1}), 1)),
             (Ranked{{1, 1.0}}));
   index.Clear();
   stats = index.stats();
   EXPECT_EQ(stats.rows, 0u);
   EXPECT_EQ(stats.postings, 0u);
-  EXPECT_TRUE(index.TopK(embed::Vector{0, 0, 0, 0, 0, 1}, 1).empty());
+  EXPECT_TRUE(index.TopK(Sparse(embed::Vector{0, 0, 0, 0, 0, 1}), 1).empty());
 }
 
 TEST(PostingsIndex, RandomizedChurnMatchesDoubleBruteForce) {
@@ -235,7 +236,7 @@ TEST(PostingsIndex, RandomizedChurnMatchesDoubleBruteForce) {
     if (op < 6 || rows.empty()) {
       const int64_t id = next_id++;
       rows[id] = RandomSparse(rng, kDims, 1 + rng.NextBelow(6));
-      index.Upsert(id, rows[id]);
+      index.Upsert(id, Sparse(rows[id]));
     } else if (op < 8) {
       auto it = std::next(rows.begin(), rng.NextBelow(rows.size()));
       EXPECT_TRUE(index.Remove(it->first));
@@ -243,7 +244,7 @@ TEST(PostingsIndex, RandomizedChurnMatchesDoubleBruteForce) {
     } else {
       auto it = std::next(rows.begin(), rng.NextBelow(rows.size()));
       it->second = RandomSparse(rng, kDims, 1 + rng.NextBelow(6));
-      index.Upsert(it->first, it->second);
+      index.Upsert(it->first, Sparse(it->second));
     }
     if (step % 150 != 149) continue;
     ASSERT_EQ(index.size(), rows.size());
@@ -251,7 +252,7 @@ TEST(PostingsIndex, RandomizedChurnMatchesDoubleBruteForce) {
       const embed::Vector q = RandomSparse(rng, kDims, 1 + rng.NextBelow(8));
       const Ranked want = BruteForce(rows, q);
       for (size_t k : {size_t{1}, size_t{5}, size_t{50}, rows.size() + 1}) {
-        ExpectRanksLike(Pairs(index.TopK(q, k)), want, k,
+        ExpectRanksLike(Pairs(index.TopK(Sparse(q), k)), want, k,
                         "step " + std::to_string(step));
       }
     }
@@ -269,17 +270,17 @@ TEST(PostingsIndex, ScoresDoNotDependOnSlotsOrPostingOrder) {
     rows[id] = RandomSparse(rng, kDims, 3 + rng.NextBelow(10));
   }
   PostingsIndex forward(kDims);
-  for (const auto& [id, row] : rows) forward.Upsert(id, row);
+  for (const auto& [id, row] : rows) forward.Upsert(id, Sparse(row));
   PostingsIndex churned(kDims);
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    churned.Upsert(it->first + 1000, RandomSparse(rng, kDims, 5));
-    churned.Upsert(it->first, it->second);
+    churned.Upsert(it->first + 1000, Sparse(RandomSparse(rng, kDims, 5)));
+    churned.Upsert(it->first, Sparse(it->second));
   }
   for (const auto& [id, row] : rows) ASSERT_TRUE(churned.Remove(id + 1000));
   for (int qi = 0; qi < 40; ++qi) {
     const embed::Vector q = RandomSparse(rng, kDims, 2 + rng.NextBelow(20));
-    const auto a = forward.TopK(q, rows.size());
-    const auto b = churned.TopK(q, rows.size());
+    const auto a = forward.TopK(Sparse(q), rows.size());
+    const auto b = churned.TopK(Sparse(q), rows.size());
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id) << "query " << qi << " rank " << i;
@@ -322,7 +323,7 @@ class PostingsParityTest : public ::testing::Test {
     EXPECT_TRUE(service_.AddPe(id).ok());
     pe_text_[id] = stored_embedding.empty()
                        ? service_.text_encoder().EncodeText(description)
-                       : embed::FromJson(stored_embedding);
+                       : embed::ToDense(embed::FromJson(stored_embedding));
     pe_code_[id] = service_.code_encoder().EncodeCode(code);
     return id;
   }
@@ -350,7 +351,7 @@ class PostingsParityTest : public ::testing::Test {
   void UpdatePeDescription(int64_t id, const std::string& description) {
     embed::Vector v = service_.text_encoder().EncodeText(description);
     pe_text_[id] = v;
-    service_.UpdatePeDescription(id, description, std::move(v));
+    service_.UpdatePeDescription(id, description, Sparse(v));
   }
 
   /// Removes every 7th PE and workflow, registers replacements (which take
@@ -385,13 +386,14 @@ class PostingsParityTest : public ::testing::Test {
       const std::string text = ds_.example(i).description;
       embed::Vector v = service_.text_encoder().EncodeText(text);
       wf_text_[wfs[i]] = v;
-      service_.UpdateWorkflowDescription(wfs[i], text, std::move(v));
+      service_.UpdateWorkflowDescription(wfs[i], text, Sparse(v));
     }
     const dataset::PeExample& ex = ds_.example(0);
     AddPe("ZeroStored", ex.description, ex.pe_code,
-          embed::ToJson(embed::Vector(service_.text_encoder().dims(), 0.0f)));
+          embed::ToJson(
+              Sparse(embed::Vector(service_.text_encoder().dims(), 0.0f))));
     AddPe("ShortStored", ex.description, ex.pe_code,
-          embed::ToJson(embed::Vector{0.5f, -0.25f, 1.0f}));
+          embed::ToJson(Sparse(embed::Vector{0.5f, -0.25f, 1.0f})));
   }
 
   std::vector<std::string> TextQueries() const {
@@ -573,7 +575,7 @@ TEST_F(PostingsParityTest, ConcurrentReadersSeeSerialResults) {
       }
       for (auto& [id, text] : descriptions) {
         service_.UpdatePeDescription(
-            id, text, service_.text_encoder().EncodeText(text));
+            id, text, service_.text_encoder().Encode(text));
       }
     };
   };

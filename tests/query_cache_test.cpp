@@ -11,6 +11,7 @@
 
 #include "embed/embedding.hpp"
 #include "search/query_cache.hpp"
+#include "dense_embedding.hpp"
 
 namespace laminar::search {
 namespace {
@@ -20,10 +21,10 @@ TEST(QueryEmbeddingCache, HitsAndMissesAreCounted) {
   int encodes = 0;
   auto encode = [&] {
     ++encodes;
-    return embed::Vector{1.0f, 2.0f};
+    return Sparse(embed::Vector{1.0f, 2.0f});
   };
-  embed::Vector first = cache.GetOrCompute("m", "query", encode);
-  embed::Vector second = cache.GetOrCompute("m", "query", encode);
+  embed::SparseVector first = cache.GetOrCompute("m", "query", encode);
+  embed::SparseVector second = cache.GetOrCompute("m", "query", encode);
   EXPECT_EQ(encodes, 1);
   EXPECT_EQ(first, second);
   auto stats = cache.stats();
@@ -37,7 +38,7 @@ TEST(QueryEmbeddingCache, KeyIncludesModel) {
   int encodes = 0;
   auto encode = [&] {
     ++encodes;
-    return embed::Vector{1.0f};
+    return Sparse(embed::Vector{1.0f});
   };
   cache.GetOrCompute("unixcoder", "q", encode);
   cache.GetOrCompute("reacc", "q", encode);
@@ -49,7 +50,7 @@ TEST(QueryEmbeddingCache, EvictsLeastRecentlyUsed) {
   int encodes = 0;
   auto encode = [&] {
     ++encodes;
-    return embed::Vector{1.0f};
+    return Sparse(embed::Vector{1.0f});
   };
   cache.GetOrCompute("m", "a", encode);
   cache.GetOrCompute("m", "b", encode);
@@ -67,7 +68,7 @@ TEST(QueryEmbeddingCache, ZeroCapacityDisablesCaching) {
   int encodes = 0;
   auto encode = [&] {
     ++encodes;
-    return embed::Vector{1.0f};
+    return Sparse(embed::Vector{1.0f});
   };
   cache.GetOrCompute("m", "q", encode);
   cache.GetOrCompute("m", "q", encode);
@@ -82,17 +83,17 @@ TEST(QueryEmbeddingCache, ClearDuringEncodeDoesNotResurrectStaleEntry) {
   // result must be handed to its caller but NOT stored — otherwise the
   // freshly emptied cache is repopulated with a pre-Clear embedding.
   QueryEmbeddingCache cache(4);
-  embed::Vector got = cache.GetOrCompute("m", "q", [&] {
+  embed::SparseVector got = cache.GetOrCompute("m", "q", [&] {
     cache.Clear();  // deterministic mid-encode Clear
-    return embed::Vector{1.0f, 2.0f};
+    return Sparse(embed::Vector{1.0f, 2.0f});
   });
-  EXPECT_EQ(got, (embed::Vector{1.0f, 2.0f}));  // caller still gets a result
+  EXPECT_EQ(got, Sparse({1.0f, 2.0f}));  // caller still gets a result
   EXPECT_EQ(cache.stats().entries, 0u);         // but nothing was resurrected
   // The next lookup is a real miss that does get cached.
   int encodes = 0;
   cache.GetOrCompute("m", "q", [&] {
     ++encodes;
-    return embed::Vector{3.0f};
+    return Sparse(embed::Vector{3.0f});
   });
   EXPECT_EQ(encodes, 1);
   EXPECT_EQ(cache.stats().entries, 1u);
@@ -121,9 +122,9 @@ TEST(QueryEmbeddingCache, ChurnStressConcurrentLookupsAndClears) {
     readers.emplace_back([&, r] {
       for (int i = 0; i < kLookupsPerReader; ++i) {
         std::string text = "q" + std::to_string((r + i) % 12);
-        embed::Vector v = cache.GetOrCompute("m", text, [&] {
-          return embed::Vector{static_cast<float>((r + i) % 12)};
-        });
+        embed::Vector v = embed::ToDense(cache.GetOrCompute("m", text, [&] {
+          return Sparse(embed::Vector{static_cast<float>((r + i) % 12)});
+        }));
         ASSERT_EQ(v.size(), 1u);
         ASSERT_EQ(v[0], static_cast<float>((r + i) % 12));
       }

@@ -8,6 +8,7 @@
 // teardown stays deterministic and sanitizer-friendly.
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -260,6 +261,106 @@ TEST_F(ReplicationTest, FollowerAppliesDenseEmbeddingRecordsOfAnOlderLeader) {
     same(leader_cli->client->CodeRecommendation(PeCode("Probe"), target, "llm"),
          follower_cli->client->CodeRecommendation(PeCode("Probe"), target,
                                                   "llm"));
+  }
+  follower.reset();
+  proxy.Stop();
+}
+
+TEST_F(ReplicationTest, FollowerReencodesHostileEmbeddingColumnsFromFetches) {
+  StartLeader();
+  // A proxy in front of the leader replaces the descriptionEmbedding of
+  // PE "HostileN" with column N: a well-formed row of 2^20 dimensions
+  // (one entry, which no index takes), then malformed rows that mean
+  // "re-encode".
+  const std::vector<std::string> columns = {
+      R"({"dims":1048576,"nz":[[5,0.5]]})",
+      R"({"dims":1048577,"nz":[[5,0.5]]})",
+      R"({"dims":4096,"nz":[[9,0.5],[3,0.25]]})",
+      R"({"dims":4096,"nz":[[3,0.5],[3,0.25]]})",
+      R"({"dims":4096,"nz":[[4096,0.5]]})",
+      R"({"dims":4096,"nz":[[3,"0.5"]]})",
+  };
+  const net::StreamHandler leader_handler = leader_->server->HandlerFn();
+  std::atomic<int> rewritten{0};
+  net::TcpListenerConfig proxy_config;
+  proxy_config.port = 0;
+  net::TcpListener proxy(
+      proxy_config,
+      [&](const net::HttpRequest& req, net::StreamResponder& out) {
+        if (req.path != "/replication/fetch") return leader_handler(req, out);
+        BufferedResponder fetched;
+        leader_handler(req, fetched);
+        Result<Value> body = json::Parse(fetched.body);
+        if (body.ok()) {
+          for (Value& line : (*body)["lines"].mutable_array()) {
+            Result<Value> record = json::Parse(line.as_string());
+            if (!record.ok()) continue;
+            const std::string name = record->at("data").GetString("peName");
+            if (name.rfind("Hostile", 0) != 0 ||
+                record->at("data").GetString("descriptionEmbedding").empty()) {
+              continue;
+            }
+            (*record)["data"]["descriptionEmbedding"] =
+                columns[std::stoul(name.substr(7))];
+            line = record->ToJson();
+            ++rewritten;
+          }
+          fetched.body = body->ToJson();
+        }
+        out.SendChunk(fetched.body);
+        out.End(fetched.status);
+      });
+  ASSERT_TRUE(proxy.Start().ok());
+
+  std::unique_ptr<TcpLaminarServer> follower = StartFollower(0, proxy.port());
+  ASSERT_NE(follower, nullptr);
+  Result<TcpClient> leader_cli = Dial(leader_->port());
+  Result<TcpClient> follower_cli = Dial(follower->port());
+  ASSERT_TRUE(leader_cli.ok() && follower_cli.ok());
+  AwaitCatchUp(*leader_cli->client, *follower_cli->client);
+
+  auto text_encodes = [] {
+    return telemetry::MetricsRegistry::Global()
+        .GetCounter("laminar_embed_encodes_total", "model=\"unixcoder\"")
+        .Value();
+  };
+  const uint64_t encodes_before = text_encodes();
+  const std::vector<std::string> descriptions = {
+      "windows a stream of sensor readings", "filters tuples below a bound",
+      "joins two keyed streams",             "counts words per line",
+      "parses comma separated rows",         "writes records to a sink"};
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const std::string name = "Hostile" + std::to_string(i);
+    Result<PeInfo> pe =
+        leader_cli->client->RegisterPe(PeCode(name), name, descriptions[i]);
+    ASSERT_TRUE(pe.ok()) << pe.status().ToString();
+    ids.push_back(pe->id);
+  }
+  AwaitCatchUp(*leader_cli->client, *follower_cli->client);
+  EXPECT_EQ(rewritten.load(), static_cast<int>(columns.size()));
+  // The leader encoded every description; the follower re-encoded the
+  // malformed rows and took the wide row as stored.
+  EXPECT_EQ(text_encodes() - encodes_before,
+            columns.size() + columns.size() - 1);
+
+  // Every row scores as on the leader, except the wide row, which has no
+  // postings on the follower and scores 0 there.
+  for (size_t i = 0; i < columns.size(); ++i) {
+    Result<std::vector<SearchHit>> on_leader =
+        leader_cli->client->SearchRegistrySemantic(descriptions[i], "pe", 10);
+    Result<std::vector<SearchHit>> on_follower =
+        follower_cli->client->SearchRegistrySemantic(descriptions[i], "pe", 10);
+    ASSERT_TRUE(on_leader.ok() && on_follower.ok());
+    ASSERT_EQ(on_leader->size(), columns.size());
+    ASSERT_EQ(on_follower->size(), columns.size());
+    EXPECT_EQ(on_leader->front().id, ids[i]) << descriptions[i];
+    std::map<int64_t, double> leader_scores;
+    for (const SearchHit& hit : *on_leader) leader_scores[hit.id] = hit.score;
+    for (const SearchHit& hit : *on_follower) {
+      EXPECT_EQ(hit.score, hit.id == ids[0] ? 0.0 : leader_scores[hit.id])
+          << descriptions[i] << ", id " << hit.id;
+    }
   }
   follower.reset();
   proxy.Stop();

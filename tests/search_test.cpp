@@ -248,7 +248,7 @@ TEST_F(SearchServiceTest, ReindexAllRebuilds) {
 TEST_F(SearchServiceTest, StoredEmbeddingsPreferred) {
   // A PE registered with a precomputed embedding must use it verbatim.
   embed::UnixcoderSim encoder;
-  embed::Vector custom = encoder.EncodeText("custom semantics entirely");
+  embed::SparseVector custom = encoder.Encode("custom semantics entirely");
   registry::PeRecord pe;
   pe.name = "WithStoredEmbedding";
   pe.code = "class X: pass";
@@ -308,7 +308,7 @@ TEST_F(SearchServiceTest, AddPeEncodesDescriptionAtMostOnce) {
   stored.name = "EncodeNever";
   stored.code = "class EncodeNever: pass";
   stored.description = "precomputed";
-  stored.description_embedding = embed::ToJson(encoder.EncodeText("precomputed"));
+  stored.description_embedding = embed::ToJson(encoder.Encode("precomputed"));
   int64_t stored_id = repo_.CreatePe(stored).value();
   before = CounterValue(enc_name, enc_label);
   ASSERT_TRUE(service_.AddPe(stored_id).ok());

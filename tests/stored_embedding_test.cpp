@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dataset/generator.hpp"
@@ -33,7 +34,7 @@ enum class Form { kSparse, kDense, kMixed };
 std::string Column(Form form, size_t row, const embed::Vector& v) {
   const bool dense =
       form == Form::kDense || (form == Form::kMixed && row % 2 == 1);
-  return dense ? DenseEmbeddingJson(v) : embed::ToJson(v);
+  return dense ? DenseEmbeddingJson(v) : embed::ToJson(Sparse(v));
 }
 
 const dataset::CodeSearchNetPeDataset& Dataset() {
@@ -139,7 +140,7 @@ class StoredEmbeddingTest : public ::testing::Test {
     const embed::UnixcoderSim& encoder = service.text_encoder();
     auto expect_bit_identical = [&](const std::string& column,
                                     const std::string& description) {
-      const embed::Vector stored = embed::FromJson(column);
+      const embed::Vector stored = embed::ToDense(embed::FromJson(column));
       const embed::Vector encoded = encoder.EncodeText(description);
       ASSERT_EQ(stored.size(), encoded.size()) << description;
       for (size_t d = 0; d < stored.size(); ++d) {
@@ -221,6 +222,93 @@ TEST_F(StoredEmbeddingTest, WalMixingDenseAndSparseRecordsRecovers) {
   EXPECT_GT(sparse, 40u);
   const Rankings mixed = Recover(dir_.File("no_snapshot.json"), wal);
   EXPECT_EQ(mixed, SparseReference());
+}
+
+/// descriptionEmbedding columns a snapshot, WAL line or leader fetch may
+/// carry that no encoder wrote. The first is well formed but 2^20
+/// dimensions wide: it decodes to its one entry, and no index of 4,096
+/// dimensions takes it. The rest are malformed (dims past 2^20, unsorted,
+/// duplicate or out-of-range indexes, a non-numeric weight) and mean
+/// "re-encode".
+const std::vector<std::string>& HostileColumns() {
+  static const std::vector<std::string> columns = {
+      R"({"dims":1048576,"nz":[[5,0.5]]})",
+      R"({"dims":1048577,"nz":[[5,0.5]]})",
+      R"({"dims":4096,"nz":[[9,0.5],[3,0.25]]})",
+      R"({"dims":4096,"nz":[[3,0.5],[3,0.25]]})",
+      R"({"dims":4096,"nz":[[4096,0.5]]})",
+      R"({"dims":4096,"nz":[[3,"0.5"]]})",
+  };
+  return columns;
+}
+
+TEST_F(StoredEmbeddingTest, HostileColumnsCostTheirEntriesOrReencode) {
+  // The sparse registry with PE i's column then replaced by `columns[i]`,
+  // as WAL update records and in a snapshot taken after them.
+  auto write = [&](const std::vector<std::string>& columns,
+                   const std::string& wal, const std::string& snapshot) {
+    registry::Database db;
+    ASSERT_TRUE(registry::CreateLaminarSchema(db).ok());
+    ASSERT_TRUE(db.EnableWal(wal).ok());
+    Populate(db, Form::kSparse);
+    registry::Repository repo(db);
+    const std::vector<registry::PeRecord> pes = repo.AllPes();
+    for (size_t i = 0; i < columns.size(); ++i) {
+      registry::Row fields = Value::MakeObject();
+      fields["descriptionEmbedding"] = columns[i];
+      ASSERT_TRUE(repo.UpdatePe(pes[i].id, fields).ok());
+    }
+    ASSERT_TRUE(db.SaveToFile(snapshot).ok());
+  };
+  // Recovers, rebuilds the indexes and returns the rankings; `encodes`
+  // gets the descriptions the rebuild encoded.
+  auto recover = [&](const std::string& snapshot, const std::string& wal,
+                     uint64_t& encodes) {
+    registry::Database db;
+    EXPECT_TRUE(registry::CreateLaminarSchema(db).ok());
+    EXPECT_TRUE(db.Recover(snapshot, wal).ok());
+    registry::Repository repo(db);
+    SearchService service(repo);
+    const uint64_t before = TextEncodes();
+    EXPECT_TRUE(service.ReindexAll().ok());
+    encodes = TextEncodes() - before;
+    // The wide row posts nothing: peText holds exactly the other rows'
+    // entries, and the row scores 0 against its own description.
+    const std::vector<registry::PeRecord> pes = repo.AllPes();
+    size_t postings = 0;
+    for (size_t i = 1; i < pes.size(); ++i) {
+      postings += service.text_encoder().Encode(pes[i].description)
+                      .entries.size();
+    }
+    EXPECT_EQ(service.IndexStats()[0].first, "peText");
+    EXPECT_EQ(service.IndexStats()[0].second.postings, postings);
+    for (const SearchHit& hit : service.SemanticSearch(
+             pes[0].description, SearchTarget::kPe, pes.size() + 1)) {
+      if (hit.id == pes[0].id) {
+        EXPECT_EQ(hit.score, 0.0);
+      }
+    }
+    return Rank(service);
+  };
+
+  write(HostileColumns(), dir_.File("hostile.wal"), dir_.File("hostile.json"));
+  // The reference stores the wide row too and no column for the malformed
+  // ones, which the rebuild encodes from their descriptions.
+  std::vector<std::string> reference(HostileColumns().size(), "");
+  reference[0] = HostileColumns()[0];
+  write(reference, dir_.File("reference.wal"), dir_.File("reference.json"));
+
+  uint64_t encodes = 0;
+  const Rankings want =
+      recover(dir_.File("none.json"), dir_.File("reference.wal"), encodes);
+  EXPECT_EQ(encodes, HostileColumns().size() - 1);
+  for (const auto& [snapshot, wal] :
+       {std::pair{dir_.File("none.json"), dir_.File("hostile.wal")},
+        std::pair{dir_.File("hostile.json"), dir_.File("none.wal")}}) {
+    SCOPED_TRACE(snapshot + " + " + wal);
+    EXPECT_EQ(recover(snapshot, wal, encodes), want);
+    EXPECT_EQ(encodes, HostileColumns().size() - 1);
+  }
 }
 
 }  // namespace

@@ -181,8 +181,9 @@ TEST(JsonSerialize, DoublesAndWidenedFloatsRoundTripBitExactly) {
 /// Both stored forms of `v` — ToJson's sparse object and the dense array of
 /// older rows — decode back to `v` bit for bit.
 void ExpectEmbeddingRoundTrip(const embed::Vector& v) {
-  for (const std::string& text : {embed::ToJson(v), DenseEmbeddingJson(v)}) {
-    const embed::Vector back = embed::FromJson(text);
+  for (const std::string& text :
+       {embed::ToJson(Sparse(v)), DenseEmbeddingJson(v)}) {
+    const embed::Vector back = embed::ToDense(embed::FromJson(text));
     ASSERT_EQ(back.size(), v.size()) << text.substr(0, 80);
     for (size_t i = 0; i < v.size(); ++i) {
       EXPECT_EQ(std::bit_cast<uint32_t>(back[i]), std::bit_cast<uint32_t>(v[i]))
@@ -203,7 +204,7 @@ TEST(JsonSerialize, EmbeddingSurvivesToJsonFromJsonBitExactly) {
   EXPECT_GT(nonzero, 0u);
   ExpectEmbeddingRoundTrip(v);
   // The stored text lists only the non-zero dimensions.
-  const std::string text = embed::ToJson(v);
+  const std::string text = embed::ToJson(Sparse(v));
   EXPECT_EQ(text.rfind("{\"dims\":4096,\"nz\":[[", 0), 0u) << text;
   EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '[')),
             nonzero + 1);
@@ -217,11 +218,11 @@ TEST(JsonSerialize, SparseEmbeddingKeepsEveryNonZeroBitPattern) {
   // -0.0 has a sign bit, so it is stored and comes back as -0.0.
   ExpectEmbeddingRoundTrip({0.0f, -0.0f, sub, -sub, big_sub, flt_max,
                             -flt_max, 1.0f, 0.0f, -3.0f, 0.1f, 0.0f});
-  EXPECT_EQ(embed::ToJson({0.0f, -0.0f, 1.5f, 0.0f, 2.0f}),
+  EXPECT_EQ(embed::ToJson(Sparse({0.0f, -0.0f, 1.5f, 0.0f, 2.0f})),
             R"({"dims":5,"nz":[[1,-0.0],[2,1.5],[4,2.0]]})");
   // An all-zero vector keeps its size with an empty list.
   ExpectEmbeddingRoundTrip(embed::Vector(4096, 0.0f));
-  EXPECT_EQ(embed::ToJson(embed::Vector(4096, 0.0f)),
+  EXPECT_EQ(embed::ToJson(Sparse(embed::Vector(4096, 0.0f))),
             R"({"dims":4096,"nz":[]})");
   ExpectEmbeddingRoundTrip({0.5f, -0.25f, 1.0f});
   Rng rng(0x5ba75e);
