@@ -76,9 +76,13 @@ spt::FeatureBag Featurize(const std::string& code,
   return spt::ExtractFeatures(*tree.value(), options);
 }
 
+/// The flat form straight from the extractor, as AromaEngine::FeaturizeFlat
+/// builds a query's.
 spt::FlatFeatures Flat(const std::string& code,
                        const spt::FeatureOptions& options) {
-  return spt::FlatFeatures::From(Featurize(code, options));
+  Result<spt::SptNodePtr> tree = spt::SptFromSource(code);
+  if (!tree.ok()) return {};
+  return spt::ExtractFlatFeatures(*tree.value(), options);
 }
 
 struct QueryStages {

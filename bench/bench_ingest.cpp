@@ -31,6 +31,7 @@
 #include "common/thread_pool.hpp"
 #include "embed/codet5_sim.hpp"
 #include "embed/embedding.hpp"
+#include "pycode/parser.hpp"
 #include "registry/repository.hpp"
 #include "registry/schema.hpp"
 #include "search/search_service.hpp"
@@ -162,14 +163,22 @@ struct Ingestor {
     }
   }
 
-  registry::PeRecord MakeRecord(const PeSpec& spec) const {
+  /// The summary reads `parsed` when given, else parses the code itself.
+  registry::PeRecord MakeRecord(
+      const PeSpec& spec,
+      const Result<pycode::NodePtr>* parsed = nullptr) const {
     registry::PeRecord pe;
     pe.code = spec.code;
     pe.name = spec.name;
-    pe.description =
-        spec.description.empty()
-            ? codet5.Summarize(spec.code, embed::DescriptionContext::kFullClass)
-            : spec.description;
+    if (!spec.description.empty()) {
+      pe.description = spec.description;
+    } else if (parsed != nullptr) {
+      pe.description =
+          codet5.Summarize(*parsed, embed::DescriptionContext::kFullClass);
+    } else {
+      pe.description =
+          codet5.Summarize(spec.code, embed::DescriptionContext::kFullClass);
+    }
     pe.type = "IterativePE";
     return pe;
   }
@@ -196,9 +205,12 @@ struct Ingestor {
   /// The two-phase path: every encode runs before the lock; the exclusive
   /// section is just the row insert plus precomputed-vector upserts.
   Result<int64_t> RegisterTwoPhase(const PeSpec& spec) {
-    registry::PeRecord pe = MakeRecord(spec);
-    search::SearchService::PreparedPe prepared =
-        search.PreparePe(pe.name, pe.description, /*stored=*/"", pe.code);
+    // As the server registers: one lex and one parse feed the summary and
+    // every prepare step.
+    const pycode::ParsedSnippet parsed = pycode::ParseSnippet(spec.code);
+    registry::PeRecord pe = MakeRecord(spec, &parsed.tree);
+    search::SearchService::PreparedPe prepared = search.PreparePe(
+        pe.name, pe.description, /*stored=*/"", pe.code, parsed);
     pe.description_embedding = embed::ToJson(prepared.text_embedding);
     if (prepared.has_features) {
       pe.spt_embedding = spt::FeatureBagToJson(prepared.features);

@@ -11,8 +11,8 @@
 //   (laminar) quit
 //
 // Non-interactive use: pipe commands on stdin, e.g.
-//   printf 'register_workflow isprime_wf.py\nrun isprime_wf -i 10\nquit\n' \
-//     | ./laminar_cli
+//   printf 'register_workflow isprime_wf.py\nrun isprime_wf -i 10\nquit\n' |
+//     ./laminar_cli
 //
 // Over TCP (server started separately with laminar_serve --port 8477):
 //   ./laminar_cli --connect 127.0.0.1:8477

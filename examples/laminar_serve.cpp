@@ -4,8 +4,7 @@
 //
 //   laminar_serve --port 8477
 //   laminar_serve --port 0                 # ephemeral; prints the bound port
-//   laminar_serve --port 8477 --snapshot /var/lib/laminar/snap.json \
-//                 --wal /var/lib/laminar/wal.log
+//   laminar_serve --port 8477 --snapshot state/snap.json --wal state/wal.log
 //
 // On startup it prints exactly one line to stdout:
 //   laminar_serve listening on <bind>:<port>

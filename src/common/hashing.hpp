@@ -11,9 +11,15 @@
 
 namespace laminar::hashing {
 
-/// 64-bit FNV-1a over bytes. Stable across platforms and runs.
+/// FNV-1a's 64-bit offset basis, the default seed of Fnv1a64.
+inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a over bytes. Stable across platforms and runs. The result
+/// is the hash state after the last byte, so hashing can be streamed:
+/// Fnv1a64(b, Fnv1a64(a, seed)) == Fnv1a64(a + b, seed), which lets a
+/// caller hash a term piece by piece without concatenating it.
 constexpr uint64_t Fnv1a64(std::string_view bytes,
-                           uint64_t seed = 0xcbf29ce484222325ULL) {
+                           uint64_t seed = kFnv1a64Offset) {
   uint64_t h = seed;
   for (char c : bytes) {
     h ^= static_cast<uint8_t>(c);

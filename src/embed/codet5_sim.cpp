@@ -313,7 +313,11 @@ std::string TitleWords(const std::string& identifier) {
 
 std::string CodeT5Sim::Summarize(std::string_view code,
                                  DescriptionContext context) const {
-  Result<pycode::NodePtr> parsed = pycode::ParseLenient(code);
+  return Summarize(pycode::ParseLenient(code), context);
+}
+
+std::string CodeT5Sim::Summarize(const Result<pycode::NodePtr>& parsed,
+                                 DescriptionContext context) const {
   if (!parsed.ok()) return "A processing element.";
   const Node& root = *parsed.value();
 

@@ -16,6 +16,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.hpp"
+#include "pycode/ast.hpp"
+
 namespace laminar::embed {
 
 enum class DescriptionContext {
@@ -28,6 +31,11 @@ class CodeT5Sim {
   /// Generates a one-paragraph description of a PE class (or bare function).
   /// Never fails: unparseable input degrades to a generic sentence.
   std::string Summarize(std::string_view code, DescriptionContext context) const;
+  /// Summarize(code, context) from `parsed`, which must be
+  /// pycode::ParseLenient(code): a caller that parsed the snippet for other
+  /// readers hands the tree over.
+  std::string Summarize(const Result<pycode::NodePtr>& parsed,
+                        DescriptionContext context) const;
 
   /// Generates a workflow description given the workflow name and the
   /// already-generated PE descriptions (paper §IV-C: workflows are described

@@ -46,8 +46,10 @@ class TouchedReset {
 HashedEncoder::HashedEncoder(size_t dims, uint64_t seed)
     : dims_(dims), seed_(seed) {}
 
-void HashedEncoder::Add(std::string_view term, float weight) {
-  uint64_t h = hashing::Fnv1a64(term, seed_);
+void HashedEncoder::Add(std::span<const std::string_view> pieces,
+                        float weight) {
+  uint64_t h = seed_;
+  for (std::string_view piece : pieces) h = hashing::Fnv1a64(piece, h);
   uint64_t mixed = hashing::SplitMix64(h);
   uint32_t dim = static_cast<uint32_t>(mixed % dims_);
   float sign = (mixed >> 63) != 0 ? 1.0f : -1.0f;

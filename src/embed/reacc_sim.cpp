@@ -8,10 +8,15 @@ namespace {
 
 constexpr uint64_t kCodeSpaceSeed = 0x7265616363707932ULL;  // "reaccpy2"
 
-std::vector<std::string> CodeTokens(std::string_view code) {
-  Result<std::vector<pycode::Token>> lexed = pycode::Lex(code);
-  std::vector<std::string> tokens;
+/// The content tokens' spellings: views into `lexed` when the lex
+/// succeeded, else into `fallback`, which then holds `code`'s whitespace
+/// tokens.
+std::vector<std::string_view> CodeTokens(
+    std::string_view code, const Result<std::vector<pycode::Token>>& lexed,
+    std::vector<std::string>& fallback) {
+  std::vector<std::string_view> tokens;
   if (lexed.ok()) {
+    tokens.reserve(lexed->size());
     for (const pycode::Token& t : lexed.value()) {
       switch (t.type) {
         case pycode::TokenType::kName:
@@ -30,7 +35,9 @@ std::vector<std::string> CodeTokens(std::string_view code) {
   // Unlexable fragment (dropped code can cut a string literal in half):
   // degrade to whitespace tokens, as a subword tokenizer would still produce
   // *something* for any input.
-  return strings::SplitWhitespace(code);
+  fallback = strings::SplitWhitespace(code);
+  tokens.assign(fallback.begin(), fallback.end());
+  return tokens;
 }
 
 }  // namespace
@@ -38,19 +45,26 @@ std::vector<std::string> CodeTokens(std::string_view code) {
 ReaccSim::ReaccSim(ReaccConfig config) : config_(config) {}
 
 SparseVector ReaccSim::Encode(std::string_view code) const {
+  return Encode(code, pycode::Lex(code));
+}
+
+SparseVector ReaccSim::Encode(
+    std::string_view code,
+    const Result<std::vector<pycode::Token>>& tokens) const {
   HashedEncoder enc(config_.dims, kCodeSpaceSeed);
-  std::vector<std::string> tokens = CodeTokens(code);
-  for (const std::string& t : tokens) {
-    enc.Add("u:" + t, config_.unigram_weight);
+  std::vector<std::string> fallback;
+  const std::vector<std::string_view> spellings =
+      CodeTokens(code, tokens, fallback);
+  for (std::string_view t : spellings) {
+    enc.Add({"u:", t}, config_.unigram_weight);
   }
-  int n = config_.ngram;
-  if (n > 1) {
-    for (size_t i = 0; i + static_cast<size_t>(n) <= tokens.size(); ++i) {
-      std::string gram = "g:";
-      for (int j = 0; j < n; ++j) {
-        gram += tokens[i + static_cast<size_t>(j)];
-        gram += '\x1f';
-      }
+  if (config_.ngram > 1) {
+    // An n-gram term is "g:", then each of its tokens followed by '\x1f'.
+    const auto n = static_cast<size_t>(config_.ngram);
+    std::vector<std::string_view> gram(1 + 2 * n, "\x1f");
+    gram[0] = "g:";
+    for (size_t i = 0; i + n <= spellings.size(); ++i) {
+      for (size_t j = 0; j < n; ++j) gram[1 + 2 * j] = spellings[i + j];
       enc.Add(gram, config_.ngram_weight);
     }
   }

@@ -11,8 +11,11 @@
 #pragma once
 
 #include <string_view>
+#include <vector>
 
+#include "common/status.hpp"
 #include "embed/hashed_encoder.hpp"
+#include "pycode/token.hpp"
 
 namespace laminar::embed {
 
@@ -30,6 +33,10 @@ class ReaccSim {
   /// Embeds a code snippet. Tokenizes with the Python lexer when possible,
   /// falling back to whitespace tokens for unlexable fragments.
   SparseVector Encode(std::string_view code) const;
+  /// Encode(code) from `tokens`, which must be pycode::Lex(code): a caller
+  /// that lexed the snippet for its parse hands the tokens over.
+  SparseVector Encode(std::string_view code,
+                      const Result<std::vector<pycode::Token>>& tokens) const;
   /// Encode as a dense vector of dims() floats, for the dense SIMD kernels
   /// (perfbench's scan timing) and tests.
   Vector EncodeCode(std::string_view code) const {

@@ -24,22 +24,27 @@ bool IsStopword(std::string_view w) {
   return std::find(kStop.begin(), kStop.end(), w) != kStop.end();
 }
 
+/// A stem spelled as a prefix of its word plus an ending ("" or "y").
+struct Stem {
+  std::string_view head;
+  std::string_view ending;
+};
+
 /// Light suffix stemming so that morphological variants land on shared
 /// terms ("anomalies"/"anomaly", "detection"/"detect") — the cheapest
 /// analogue of the subword semantics a trained encoder provides.
-std::string StemLite(const std::string& w) {
+Stem StemLite(std::string_view w) {
   auto ends = [&](std::string_view suffix) {
-    return w.size() > suffix.size() + 2 &&
-           w.compare(w.size() - suffix.size(), suffix.size(), suffix) == 0;
+    return w.size() > suffix.size() + 2 && w.ends_with(suffix);
   };
-  if (ends("ies")) return w.substr(0, w.size() - 3) + "y";
-  if (ends("ions")) return w.substr(0, w.size() - 4);
-  if (ends("ion")) return w.substr(0, w.size() - 3);
-  if (ends("ing")) return w.substr(0, w.size() - 3);
-  if (ends("ed")) return w.substr(0, w.size() - 2);
-  if (ends("es")) return w.substr(0, w.size() - 2);
-  if (ends("s")) return w.substr(0, w.size() - 1);
-  return w;
+  if (ends("ies")) return {w.substr(0, w.size() - 3), "y"};
+  if (ends("ions")) return {w.substr(0, w.size() - 4), ""};
+  if (ends("ion")) return {w.substr(0, w.size() - 3), ""};
+  if (ends("ing")) return {w.substr(0, w.size() - 3), ""};
+  if (ends("ed")) return {w.substr(0, w.size() - 2), ""};
+  if (ends("es")) return {w.substr(0, w.size() - 2), ""};
+  if (ends("s")) return {w.substr(0, w.size() - 1), ""};
+  return {w, ""};
 }
 
 }  // namespace
@@ -50,20 +55,21 @@ SparseVector UnixcoderSim::Encode(std::string_view text) const {
   HashedEncoder enc(config_.dims, kTextSpaceSeed);
   std::vector<std::string> words = strings::WordTokens(text);
   for (size_t i = 0; i < words.size(); ++i) {
-    const std::string& w = words[i];
-    float weight =
-        IsStopword(w) ? config_.word_weight * config_.stopword_weight
-                      : config_.word_weight;
-    enc.Add("w:" + w, weight);
-    if (!IsStopword(w)) {
-      enc.Add("s:" + StemLite(w), 0.8f * weight);
+    const std::string_view w = words[i];
+    const bool stopword = IsStopword(w);
+    float weight = stopword ? config_.word_weight * config_.stopword_weight
+                            : config_.word_weight;
+    enc.Add({"w:", w}, weight);
+    if (!stopword) {
+      const Stem stem = StemLite(w);
+      enc.Add({"s:", stem.head, stem.ending}, 0.8f * weight);
     }
     if (i + 1 < words.size()) {
-      enc.Add("b:" + w + "_" + words[i + 1], config_.bigram_weight);
+      enc.Add({"b:", w, "_", words[i + 1]}, config_.bigram_weight);
     }
-    if (w.size() >= 3 && !IsStopword(w)) {
+    if (w.size() >= 3 && !stopword) {
       for (size_t j = 0; j + 3 <= w.size(); ++j) {
-        enc.Add("t:" + w.substr(j, 3), config_.trigram_weight);
+        enc.Add({"t:", w.substr(j, 3)}, config_.trigram_weight);
       }
     }
   }

@@ -16,8 +16,8 @@ struct ParseErrorEx : std::runtime_error {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, bool lenient)
-      : tokens_(std::move(tokens)), lenient_(lenient) {}
+  Parser(const std::vector<Token>& tokens, bool lenient)
+      : tokens_(tokens), lenient_(lenient) {}
 
   NodePtr ParseModule() {
     auto module = Node::Internal("module");
@@ -1093,14 +1093,15 @@ class Parser {
     return dict;
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
   int depth_ = 0;  ///< current nesting, bounded by kMaxNesting
   bool lenient_;
 };
 
-Result<NodePtr> ParseWithMode(std::string_view source, bool lenient) {
-  Result<std::vector<Token>> tokens = Lex(source);
+Result<NodePtr> ParseTokens(std::string_view source,
+                            const Result<std::vector<Token>>& tokens,
+                            bool lenient) {
   if (!tokens.ok()) {
     if (!lenient) return tokens.status();
     // Lenient fallback for unlexable snippets: lex line by line, skipping
@@ -1137,7 +1138,7 @@ Result<NodePtr> ParseWithMode(std::string_view source, bool lenient) {
     return Result<NodePtr>(std::move(module));
   }
   try {
-    Parser parser(std::move(tokens.value()), lenient);
+    Parser parser(tokens.value(), lenient);
     NodePtr module = parser.ParseModule();
     if (lenient && module->children.empty()) {
       return Status::ParseError("snippet produced no statements");
@@ -1151,11 +1152,22 @@ Result<NodePtr> ParseWithMode(std::string_view source, bool lenient) {
 }  // namespace
 
 Result<NodePtr> Parse(std::string_view source) {
-  return ParseWithMode(source, /*lenient=*/false);
+  return ParseTokens(source, Lex(source), /*lenient=*/false);
 }
 
 Result<NodePtr> ParseLenient(std::string_view source) {
-  return ParseWithMode(source, /*lenient=*/true);
+  return ParseLenient(source, Lex(source));
+}
+
+Result<NodePtr> ParseLenient(std::string_view source,
+                             const Result<std::vector<Token>>& tokens) {
+  return ParseTokens(source, tokens, /*lenient=*/true);
+}
+
+ParsedSnippet ParseSnippet(std::string_view source) {
+  Result<std::vector<Token>> tokens = Lex(source);
+  Result<NodePtr> tree = ParseLenient(source, tokens);
+  return ParsedSnippet{std::move(tokens), std::move(tree)};
 }
 
 }  // namespace laminar::pycode

@@ -14,9 +14,11 @@
 #pragma once
 
 #include <string_view>
+#include <vector>
 
 #include "common/status.hpp"
 #include "pycode/ast.hpp"
+#include "pycode/token.hpp"
 
 namespace laminar::pycode {
 
@@ -34,5 +36,20 @@ Result<NodePtr> Parse(std::string_view source);
 /// not parse become flat "fragment" nodes holding their tokens. Returns an
 /// error only if the input produces no tokens at all.
 Result<NodePtr> ParseLenient(std::string_view source);
+
+/// ParseLenient over `tokens`, which must be Lex(source): the same tree,
+/// for callers that also read the tokens. When the lex failed, the parser
+/// relexes `source` line by line, as ParseLenient(source) does.
+Result<NodePtr> ParseLenient(std::string_view source,
+                             const Result<std::vector<Token>>& tokens);
+
+/// A snippet lexed once and leniently parsed once, for callers with several
+/// readers. Registration hands the tokens to the ReACC encoder and the tree
+/// to the class-name fallback, the summarizer and the Aroma featurizer.
+struct ParsedSnippet {
+  Result<std::vector<Token>> tokens;  ///< Lex(source)
+  Result<NodePtr> tree;               ///< ParseLenient(source, tokens)
+};
+ParsedSnippet ParseSnippet(std::string_view source);
 
 }  // namespace laminar::pycode

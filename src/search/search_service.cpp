@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/strings.hpp"
+#include "pycode/lexer.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace laminar::search {
@@ -56,6 +57,15 @@ embed::SparseVector SearchService::TextEmbeddingFor(
 SearchService::PreparedPe SearchService::PreparePe(
     std::string name, std::string description,
     const std::string& stored_embedding_json, std::string code) const {
+  const pycode::ParsedSnippet parsed = pycode::ParseSnippet(code);
+  return PreparePe(std::move(name), std::move(description),
+                   stored_embedding_json, std::move(code), parsed);
+}
+
+SearchService::PreparedPe SearchService::PreparePe(
+    std::string name, std::string description,
+    const std::string& stored_embedding_json, std::string code,
+    const pycode::ParsedSnippet& parsed) const {
   PreparedPe prepared;
   prepared.name = std::move(name);
   prepared.description = std::move(description);
@@ -63,13 +73,15 @@ SearchService::PreparedPe SearchService::PreparePe(
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
   EncodeCounter("reacc").Inc();
-  prepared.code_embedding = reacc_.Encode(prepared.code);
+  prepared.code_embedding = reacc_.Encode(prepared.code, parsed.tokens);
   // Snippets with no extractable features (e.g. an empty stub) are simply
   // not indexed for recommendation rather than failing the registration.
-  Result<spt::FeatureBag> bag = aroma_.Featurize(prepared.code);
-  if (bag.ok() && bag->total > 0) {
-    prepared.features = spt::FlatFeatures::From(bag.value());
-    prepared.has_features = true;
+  if (parsed.tree.ok()) {
+    spt::FlatFeatures features = aroma_.FeaturizeFlat(*parsed.tree.value());
+    if (features.total > 0) {
+      prepared.features = std::move(features);
+      prepared.has_features = true;
+    }
   }
   return prepared;
 }
@@ -77,13 +89,21 @@ SearchService::PreparedPe SearchService::PreparePe(
 SearchService::PreparedWorkflow SearchService::PrepareWorkflow(
     std::string name, std::string description,
     const std::string& stored_embedding_json, const std::string& code) const {
+  return PrepareWorkflow(std::move(name), std::move(description),
+                         stored_embedding_json, code, pycode::Lex(code));
+}
+
+SearchService::PreparedWorkflow SearchService::PrepareWorkflow(
+    std::string name, std::string description,
+    const std::string& stored_embedding_json, const std::string& code,
+    const Result<std::vector<pycode::Token>>& tokens) const {
   PreparedWorkflow prepared;
   prepared.name = std::move(name);
   prepared.description = std::move(description);
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
   EncodeCounter("reacc").Inc();
-  prepared.code_embedding = reacc_.Encode(code);
+  prepared.code_embedding = reacc_.Encode(code, tokens);
   return prepared;
 }
 

@@ -27,6 +27,7 @@
 #include "embed/codet5_sim.hpp"
 #include "embed/reacc_sim.hpp"
 #include "embed/unixcoder_sim.hpp"
+#include "pycode/parser.hpp"
 #include "registry/repository.hpp"
 #include "search/postings_index.hpp"
 #include "search/query_cache.hpp"
@@ -91,12 +92,26 @@ class SearchService {
     embed::SparseVector text_embedding;
     embed::SparseVector code_embedding;
   };
+  /// Each prepare lexes its code once and parses it at most once: the ReACC
+  /// encoder reads the tokens, the Aroma featurizer the tree. The forms
+  /// taking `parsed` (or `tokens`) read the caller's
+  /// pycode::ParseSnippet(code) (or pycode::Lex(code)) instead, so the
+  /// server's registration shares one parse with its class-name fallback
+  /// and its summary.
   PreparedPe PreparePe(std::string name, std::string description,
                        const std::string& stored_embedding_json,
                        std::string code) const;
+  PreparedPe PreparePe(std::string name, std::string description,
+                       const std::string& stored_embedding_json,
+                       std::string code,
+                       const pycode::ParsedSnippet& parsed) const;
   PreparedWorkflow PrepareWorkflow(std::string name, std::string description,
                                    const std::string& stored_embedding_json,
                                    const std::string& code) const;
+  PreparedWorkflow PrepareWorkflow(
+      std::string name, std::string description,
+      const std::string& stored_embedding_json, const std::string& code,
+      const Result<std::vector<pycode::Token>>& tokens) const;
   /// Require external exclusive locking, like every index mutation.
   void CommitPe(int64_t pe_id, PreparedPe prepared);
   void CommitWorkflow(int64_t workflow_id, PreparedWorkflow prepared);

@@ -159,10 +159,9 @@ Status ValidateRunOptions(const Value& body) {
   return check_integer("priority", -100, 100);
 }
 
-/// Class name of the first class definition in the code (the registered PE's
-/// canonical name when the client did not provide one).
-std::string ExtractClassName(const std::string& code) {
-  Result<pycode::NodePtr> parsed = pycode::ParseLenient(code);
+/// Class name of the first class definition in the parsed code (the
+/// registered PE's canonical name when the client did not provide one).
+std::string ExtractClassName(const Result<pycode::NodePtr>& parsed) {
   if (!parsed.ok()) return {};
   std::string name;
   parsed.value()->Visit([&](const pycode::Node& n) {
@@ -422,8 +421,12 @@ Result<LaminarServer::PreparedPeReg> LaminarServer::PreparePeRegistration(
   if (pe.code.empty()) {
     return Status::InvalidArgument("PE registration requires 'code'");
   }
+  // One lex and one parse of the code feed every step below: the class-name
+  // fallback, the summary and the Aroma features read the tree, the ReACC
+  // encode reads the tokens.
+  const pycode::ParsedSnippet parsed = pycode::ParseSnippet(pe.code);
   pe.name = pe_obj.GetString("name");
-  if (pe.name.empty()) pe.name = ExtractClassName(pe.code);
+  if (pe.name.empty()) pe.name = ExtractClassName(parsed.tree);
   if (pe.name.empty()) {
     return Status::InvalidArgument("cannot determine PE name from code");
   }
@@ -431,14 +434,14 @@ Result<LaminarServer::PreparedPeReg> LaminarServer::PreparePeRegistration(
   if (pe.description.empty()) {
     // §IV-C: auto-generate from the full class context.
     pe.description =
-        codet5_.Summarize(pe.code, embed::DescriptionContext::kFullClass);
+        codet5_.Summarize(parsed.tree, embed::DescriptionContext::kFullClass);
   }
   pe.type = pe_obj.GetString("type", "IterativePE");
   // One encode + one SPT featurization, shared by the stored columns and
-  // the search indexes (the old path parsed the code twice: once for the
-  // column, once inside the index add).
+  // the search indexes.
   prepared.index = search_.PreparePe(pe.name, pe.description,
-                                     /*stored_embedding_json=*/"", pe.code);
+                                     /*stored_embedding_json=*/"", pe.code,
+                                     parsed);
   pe.description_embedding = embed::ToJson(prepared.index.text_embedding);
   if (prepared.index.has_features) {
     pe.spt_embedding = spt::FeatureBagToJson(prepared.index.features);
@@ -1093,16 +1096,16 @@ Result<LaminarServer::Response> LaminarServer::RegisterWorkflow(Call& c) {
           // §IV-C: workflow descriptions synthesized from their PEs.
           wf.description = codet5_.SummarizeWorkflow(wf.name, pe_descriptions);
         }
+        // The workflow's own code is lexed and parsed once too: the ReACC
+        // encode reads the tokens, the sptEmbedding column the tree.
+        const pycode::ParsedSnippet parsed = pycode::ParseSnippet(wf.code);
         wf_index = search_.PrepareWorkflow(wf.name, wf.description,
                                            /*stored_embedding_json=*/"",
-                                           wf.code);
+                                           wf.code, parsed.tokens);
         wf.description_embedding = embed::ToJson(wf_index.text_embedding);
-        if (!wf.code.empty()) {
-          Result<spt::FeatureBag> features =
-              search_.aroma().Featurize(wf.code);
-          if (features.ok()) {
-            wf.spt_embedding = spt::FeatureBagToJson(features.value());
-          }
+        if (parsed.tree.ok()) {
+          wf.spt_embedding = spt::FeatureBagToJson(
+              search_.aroma().FeaturizeFlat(*parsed.tree.value()));
         }
         return Status::Ok();
       },

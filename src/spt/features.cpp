@@ -1,7 +1,11 @@
 #include "spt/features.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <initializer_list>
+#include <string_view>
 
 #include "common/hashing.hpp"
 
@@ -120,47 +124,67 @@ void CollectLocalsWalk(const SptNode& node,
   }
 }
 
-struct Ancestor {
-  const SptNode* node;
-  size_t child_index;  // index of the element we descended through
-};
+/// A feature's (hash, source line), in the order the extractor emits them.
+using FeatureStream = std::vector<std::pair<uint64_t, int>>;
 
+/// `value`'s decimal digits, written into `buf`: the digits std::to_string
+/// gives, without a string.
+std::string_view Digits(size_t value, std::array<char, 24>& buf) {
+  char* end = std::to_chars(buf.data(), buf.data() + buf.size(), value).ptr;
+  return {buf.data(), static_cast<size_t>(end - buf.data())};
+}
+
+/// Walks an SPT once and emits every feature as its FNV-1a hash and source
+/// line. Each node's label is built once, on entry, and kept by index for
+/// the parent and variable-usage features that name it. A feature's hash
+/// is streamed over the pieces of its spelling, which equals hashing the
+/// spelling (hashing::Fnv1a64), so no feature string is built unless
+/// `strings` asks for the spellings.
 class Extractor {
  public:
-  Extractor(const FeatureOptions& opts,
-            std::unordered_set<std::string> locals)
-      : opts_(opts), locals_(std::move(locals)) {}
+  Extractor(const FeatureOptions& opts, std::unordered_set<std::string> locals,
+            std::vector<std::string>* strings)
+      : opts_(opts), locals_(std::move(locals)), strings_(strings) {}
 
-  FeatureBag Run(const SptNode& root) {
+  FeatureStream Run(const SptNode& root) {
     Walk(root);
     EmitSiblingAndUsageFeatures();
-    return std::move(bag_);
+    return std::move(stream_);
   }
 
  private:
+  struct Ancestor {
+    uint32_t label;      // index into labels_
+    size_t child_index;  // index of the element we descended through
+  };
   struct TokenSite {
-    std::string generalized;
-    std::string original;
+    std::string_view generalized;
+    const std::string* original;
     int line;
-    std::string parent_label;
+    uint32_t parent_label;  // index into labels_
   };
 
-  std::string Generalize(const std::string& text) const {
+  std::string_view Generalize(const std::string& text) const {
     if (IsStringLiteral(text)) return "#STR";
     if (opts_.generalize_variables && locals_.contains(text)) return "#VAR";
     return text;
   }
 
-  void Emit(const std::string& feature, int line) {
-    uint64_t h = hashing::Fnv1a64(feature);
-    bag_.Add(h);
-    if (opts_.with_occurrences) bag_.occurrences.emplace_back(h, line);
-    if (opts_.record_strings) bag_.strings.push_back(feature);
+  /// Emits the feature spelled by the concatenation of `pieces`.
+  void Emit(std::initializer_list<std::string_view> pieces, int line) {
+    uint64_t h = hashing::kFnv1a64Offset;
+    for (std::string_view piece : pieces) h = hashing::Fnv1a64(piece, h);
+    stream_.emplace_back(h, line);
+    if (strings_ != nullptr) {
+      std::string& feature = strings_->emplace_back();
+      for (std::string_view piece : pieces) feature += piece;
+    }
   }
 
   void Walk(const SptNode& node) {
-    ancestors_.push_back({&node, 0});
-    std::string label = node.Label();
+    const auto label = static_cast<uint32_t>(labels_.size());
+    labels_.push_back(node.Label());
+    ancestors_.push_back({label, 0});
     for (size_t i = 0; i < node.elems.size(); ++i) {
       const SptElem& e = node.elems[i];
       ancestors_.back().child_index = i;
@@ -173,36 +197,40 @@ class Extractor {
     ancestors_.pop_back();
   }
 
-  void HandleToken(const SptElem& token, const std::string& parent_label) {
-    std::string gen = Generalize(token.text);
+  void HandleToken(const SptElem& token, uint32_t parent_label) {
+    const std::string_view gen = Generalize(token.text);
     // 1. Token feature.
-    Emit("T:" + gen, token.line);
+    Emit({"T:", gen}, token.line);
     // 2. Parent features for up to parent_levels ancestors.
+    std::array<char, 24> level_digits{};
+    std::array<char, 24> index_digits{};
     int levels = 0;
     for (auto it = ancestors_.rbegin();
          it != ancestors_.rend() && levels < opts_.parent_levels;
          ++it, ++levels) {
-      Emit("P" + std::to_string(levels + 1) + ":" + gen + "|" +
-               std::to_string(it->child_index) + "|" + it->node->Label(),
+      Emit({"P", Digits(static_cast<size_t>(levels) + 1, level_digits), ":",
+            gen, "|", Digits(it->child_index, index_digits), "|",
+            labels_[it->label]},
            token.line);
     }
     // Defer sibling + usage features until all tokens are known.
-    sites_.push_back(TokenSite{gen, token.text, token.line, parent_label});
+    sites_.push_back(TokenSite{gen, &token.text, token.line, parent_label});
   }
 
   void EmitSiblingAndUsageFeatures() {
     // 3. Sibling features over consecutive non-keyword tokens.
     for (size_t i = 0; i + 1 < sites_.size(); ++i) {
-      Emit("S:" + sites_[i].generalized + ">" + sites_[i + 1].generalized,
+      Emit({"S:", sites_[i].generalized, ">", sites_[i + 1].generalized},
            sites_[i].line);
     }
     // 4. Variable-usage features: consecutive usages of the same local.
-    std::unordered_map<std::string, const TokenSite*> last_use;
+    std::unordered_map<std::string_view, const TokenSite*> last_use;
     for (const TokenSite& site : sites_) {
-      if (!locals_.contains(site.original)) continue;
-      auto [it, inserted] = last_use.try_emplace(site.original, &site);
+      if (!locals_.contains(*site.original)) continue;
+      auto [it, inserted] = last_use.try_emplace(*site.original, &site);
       if (!inserted) {
-        Emit("V:" + it->second->parent_label + ">" + site.parent_label,
+        Emit({"V:", labels_[it->second->parent_label], ">",
+              labels_[site.parent_label]},
              site.line);
         it->second = &site;
       }
@@ -211,10 +239,19 @@ class Extractor {
 
   FeatureOptions opts_;
   std::unordered_set<std::string> locals_;
+  std::vector<std::string>* strings_;
+  std::vector<std::string> labels_;  ///< every walked node's, in walk order
   std::vector<Ancestor> ancestors_;
   std::vector<TokenSite> sites_;
-  FeatureBag bag_;
+  FeatureStream stream_;
 };
+
+FeatureStream Extract(const SptNode& root, const FeatureOptions& opts,
+                      std::vector<std::string>* strings) {
+  std::unordered_set<std::string> locals;
+  if (opts.generalize_variables) locals = CollectLocalVariables(root);
+  return Extractor(opts, std::move(locals), strings).Run(root);
+}
 
 }  // namespace
 
@@ -235,10 +272,70 @@ std::unordered_set<std::string> CollectLocalVariables(const SptNode& root) {
 }
 
 FeatureBag ExtractFeatures(const SptNode& root, const FeatureOptions& opts) {
-  std::unordered_set<std::string> locals;
-  if (opts.generalize_variables) locals = CollectLocalVariables(root);
-  Extractor extractor(opts, std::move(locals));
-  return extractor.Run(root);
+  FeatureBag bag;
+  FeatureStream stream =
+      Extract(root, opts, opts.record_strings ? &bag.strings : nullptr);
+  for (const auto& [hash, line] : stream) bag.Add(hash);
+  if (opts.with_occurrences) bag.occurrences = std::move(stream);
+  return bag;
+}
+
+FlatFeatures ExtractFlatFeatures(const SptNode& root,
+                                 const FeatureOptions& opts) {
+  FeatureStream stream = Extract(root, opts, nullptr);
+  FlatFeatures flat;
+  flat.total = stream.size();
+  // Occurrences are placed in (line, feature) order by a counting sort on
+  // the line: next[l] is where the next occurrence on line `first + l`
+  // goes. Lines lie within the source's line span, so this is linear in
+  // the input.
+  std::vector<uint32_t> next;
+  int first = 0;
+  if (opts.with_occurrences && !stream.empty()) {
+    const auto [lo, hi] = std::minmax_element(
+        stream.begin(), stream.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    first = lo->second;
+    next.assign(static_cast<size_t>(int64_t{hi->second} - first) + 1, 0);
+    for (const auto& [hash, line] : stream) ++next[line - first];
+    uint32_t offset = 0;
+    for (uint32_t& slot : next) {
+      const uint32_t on_line = slot;
+      slot = offset;
+      offset += on_line;
+    }
+    flat.occurrences.resize(stream.size());
+  }
+  // Sorted by hash, the stream lists each feature's occurrences as one
+  // run: the runs are `features`, in ascending hash order. Visiting them in
+  // that order fills each line's occurrences in feature order. Both vectors
+  // hold exactly their size, since the index keeps them for the document's
+  // lifetime.
+  std::sort(stream.begin(), stream.end());
+  size_t distinct = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == 0 || stream[i].first != stream[i - 1].first) ++distinct;
+  }
+  flat.features.reserve(distinct);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const auto& [hash, line] = stream[i];
+    if (i == 0 || hash != stream[i - 1].first) {
+      flat.features.push_back(FlatFeatures::Feature{hash, 0});
+    }
+    ++flat.features.back().count;
+    if (opts.with_occurrences) {
+      flat.occurrences[next[line - first]++] = FlatFeatures::Occurrence{
+          line, static_cast<uint32_t>(flat.features.size() - 1)};
+    }
+  }
+  // Integer squares summed in double are exact in any order, so this is
+  // FeatureBag::Norm() of the same counts.
+  double sum = 0;
+  for (const FlatFeatures::Feature& f : flat.features) {
+    sum += static_cast<double>(f.count) * static_cast<double>(f.count);
+  }
+  flat.norm = std::sqrt(sum);
+  return flat;
 }
 
 double OverlapScore(const FeatureBag& a, const FeatureBag& b) {

@@ -13,6 +13,10 @@
 // bindings, self/cls) are generalized to "#VAR" and string literals to
 // "#STR", which is what makes Aroma robust to renames — the property the
 // paper's Fig. 12 vs Fig. 13 comparison turns on.
+//
+// A feature is its spelling's FNV-1a hash, e.g. of "P1:#VAR|0|#=#". The
+// extractor streams the hash over the spelling's pieces and builds the
+// spelling only for FeatureOptions::record_strings.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +90,11 @@ struct FeatureOptions {
 
 /// Extracts the Aroma feature multiset of an SPT.
 FeatureBag ExtractFeatures(const SptNode& root, const FeatureOptions& opts = {});
+/// The same features in flat form, FlatFeatures::From(ExtractFeatures(root,
+/// opts)) bit for bit, built from the extractor's (hash, line) stream with
+/// no FeatureBag in between. record_strings has no effect here.
+FlatFeatures ExtractFlatFeatures(const SptNode& root,
+                                 const FeatureOptions& opts = {});
 
 /// Identifiers bound locally in the snippet (assignment/loop/param/etc.).
 std::unordered_set<std::string> CollectLocalVariables(const SptNode& root);

@@ -1,7 +1,9 @@
 #include "spt/index.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <new>
 
 #include "simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
@@ -47,11 +49,38 @@ void SptIndex::Redecide(uint64_t hash, PostingList& list) {
   }
 }
 
+void SptIndex::FreeColumn::operator()(Column* column) const {
+  column->~Column();
+  ::operator delete(column);
+}
+
+SptIndex::ColumnPtr SptIndex::NewColumn(uint32_t length, uint32_t capacity) {
+  void* block = ::operator new(sizeof(Column) + capacity);
+  ColumnPtr column(new (block) Column{0, length, capacity});
+  std::memset(column->counts(), 0, capacity);
+  return column;
+}
+
+void SptIndex::CoverSlot(PostingList& list, uint32_t slot) {
+  Column& column = *list.column;
+  if (slot < column.length) return;
+  const uint32_t length = slot + 1;
+  if (length <= column.capacity) {
+    column.length = length;  // the counts past the old length are zero
+    return;
+  }
+  // std::vector's resize growth: at least double.
+  ColumnPtr grown = NewColumn(length, std::max(2 * column.length, length));
+  std::memcpy(grown->counts(), column.counts(), column.length);
+  grown->live = column.live;
+  list.column = std::move(grown);
+}
+
 void SptIndex::Promote(PostingList& list) {
-  auto column = std::make_unique<Column>();
-  column->counts.assign(slot_ids_.size(), 0);
+  const auto slots = static_cast<uint32_t>(slot_ids_.size());
+  ColumnPtr column = NewColumn(slots, slots);
   for (const Posting& p : list.sparse) {
-    column->counts[p.slot] = static_cast<uint8_t>(p.count);
+    column->counts()[p.slot] = static_cast<uint8_t>(p.count);
   }
   column->live = static_cast<uint32_t>(list.sparse.size());
   list.column = std::move(column);
@@ -59,12 +88,11 @@ void SptIndex::Promote(PostingList& list) {
 }
 
 void SptIndex::Demote(PostingList& list) {
-  const std::vector<uint8_t>& counts = list.column->counts;
-  list.sparse.reserve(list.column->live);
-  for (size_t slot = 0; slot < counts.size(); ++slot) {
-    if (counts[slot] != 0) {
-      list.sparse.push_back(Posting{static_cast<uint32_t>(slot), counts[slot]});
-    }
+  const Column& column = *list.column;
+  const uint8_t* counts = column.counts();
+  list.sparse.reserve(column.live);
+  for (uint32_t slot = 0; slot < column.length; ++slot) {
+    if (counts[slot] != 0) list.sparse.push_back(Posting{slot, counts[slot]});
   }
   list.column.reset();
 }
@@ -97,9 +125,8 @@ void SptIndex::Add(int64_t doc_id, FlatFeatures doc) {
       if (list.dense()) Demote(list);
     }
     if (list.dense()) {
-      std::vector<uint8_t>& counts = list.column->counts;
-      if (slot >= counts.size()) counts.resize(size_t{slot} + 1);
-      counts[slot] = static_cast<uint8_t>(f.count);
+      CoverSlot(list, slot);
+      list.column->counts()[slot] = static_cast<uint8_t>(f.count);
       ++list.column->live;
     } else {
       list.sparse.push_back(Posting{slot, f.count});
@@ -121,7 +148,7 @@ bool SptIndex::Remove(int64_t doc_id) {
     if (list.dense()) {
       // Covered: the column was made N long with the document already in
       // it, or grew to its slot when the document joined.
-      list.column->counts[slot] = 0;
+      list.column->counts()[slot] = 0;
       --list.column->live;
     } else {
       auto pos = std::find_if(
@@ -168,7 +195,7 @@ SptIndex::PostingStats SptIndex::Stats() const {
     stats.sparse_bytes += list.sparse.capacity() * sizeof(Posting);
     if (list.dense()) {
       ++stats.columns;
-      stats.column_bytes += list.column->counts.capacity();
+      stats.column_bytes += list.column->capacity;
       stats.header_bytes += sizeof(Column);
     }
   }
@@ -202,8 +229,8 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
     if (metric == Metric::kCosine) {
       const double q = f.count;
       if (list.dense()) {
-        const std::vector<uint8_t>& counts = list.column->counts;
-        for (size_t slot = 0; slot < counts.size(); ++slot) {
+        const uint8_t* counts = list.column->counts();
+        for (uint32_t slot = 0; slot < list.column->length; ++slot) {
           if (counts[slot] != 0) s.dots[slot] += q * counts[slot];
         }
         continue;
@@ -213,8 +240,8 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
       }
     } else if (list.dense()) {
       // Column counts are at most 255, so min(q, d) = min(min(q, 255), d).
-      simd::AddMinU8(s.counts.data(), list.column->counts.data(),
-                     list.column->counts.size(),
+      simd::AddMinU8(s.counts.data(), list.column->counts(),
+                     list.column->length,
                      static_cast<uint8_t>(std::min(f.count, kColumnMax)));
     } else {
       for (const Posting& p : list.sparse) {

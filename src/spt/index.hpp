@@ -20,9 +20,11 @@
 // of two (lists promoted while the corpus was small do not stay dense). A
 // list holding a count above 255 stays pairs. A column covers the slots
 // below its length; the slots past it, and free slots, count zero, so
-// Remove zeroes one byte instead of searching the list. The column is
-// allocated on promotion, which ~1.4% of lists ever reach, so every other
-// list costs a 32-byte header: its pairs and a null column pointer.
+// Remove zeroes one byte instead of searching the list. The column is one
+// heap block, allocated on promotion: its live count, length and capacity,
+// then the counts, so a list reaches a slot's count through its one
+// pointer. ~1.4% of lists ever promote, so every other list costs a
+// 32-byte header: its pairs and a null column pointer.
 //
 // TopK walks the query's features once. Every metric decomposes by feature,
 // so each posting adds its term — min(q, d) for overlap and containment,
@@ -109,22 +111,39 @@ class SptIndex {
     uint32_t slot = 0;
     uint32_t count = 0;
   };
-  /// A promoted list's postings: one count per slot below its length.
-  struct Column {
-    std::vector<uint8_t> counts;
-    uint32_t live = 0;  ///< non-zero counts
+  /// A promoted list's postings: this header, then `capacity` counts in
+  /// the same block, one per slot below `length` and zero past it. The
+  /// block grows as a std::vector<uint8_t> resized to each new length does.
+  struct alignas(16) Column {
+    uint32_t live = 0;      ///< non-zero counts
+    uint32_t length = 0;    ///< slots covered
+    uint32_t capacity = 0;  ///< counts allocated, zero past `length`
+
+    uint8_t* counts() { return reinterpret_cast<uint8_t*>(this + 1); }
+    const uint8_t* counts() const {
+      return reinterpret_cast<const uint8_t*>(this + 1);
+    }
   };
+  struct FreeColumn {
+    void operator()(Column* column) const;
+  };
+  using ColumnPtr = std::unique_ptr<Column, FreeColumn>;
   /// One feature's postings: `sparse` pairs in no particular order, or,
   /// once promoted, a column.
   struct PostingList {
     std::vector<Posting> sparse;
-    std::unique_ptr<Column> column;
+    ColumnPtr column;
 
     bool dense() const { return column != nullptr; }
     /// Documents holding the feature.
     size_t live() const { return dense() ? column->live : sparse.size(); }
   };
   static_assert(sizeof(PostingList) <= 32, "a pair list's header");
+
+  /// A zeroed column of `length` slots in a block for `capacity` counts.
+  static ColumnPtr NewColumn(uint32_t length, uint32_t capacity);
+  /// Makes `list`'s column cover `slot`.
+  static void CoverSlot(PostingList& list, uint32_t slot);
 
   /// Applies the density rule to `hash`'s `list` (see the file comment).
   void Redecide(uint64_t hash, PostingList& list);

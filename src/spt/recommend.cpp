@@ -75,11 +75,9 @@ AromaEngine::AromaEngine(AromaConfig config) : config_(std::move(config)) {
 }
 
 Status AromaEngine::AddSnippet(int64_t id, std::string_view code) {
-  Result<SptNodePtr> spt = SptFromSource(code);
-  if (!spt.ok()) return spt.status();
-  return AddSnippetWithFeatures(
-      id, code,
-      FlatFeatures::From(ExtractFeatures(*spt.value(), config_.features)));
+  Result<FlatFeatures> features = FeaturizeFlat(code);
+  if (!features.ok()) return features.status();
+  return AddSnippetWithFeatures(id, code, std::move(features.value()));
 }
 
 Status AromaEngine::AddSnippetWithFeatures(int64_t id, std::string_view code,
@@ -104,19 +102,29 @@ Result<FeatureBag> AromaEngine::Featurize(std::string_view code) const {
   return ExtractFeatures(*spt.value(), config_.features);
 }
 
+Result<FlatFeatures> AromaEngine::FeaturizeFlat(std::string_view code) const {
+  Result<SptNodePtr> spt = SptFromSource(code);
+  if (!spt.ok()) return spt.status();
+  return ExtractFlatFeatures(*spt.value(), config_.features);
+}
+
+FlatFeatures AromaEngine::FeaturizeFlat(const pycode::Node& parse_tree) const {
+  return ExtractFlatFeatures(*BuildSpt(parse_tree), config_.features);
+}
+
 Result<std::vector<SptIndex::Hit>> AromaEngine::Search(
     std::string_view query_code, size_t k, Metric metric) const {
-  Result<FeatureBag> query = Featurize(query_code);
+  Result<FlatFeatures> query = FeaturizeFlat(query_code);
   if (!query.ok()) return query.status();
-  return index_.TopK(FlatFeatures::From(query.value()), k, metric);
+  return index_.TopK(query.value(), k, metric);
 }
 
 Result<std::vector<Recommendation>> AromaEngine::Recommend(
     std::string_view query_code) const {
-  Result<FeatureBag> query_result = Featurize(query_code);
+  Result<FlatFeatures> query_result = FeaturizeFlat(query_code);
   if (!query_result.ok()) return query_result.status();
   // Sorted once; every stage below reads this flat form.
-  const FlatFeatures query = FlatFeatures::From(query_result.value());
+  const FlatFeatures& query = query_result.value();
 
   if (!config_.use_full_pipeline) {
     // Laminar 2.0 simplified path: similarity search only.
@@ -189,9 +197,9 @@ Result<std::vector<Recommendation>> AromaEngine::Recommend(
 
 Result<std::vector<Completion>> AromaEngine::Complete(
     std::string_view partial_code, size_t k) const {
-  Result<FeatureBag> query_result = Featurize(partial_code);
+  Result<FlatFeatures> query_result = FeaturizeFlat(partial_code);
   if (!query_result.ok()) return query_result.status();
-  const FlatFeatures query = FlatFeatures::From(query_result.value());
+  const FlatFeatures& query = query_result.value();
 
   std::vector<SptIndex::Hit> hits =
       index_.TopK(query, std::max<size_t>(4 * k, 8), Metric::kOverlap);

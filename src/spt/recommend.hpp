@@ -56,13 +56,13 @@ class AromaEngine {
   /// Parses, featurizes and indexes a snippet. Fails only if the snippet
   /// yields no tokens at all.
   Status AddSnippet(int64_t id, std::string_view code);
-  /// Indexes a snippet whose features were already extracted and
-  /// flattened (FlatFeatures::From(Featurize(code))) — the two-phase
-  /// registration path does both off-lock and hands the result here, so
-  /// committing never reparses or sorts. The features must come from
-  /// Featurize on *this* engine's options: FeatureBagToJson drops the
-  /// per-feature line occurrences that prune/rerank need, so the in-memory
-  /// form (not a JSON round-trip) is required. Fails with InvalidArgument,
+  /// Indexes a snippet whose features were already extracted in flat form
+  /// (FeaturizeFlat) — the two-phase registration path does that off-lock
+  /// and hands the result here, so committing never reparses or sorts. The
+  /// features must come from FeaturizeFlat on *this* engine's options:
+  /// FeatureBagToJson drops the per-feature line occurrences that
+  /// prune/rerank need, so the in-memory form (not a JSON round-trip) is
+  /// required. Fails with InvalidArgument,
   /// indexing nothing, unless the features are a well-formed flat document
   /// with a line occurrence for every count, as FlatFeatures::From builds.
   Status AddSnippetWithFeatures(int64_t id, std::string_view code,
@@ -88,6 +88,12 @@ class AromaEngine {
   /// Featurizes a snippet with this engine's options (for external storage,
   /// e.g. the registry's sptEmbedding column).
   Result<FeatureBag> Featurize(std::string_view code) const;
+  /// The same features in the flat form the index, prune and cluster
+  /// stages read: FlatFeatures::From(Featurize(code)), built without the
+  /// FeatureBag. The second form reads a tree the caller already parsed
+  /// with pycode::ParseLenient(code).
+  Result<FlatFeatures> FeaturizeFlat(std::string_view code) const;
+  FlatFeatures FeaturizeFlat(const pycode::Node& parse_tree) const;
 
   const AromaConfig& config() const { return config_; }
 
