@@ -193,6 +193,6 @@ int main(int argc, char** argv) {
     report.AddHistogram("laminar_engine_first_output_ms", labels.c_str());
     report.AddHistogram("laminar_dataflow_enact_ms", labels.c_str());
   }
-  report.Write();
+  if (!smoke) report.Write();  // a smoke run gates; it records nothing
   return parity_ok ? 0 : 1;
 }

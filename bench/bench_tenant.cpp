@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
   report.Set("mallory_deadline_408", static_cast<int64_t>(mallory.deadline_408));
   report.AddHistogram("laminar_tenant_queue_wait_ms", "tenant=\"alice\"");
   report.AddHistogram("laminar_tenant_queue_wait_ms", "tenant=\"mallory\"");
-  report.Write();
+  if (!smoke) report.Write();  // a smoke run gates; it records nothing
 
   if (smoke) {
     bool ok = true;

@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
   report.AddHistogram("laminar_net_io_ms", "op=\"read\"");
   report.AddHistogram("laminar_net_io_ms", "op=\"write\"");
   report.AddHistogram("laminar_server_request_ms", "path=\"/search/semantic\"");
-  report.Write();
+  if (!smoke) report.Write();  // a smoke run gates; it records nothing
 
   if (smoke) {
     // Parity + sanity gates (loose on purpose: the committed JSON carries

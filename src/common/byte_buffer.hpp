@@ -29,6 +29,7 @@ class ByteWriter {
     buf_.append(s.data(), s.size());
   }
   void PutRaw(std::string_view s) { buf_.append(s.data(), s.size()); }
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   const std::string& data() const& { return buf_; }
   std::string Take() && { return std::move(buf_); }

@@ -84,16 +84,6 @@ class PipeEnd final : public ByteStream {
 
 }  // namespace
 
-bool ByteStream::ReadExact(char* buf, size_t n) {
-  size_t got = 0;
-  while (got < n) {
-    size_t r = Read(buf + got, n - got);
-    if (r == 0) return false;
-    got += r;
-  }
-  return true;
-}
-
 DuplexPipe CreatePipe(size_t capacity) {
   auto ab = std::make_shared<Channel>(capacity);
   auto ba = std::make_shared<Channel>(capacity);

@@ -28,9 +28,6 @@ class ByteStream {
   /// bytes then return EOF. Idempotent. Needed for orderly shutdown when the
   /// peer is still open.
   virtual void CloseRead() = 0;
-
-  /// Reads exactly n bytes; false on premature EOF.
-  bool ReadExact(char* buf, size_t n);
 };
 
 /// A connected pair of in-memory endpoints.

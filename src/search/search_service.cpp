@@ -29,9 +29,18 @@ struct QueryMetrics {
   }
 };
 
-telemetry::Counter& EncodeCounter(const char* model) {
-  return telemetry::MetricsRegistry::Global().GetCounter(
-      "laminar_embed_encodes_total", std::string("model=\"") + model + "\"");
+/// laminar_embed_encodes_total{model=...} per encoder, resolved once so an
+/// encode never looks its counter up under the registry's mutex.
+telemetry::Counter& UnixcoderEncodes() {
+  static telemetry::Counter& c = telemetry::MetricsRegistry::Global().GetCounter(
+      "laminar_embed_encodes_total", "model=\"unixcoder\"");
+  return c;
+}
+
+telemetry::Counter& ReaccEncodes() {
+  static telemetry::Counter& c = telemetry::MetricsRegistry::Global().GetCounter(
+      "laminar_embed_encodes_total", "model=\"reacc\"");
+  return c;
 }
 
 }  // namespace
@@ -50,7 +59,7 @@ embed::SparseVector SearchService::TextEmbeddingFor(
     embed::SparseVector stored = embed::FromJson(stored_json);
     if (stored.dims != 0) return stored;
   }
-  EncodeCounter("unixcoder").Inc();
+  UnixcoderEncodes().Inc();
   return unixcoder_.Encode(description);
 }
 
@@ -72,7 +81,7 @@ SearchService::PreparedPe SearchService::PreparePe(
   prepared.code = std::move(code);
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
-  EncodeCounter("reacc").Inc();
+  ReaccEncodes().Inc();
   prepared.code_embedding = reacc_.Encode(prepared.code, parsed.tokens);
   // Snippets with no extractable features (e.g. an empty stub) are simply
   // not indexed for recommendation rather than failing the registration.
@@ -102,7 +111,7 @@ SearchService::PreparedWorkflow SearchService::PrepareWorkflow(
   prepared.description = std::move(description);
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
-  EncodeCounter("reacc").Inc();
+  ReaccEncodes().Inc();
   prepared.code_embedding = reacc_.Encode(code, tokens);
   return prepared;
 }
@@ -288,7 +297,7 @@ std::vector<SearchHit> SearchService::SemanticSearch(const std::string& query,
   if (limit == 0) limit = kDefaultLimit;
   const embed::SparseVector q =
       query_cache_.GetOrCompute("unixcoder", query, [&] {
-        EncodeCounter("unixcoder").Inc();
+        UnixcoderEncodes().Inc();
         return unixcoder_.Encode(query);
       });
   return target == SearchTarget::kPe
@@ -304,7 +313,7 @@ std::vector<SearchHit> SearchService::CodeSearchLlm(const std::string& code,
   telemetry::ScopedSpan span("search.llm", &qm.latency_ms);
   if (limit == 0) limit = kDefaultLimit;
   const embed::SparseVector q = query_cache_.GetOrCompute("reacc", code, [&] {
-    EncodeCounter("reacc").Inc();
+    ReaccEncodes().Inc();
     return reacc_.Encode(code);
   });
   return target == SearchTarget::kPe
