@@ -20,12 +20,9 @@ telemetry::Counter& BatchCounter(const char* name, const char* op) {
 }  // namespace
 
 Broker::Broker()
-    : c_gets_(OpCounter("get")),
-      c_sets_(OpCounter("set")),
-      c_pushes_(OpCounter("push")),
+    : c_pushes_(OpCounter("push")),
       c_pops_(OpCounter("pop")),
       c_blocked_pops_(OpCounter("blocked_pop")),
-      c_publishes_(OpCounter("publish")),
       c_batch_push_ops_(
           BatchCounter("laminar_broker_batch_ops_total", "push_multi")),
       c_batch_push_items_(
@@ -60,51 +57,18 @@ void Broker::SignalWatchersLocked(Shard& shard, const std::string& key,
   }
 }
 
-void Broker::Set(const std::string& key, std::string value) {
-  Shard& shard = ShardFor(key);
-  {
-    std::scoped_lock lock(shard.mu);
-    shard.strings[key] = std::move(value);
-  }
-  stats_.sets.fetch_add(1, std::memory_order_relaxed);
-  c_sets_.Inc();
-}
-
-std::optional<std::string> Broker::Get(const std::string& key) const {
-  const Shard& shard = ShardFor(key);
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  c_gets_.Inc();
-  std::scoped_lock lock(shard.mu);
-  auto it = shard.strings.find(key);
-  if (it == shard.strings.end()) return std::nullopt;
-  return it->second;
-}
-
-bool Broker::Del(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::scoped_lock lock(shard.mu);
-  return shard.strings.erase(key) + shard.hashes.erase(key) +
-             shard.lists.erase(key) >
-         0;
-}
-
 size_t Broker::DelPrefix(const std::string& prefix) {
   size_t removed = 0;
   uint64_t scanned = 0;
   for (Shard& shard : shards_) {
     std::scoped_lock lock(shard.mu);
-    auto erase_prefix = [&](auto& map) {
-      auto it = map.lower_bound(prefix);
-      while (it != map.end()) {
-        ++scanned;
-        if (!it->first.starts_with(prefix)) break;  // sorted: no more matches
-        it = map.erase(it);
-        ++removed;
-      }
-    };
-    erase_prefix(shard.strings);
-    erase_prefix(shard.hashes);
-    erase_prefix(shard.lists);
+    auto it = shard.lists.lower_bound(prefix);
+    while (it != shard.lists.end()) {
+      ++scanned;
+      if (!it->first.starts_with(prefix)) break;  // sorted: no more matches
+      it = shard.lists.erase(it);
+      ++removed;
+    }
   }
   stats_.keys_scanned.fetch_add(scanned, std::memory_order_relaxed);
   c_scan_keys_.Inc(scanned);
@@ -116,88 +80,16 @@ size_t Broker::KeyCount(const std::string& prefix) const {
   uint64_t scanned = 0;
   for (const Shard& shard : shards_) {
     std::scoped_lock lock(shard.mu);
-    auto count_prefix = [&](const auto& map) {
-      for (auto it = map.lower_bound(prefix); it != map.end(); ++it) {
-        ++scanned;
-        if (!it->first.starts_with(prefix)) break;
-        ++count;
-      }
-    };
-    count_prefix(shard.strings);
-    count_prefix(shard.hashes);
-    count_prefix(shard.lists);
+    for (auto it = shard.lists.lower_bound(prefix); it != shard.lists.end();
+         ++it) {
+      ++scanned;
+      if (!it->first.starts_with(prefix)) break;
+      ++count;
+    }
   }
   stats_.keys_scanned.fetch_add(scanned, std::memory_order_relaxed);
   c_scan_keys_.Inc(scanned);
   return count;
-}
-
-bool Broker::Exists(const std::string& key) const {
-  const Shard& shard = ShardFor(key);
-  std::scoped_lock lock(shard.mu);
-  return shard.strings.contains(key) || shard.hashes.contains(key) ||
-         shard.lists.contains(key);
-}
-
-int64_t Broker::Incr(const std::string& key, int64_t delta) {
-  Shard& shard = ShardFor(key);
-  int64_t value = 0;
-  {
-    std::scoped_lock lock(shard.mu);
-    auto it = shard.strings.find(key);
-    if (it != shard.strings.end()) {
-      value = std::strtoll(it->second.c_str(), nullptr, 10);
-    }
-    value += delta;
-    shard.strings[key] = std::to_string(value);
-  }
-  stats_.sets.fetch_add(1, std::memory_order_relaxed);
-  c_sets_.Inc();
-  return value;
-}
-
-void Broker::HSet(const std::string& key, const std::string& field,
-                  std::string value) {
-  Shard& shard = ShardFor(key);
-  {
-    std::scoped_lock lock(shard.mu);
-    shard.hashes[key][field] = std::move(value);
-  }
-  stats_.sets.fetch_add(1, std::memory_order_relaxed);
-  c_sets_.Inc();
-}
-
-std::optional<std::string> Broker::HGet(const std::string& key,
-                                        const std::string& field) const {
-  const Shard& shard = ShardFor(key);
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  c_gets_.Inc();
-  std::scoped_lock lock(shard.mu);
-  auto it = shard.hashes.find(key);
-  if (it == shard.hashes.end()) return std::nullopt;
-  auto fit = it->second.find(field);
-  if (fit == it->second.end()) return std::nullopt;
-  return fit->second;
-}
-
-std::unordered_map<std::string, std::string> Broker::HGetAll(
-    const std::string& key) const {
-  const Shard& shard = ShardFor(key);
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  c_gets_.Inc();
-  std::scoped_lock lock(shard.mu);
-  auto it = shard.hashes.find(key);
-  return it == shard.hashes.end()
-             ? std::unordered_map<std::string, std::string>{}
-             : it->second;
-}
-
-bool Broker::HDel(const std::string& key, const std::string& field) {
-  Shard& shard = ShardFor(key);
-  std::scoped_lock lock(shard.mu);
-  auto it = shard.hashes.find(key);
-  if (it == shard.hashes.end()) return false;
-  return it->second.erase(field) > 0;
 }
 
 size_t Broker::RPush(const std::string& key, std::string&& value) {
@@ -396,46 +288,9 @@ size_t Broker::TotalQueued(const std::string& prefix) const {
   return total;
 }
 
-uint64_t Broker::Subscribe(const std::string& channel,
-                           std::function<void(const std::string&)> callback) {
-  std::scoped_lock lock(pubsub_mu_);
-  uint64_t id = next_subscription_id_++;
-  subscribers_.push_back(Subscriber{id, channel, std::move(callback)});
-  return id;
-}
-
-void Broker::Unsubscribe(uint64_t subscription_id) {
-  std::scoped_lock lock(pubsub_mu_);
-  std::erase_if(subscribers_,
-                [&](const Subscriber& s) { return s.id == subscription_id; });
-}
-
-size_t Broker::Publish(const std::string& channel, const std::string& message) {
-  // Copy callbacks out so user code runs without holding the broker lock
-  // (it may call back into the broker).
-  std::vector<std::function<void(const std::string&)>> targets;
-  {
-    std::scoped_lock lock(pubsub_mu_);
-    for (const Subscriber& s : subscribers_) {
-      if (s.channel == channel) targets.push_back(s.callback);
-    }
-  }
-  stats_.publishes.fetch_add(1, std::memory_order_relaxed);
-  c_publishes_.Inc();
-  for (auto& cb : targets) cb(message);
-  return targets.size();
-}
-
 void Broker::Shutdown() {
   shutdown_.store(true, std::memory_order_release);
-  for (Shard& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (auto& [waiter, watched] : shard.waiters) {
-      std::scoped_lock waiter_lock(waiter->mu);
-      waiter->signaled = true;
-      waiter->cv.notify_one();
-    }
-  }
+  Notify();
 }
 
 void Broker::Notify() {
@@ -453,15 +308,6 @@ bool Broker::shut_down() const {
   return shutdown_.load(std::memory_order_acquire);
 }
 
-void Broker::FlushAll() {
-  for (Shard& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    shard.strings.clear();
-    shard.hashes.clear();
-    shard.lists.clear();
-  }
-}
-
 size_t Broker::DebugWaiterCount() const {
   size_t count = 0;
   for (const Shard& shard : shards_) {
@@ -473,12 +319,9 @@ size_t Broker::DebugWaiterCount() const {
 
 BrokerStats Broker::stats() const {
   BrokerStats s;
-  s.gets = stats_.gets.load(std::memory_order_relaxed);
-  s.sets = stats_.sets.load(std::memory_order_relaxed);
   s.pushes = stats_.pushes.load(std::memory_order_relaxed);
   s.pops = stats_.pops.load(std::memory_order_relaxed);
   s.blocked_pops = stats_.blocked_pops.load(std::memory_order_relaxed);
-  s.publishes = stats_.publishes.load(std::memory_order_relaxed);
   s.batch_pushes = stats_.batch_pushes.load(std::memory_order_relaxed);
   s.batch_pops = stats_.batch_pops.load(std::memory_order_relaxed);
   s.keys_scanned = stats_.keys_scanned.load(std::memory_order_relaxed);

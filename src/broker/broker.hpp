@@ -1,12 +1,11 @@
 // In-memory message broker modelling the subset of Redis that dispel4py's
-// dynamic mapping and Laminar's registry cache use: string keys, hashes,
-// lists with blocking pop (BLPOP semantics), counters, and pub/sub.
+// dynamic mapping uses: lists with blocking pop (BLPOP semantics), batched
+// push/pop, and run-scoped prefix cleanup.
 //
 // Substitution rationale (DESIGN.md): the dynamic mapping needs atomic
-// shared queues with blocking consumers and a handful of shared counters;
-// nothing it measures depends on the TCP hop, so an in-process broker with
-// the same API preserves the scheduling behaviour while keeping benches
-// deterministic.
+// shared queues with blocking consumers; nothing it measures depends on
+// the TCP hop, so an in-process broker with the same API preserves the
+// scheduling behaviour while keeping benches deterministic.
 //
 // Concurrency model: the keyspace is sharded 16 ways by key hash, each
 // shard with its own mutex, so operations on keys in different shards never
@@ -29,12 +28,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
@@ -46,12 +43,9 @@ namespace laminar::broker {
 /// process telemetry registry (laminar_broker_ops_total{op=...},
 /// laminar_broker_batch_*, laminar_broker_scan_keys_total).
 struct BrokerStats {
-  uint64_t gets = 0;
-  uint64_t sets = 0;
   uint64_t pushes = 0;  ///< items appended (RPush + RPushMulti items)
   uint64_t pops = 0;    ///< items removed (LPop/BLPop/BLPopUpTo items)
   uint64_t blocked_pops = 0;  ///< pops that had to wait
-  uint64_t publishes = 0;
   uint64_t batch_pushes = 0;  ///< RPushMulti calls
   uint64_t batch_pops = 0;    ///< BLPopUpTo calls that returned items
   uint64_t keys_scanned = 0;  ///< keys examined by prefix scans
@@ -62,32 +56,6 @@ class Broker {
   Broker();
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
-
-  // ---- strings ----
-  void Set(const std::string& key, std::string value);
-  std::optional<std::string> Get(const std::string& key) const;
-  bool Del(const std::string& key);
-  /// Deletes every key (string, hash or list) starting with `prefix`;
-  /// returns the number of keys removed. Run-scoped cleanup: a dynamic-
-  /// mapping run deletes all its `wf:N:` keys with one call, including
-  /// undrained queues after a deadline expiry. Sorted per-shard iteration:
-  /// cost is O(shards * log keys + matches), not O(total keys).
-  size_t DelPrefix(const std::string& prefix);
-  bool Exists(const std::string& key) const;
-  /// Number of live keys (any kind) starting with `prefix`;
-  /// leak checks assert this returns to its pre-run value.
-  size_t KeyCount(const std::string& prefix) const;
-  /// Atomic increment; missing keys start at 0.
-  int64_t Incr(const std::string& key, int64_t delta = 1);
-
-  // ---- hashes ----
-  void HSet(const std::string& key, const std::string& field,
-            std::string value);
-  std::optional<std::string> HGet(const std::string& key,
-                                  const std::string& field) const;
-  std::unordered_map<std::string, std::string> HGetAll(
-      const std::string& key) const;
-  bool HDel(const std::string& key, const std::string& field);
 
   // ---- lists / queues ----
   /// Appends to the tail; returns new length. The rvalue overload moves the
@@ -121,16 +89,15 @@ class Broker {
   size_t LLen(const std::string& key) const;
   /// Total queued items across keys with the given prefix (autoscaler probe).
   size_t TotalQueued(const std::string& prefix) const;
-
-  // ---- pub/sub ----
-  /// Subscribes a callback to a channel; returns a subscription id.
-  /// Callbacks run synchronously on the publisher's thread (as with Redis
-  /// client libraries dispatching in their I/O loop).
-  uint64_t Subscribe(const std::string& channel,
-                     std::function<void(const std::string&)> callback);
-  void Unsubscribe(uint64_t subscription_id);
-  /// Returns the number of subscribers that received the message.
-  size_t Publish(const std::string& channel, const std::string& message);
+  /// Deletes every key starting with `prefix`; returns the number of keys
+  /// removed. Run-scoped cleanup: a dynamic-mapping run deletes all its
+  /// `wf:N:` keys with one call, including undrained queues after a
+  /// deadline expiry. Sorted per-shard iteration: cost is
+  /// O(shards * log keys + matches), not O(total keys).
+  size_t DelPrefix(const std::string& prefix);
+  /// Number of live keys starting with `prefix`; leak checks assert this
+  /// returns to its pre-run value.
+  size_t KeyCount(const std::string& prefix) const;
 
   // ---- lifecycle / introspection ----
   /// Wakes every blocked consumer; subsequent BLPop calls return nullopt
@@ -143,7 +110,6 @@ class Broker {
   /// immediately instead of sleeping out their pop timeout.
   void Notify();
   bool shut_down() const;
-  void FlushAll();
   BrokerStats stats() const;
   /// Registered blocking-pop waiters across all shards (tests: a quiesced
   /// broker must report 0 — a leaked entry means a BLPop/BLPopUpTo exited
@@ -160,32 +126,20 @@ class Broker {
     bool signaled = false;
   };
 
-  /// One keyspace stripe: sorted key maps plus the waiters whose watched
+  /// One keyspace stripe: a sorted list map plus the waiters whose watched
   /// keys hash here. Cacheline-aligned so shard mutexes never false-share.
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::map<std::string, std::string> strings;
-    std::map<std::string, std::unordered_map<std::string, std::string>>
-        hashes;
     std::map<std::string, std::deque<std::string>> lists;
     /// (waiter, keys-in-this-shard it watches), registration order.
     std::vector<std::pair<Waiter*, std::vector<const std::string*>>> waiters;
   };
 
-  struct Subscriber {
-    uint64_t id;
-    std::string channel;
-    std::function<void(const std::string&)> callback;
-  };
-
   /// All counters relaxed: snapshots need no cross-field consistency.
   struct AtomicStats {
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> sets{0};
     std::atomic<uint64_t> pushes{0};
     std::atomic<uint64_t> pops{0};
     std::atomic<uint64_t> blocked_pops{0};
-    std::atomic<uint64_t> publishes{0};
     std::atomic<uint64_t> batch_pushes{0};
     std::atomic<uint64_t> batch_pops{0};
     std::atomic<uint64_t> keys_scanned{0};
@@ -217,20 +171,13 @@ class Broker {
   std::array<Shard, kShards> shards_;
   std::atomic<bool> shutdown_{false};
 
-  mutable std::mutex pubsub_mu_;
-  std::vector<Subscriber> subscribers_;
-  uint64_t next_subscription_id_ = 1;
-
   mutable AtomicStats stats_;
 
   /// Process-wide op counters (shared across broker instances); resolved
   /// once at construction so increments are a single relaxed atomic add.
-  telemetry::Counter& c_gets_;
-  telemetry::Counter& c_sets_;
   telemetry::Counter& c_pushes_;
   telemetry::Counter& c_pops_;
   telemetry::Counter& c_blocked_pops_;
-  telemetry::Counter& c_publishes_;
   telemetry::Counter& c_batch_push_ops_;
   telemetry::Counter& c_batch_push_items_;
   telemetry::Counter& c_batch_pop_ops_;

@@ -1,8 +1,9 @@
-// Fixed-size worker pool used by the serverless engine's function-instance
-// pool, the registry bulk-ingest path and bench drivers. Tasks are
-// type-erased closures; Shutdown() drains the queue, Cancel() discards
+// Fixed-size worker pool: the server's ingest pool and bench_ingest. Tasks
+// are type-erased closures; Shutdown() drains the queue, Cancel() discards
 // pending work. ParallelFor() layers a blocking fork-join loop on top for
-// data-parallel work (bulk registration, WAL recovery, search reindexing).
+// data-parallel work: the prepares of /registry/bulk_register and
+// SearchService::ReindexAll, which also rebuilds the indexes after WAL
+// recovery.
 #pragma once
 
 #include <atomic>

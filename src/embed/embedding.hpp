@@ -4,8 +4,8 @@
 // The hashed encoders fill ~1-3% of their 4,096 dimensions, so every server
 // path — encode, query cache, registration, the stored column and the
 // postings index — carries a SparseVector. The dense Vector remains for
-// the encoders' EncodeText/EncodeCode wrappers and the SIMD kernels behind
-// Cosine.
+// the encoders' EncodeText/EncodeCode wrappers, which perfbench's traced
+// pass calls, and for Cosine, which tests call.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,8 @@ void L2Normalize(SparseVector& v);
 Vector ToDense(const SparseVector& v);
 
 /// Cosine similarity in [-1, 1]; 0 if either vector is zero or sizes differ.
-/// The dot product runs on simd::Dot, which dispatches to AVX2/AVX-512/NEON
-/// and falls back to the simd::DotScalar reference loop. Search ranks
-/// through search::PostingsIndex instead; this is for tests.
+/// The dot product runs on simd::Dot, one plain loop on every host. Search
+/// ranks through search::PostingsIndex instead; this is for tests.
 float Cosine(std::span<const float> a, std::span<const float> b);
 
 /// Serializes to the text Laminar stores in the registry's

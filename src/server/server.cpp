@@ -309,21 +309,8 @@ LaminarServer::LaminarServer(ServerConfig config)
     config_.snapshot_path.clear();
   }
   if (!config_.wal_path.empty()) {
-    registry::WalOptions wal_options;
-    if (config_.wal_fsync == "interval") {
-      wal_options.fsync = registry::WalFsyncMode::kInterval;
-    } else if (config_.wal_fsync == "per_record") {
-      wal_options.fsync = registry::WalFsyncMode::kPerRecord;
-    } else {
-      if (config_.wal_fsync != "none" && !config_.wal_fsync.empty()) {
-        log::Warn("server", "unknown wal_fsync '" + config_.wal_fsync +
-                                "', using \"none\"");
-      }
-      wal_options.fsync = registry::WalFsyncMode::kNone;
-    }
-    wal_options.fsync_interval_ms = config_.wal_fsync_interval_ms;
-    Status rec =
-        db_.Recover(config_.snapshot_path, config_.wal_path, wal_options);
+    Status rec = db_.Recover(config_.snapshot_path, config_.wal_path,
+                             config_.wal_options);
     if (!rec.ok()) {
       log::Error("server", "registry recovery failed: " + rec.ToString());
     }

@@ -31,6 +31,7 @@
 #include "engine/engine.hpp"
 #include "engine/run_queue.hpp"
 #include "net/http.hpp"
+#include "registry/database.hpp"
 #include "registry/repository.hpp"
 #include "search/search_service.hpp"
 #include "server/admission.hpp"
@@ -58,13 +59,10 @@ struct ServerConfig {
   std::string wal_path;
   /// Snapshot consulted by startup recovery when wal_path is set.
   std::string snapshot_path;
-  /// WAL durability: "none" (default — the OS flushes on its own schedule;
-  /// crash-consistent but the tail may be lost on power failure), "interval"
-  /// (a background thread fsyncs every wal_fsync_interval_ms without
-  /// blocking appends), or "per_record" (fsync inside every append — full
-  /// durability, slowest). /stats "wal" reports appendedSeq vs durableSeq.
-  std::string wal_fsync = "none";
-  int wal_fsync_interval_ms = 50;
+  /// WAL durability (registry::WalFsyncMode): kNone by default, kInterval
+  /// with its flush cadence, or kPerRecord. /stats "wal" reports
+  /// appendedSeq vs durableSeq.
+  registry::WalOptions wal_options;
   /// "host:port" of a leader to replicate from. Non-empty turns this server
   /// into a read-only follower: it bootstraps from the leader's snapshot,
   /// tails its WAL, serves every read endpoint, and answers mutations and

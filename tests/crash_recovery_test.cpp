@@ -275,7 +275,7 @@ class CrashRecovery : public ::testing::TestWithParam<const char*> {
     }
     cli->client.reset();
     cli->connection.reset();
-    EXPECT_TRUE(restarted.Stop());
+    EXPECT_EQ(restarted.Exit(), 0);
   }
 
   ScratchDir dir_;

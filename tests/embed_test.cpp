@@ -39,7 +39,7 @@ TEST(VectorMath, DotScalarHandlesRemainders) {
       b[i] = static_cast<float>(2 * i) - 3.0f;
       want += a[i] * b[i];
     }
-    EXPECT_FLOAT_EQ(simd::DotScalar(a.data(), b.data(), n), want)
+    EXPECT_FLOAT_EQ(simd::Dot(a.data(), b.data(), n), want)
         << "n=" << n;
   }
 }

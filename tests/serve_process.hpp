@@ -84,16 +84,16 @@ class ServeProcess {
     return reaped && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
   }
 
-  /// Closes stdin (laminar_serve then shuts down) and reaps; true on a
-  /// clean exit.
-  bool Stop() {
-    if (pid_ <= 0) return false;
+  /// Closes stdin (laminar_serve then shuts down) and reaps; the exit
+  /// code, or -1 when the process did not exit on its own.
+  int Exit() {
+    if (pid_ <= 0) return -1;
     close(stdin_fd_);
     stdin_fd_ = -1;
     int status = 0;
     const bool reaped = waitpid(pid_, &status, 0) == pid_;
     pid_ = -1;
-    return reaped && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    return reaped && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
  private:

@@ -3,8 +3,9 @@
 // must hold over BOTH transports: in-memory duplex pipes (the deterministic
 // test default) and real TCP loopback sockets through the epoll listener.
 // Plus TCP-only coverage: connection-cap rejection, reaping of dead
-// connections, large-body round trips (EAGAIN partial writes), and a full
-// two-OS-process round trip against a spawned laminar_serve.
+// connections, large-body round trips (EAGAIN partial writes), a full
+// two-OS-process round trip against a spawned laminar_serve, and that
+// binary's refusal of flag values it cannot honour.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
@@ -265,7 +267,41 @@ TEST(TcpTransport, TwoProcessRoundTrip) {
   }  // disconnect before shutting the server down
 
   // stdin EOF => laminar_serve exits cleanly.
-  EXPECT_TRUE(server.Stop()) << "laminar_serve died abnormally";
+  EXPECT_EQ(server.Exit(), 0) << "laminar_serve died abnormally";
+}
+
+TEST(ServeFlags, RefusesValuesItCannotHonour) {
+  // Read leniently, these would start a server on port 4464 (70000 cast to
+  // 16 bits), on an ephemeral port (abc), with a SIZE_MAX connection cap
+  // (-1) or with no fsync (a mistyped mode). Each must exit 2 before the
+  // banner.
+  const char* bin = std::getenv("LAMINAR_SERVE_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "LAMINAR_SERVE_BIN not set (run via ctest)";
+  }
+  const std::vector<std::vector<std::string>> refused = {
+      {"--port", "70000"},
+      {"--port", "abc"},
+      {"--port", "80x"},
+      {"--port", "-1"},
+      {"--port", ""},
+      {"--max-connections", "-1"},
+      {"--max-connections", "0"},
+      {"--ingest-threads", "-1"},
+      {"--handler-threads", "2.5"},
+      {"--backlog", "99999999999"},
+      {"--wal-fsync", "per-record"},
+      {"--wal-fsync-interval-ms", "0"},
+      {"--max-replica-lag-ms", "-5"},
+      {"--rps", "-1"},
+      {"--rps", "inf"},
+      {"--cold-start-ms", "nan"},
+  };
+  for (const std::vector<std::string>& args : refused) {
+    ServeProcess server(bin, args);
+    EXPECT_EQ(server.port(), 0) << args[0] << " " << args[1];
+    EXPECT_EQ(server.Exit(), 2) << args[0] << " " << args[1];
+  }
 }
 
 }  // namespace
