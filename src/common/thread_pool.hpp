@@ -1,6 +1,6 @@
-// Fixed-size worker pool: the server's ingest pool and bench_ingest. Tasks
-// are type-erased closures; Shutdown() drains the queue, Cancel() discards
-// pending work. ParallelFor() layers a blocking fork-join loop on top for
+// Fixed-size worker pool: the server's ingest pool. Tasks are type-erased
+// closures; Shutdown() finishes the queued ones and joins the workers.
+// ParallelFor() layers a blocking fork-join loop on top for
 // data-parallel work: the prepares of /registry/bulk_register and
 // SearchService::ReindexAll, which also rebuilds the indexes after WAL
 // recovery.

@@ -76,22 +76,6 @@ std::string EncodeDlqItem(const std::string& item, const std::string& error) {
   return obj.ToJson();
 }
 
-class SharedOutput {
- public:
-  SharedOutput(RunResult& result, const LineSink& sink)
-      : result_(result), sink_(sink) {}
-  void Log(std::string_view line) {
-    std::scoped_lock lock(mu_);
-    result_.output_lines.emplace_back(line);
-    if (sink_) sink_(result_.output_lines.back());
-  }
-
- private:
-  std::mutex mu_;
-  RunResult& result_;
-  const LineSink& sink_;
-};
-
 struct SendBuffers;
 
 struct RunState {
@@ -130,7 +114,7 @@ struct RunState {
   std::atomic<uint64_t> tuples{0};
   SharedOutput* output = nullptr;
   FaultContext* faults = nullptr;
-  /// Micro-batching knobs (clamped from RunOptions; 1 = per-tuple).
+  /// Micro-batching knobs (clamped from RunOptions to at least 1).
   size_t send_batch = 1;
   size_t recv_batch = 1;
   int64_t send_max_age_us = 1000;
@@ -178,10 +162,6 @@ struct SendBuffers {
   std::atomic<size_t> total{0};
 
   void Add(size_t dest_pe, std::string&& item) {
-    if (state.send_batch <= 1) {  // unbatched: the pre-batching protocol
-      state.broker->RPush(state.queue_keys[dest_pe], std::move(item));
-      return;
-    }
     DestBuffer& buf = per_dest[dest_pe];
     if (buf.items.empty()) buf.oldest_us = NowMicros();
     buf.items.push_back(std::move(item));
@@ -230,7 +210,7 @@ void FlushAllBuffers(RunState& state, SendBuffers& worker_buffers) {
 }
 
 /// Emits by appending downstream work items to the run's micro-batch
-/// buffers (which degrade to direct pushes when batching is off).
+/// buffers.
 class QueueEmitter final : public Emitter {
  public:
   QueueEmitter(RunState& state, SendBuffers& buffers, size_t pe_index)
@@ -331,22 +311,12 @@ void WorkerLoop(RunState& state) {
     }
     // Everything buffered must be on the broker before we can block.
     FlushAllBuffers(state, buffers);
-    std::string queue_key;
-    std::vector<std::string> items;
-    if (state.recv_batch <= 1) {
-      auto item = state.broker->BLPop(
-          state.pop_keys, std::chrono::milliseconds(20), &state.stop);
-      if (!item.has_value()) continue;  // timeout/stop; re-check stop flag
-      queue_key = std::move(item->first);
-      items.push_back(std::move(item->second));
-    } else {
-      auto batch =
-          state.broker->BLPopUpTo(state.pop_keys, state.recv_batch,
-                                  std::chrono::milliseconds(20), &state.stop);
-      if (!batch.has_value()) continue;
-      queue_key = std::move(batch->first);
-      items = std::move(batch->second);
-    }
+    auto batch =
+        state.broker->BLPopUpTo(state.pop_keys, state.recv_batch,
+                                std::chrono::milliseconds(20), &state.stop);
+    if (!batch.has_value()) continue;  // timeout/stop; re-check stop flag
+    const std::string& queue_key = batch->first;
+    std::vector<std::string>& items = batch->second;
     // Map queue key back to PE index.
     auto route = state.queue_index.find(queue_key);
     const size_t pe = route != state.queue_index.end()
@@ -468,26 +438,18 @@ RunResult DynamicMapping::Execute(const WorkflowGraph& graph,
   }
 
   // Seed producer iterations as work items — one batched push per producer
-  // queue when batching is on (workers have not started; nothing to wake).
+  // queue (workers have not started; nothing to wake).
   std::vector<Value> iterations = ProducerIterations(options.input);
   for (size_t producer : graph.Producers()) {
-    if (state.send_batch > 1) {
-      std::vector<std::string> seed_items;
-      seed_items.reserve(iterations.size());
-      for (const Value& payload : iterations) {
-        seed_items.push_back(EncodeItem("iteration", payload));
-      }
-      state.pending.fetch_add(static_cast<int64_t>(seed_items.size()),
-                              std::memory_order_acq_rel);
-      state.broker->RPushMulti(state.queue_keys[producer],
-                               std::move(seed_items));
-    } else {
-      for (const Value& payload : iterations) {
-        state.pending.fetch_add(1, std::memory_order_acq_rel);
-        state.broker->RPush(state.queue_keys[producer],
-                            EncodeItem("iteration", payload));
-      }
+    std::vector<std::string> seed_items;
+    seed_items.reserve(iterations.size());
+    for (const Value& payload : iterations) {
+      seed_items.push_back(EncodeItem("iteration", payload));
     }
+    state.pending.fetch_add(static_cast<int64_t>(seed_items.size()),
+                            std::memory_order_acq_rel);
+    state.broker->RPushMulti(state.queue_keys[producer],
+                             std::move(seed_items));
   }
   if (state.pending.load() == 0) {
     // Nothing to do; still run the finish pass below.

@@ -44,9 +44,10 @@ struct RunOptions {
   /// batched push when a buffer reaches send_batch_size items or its oldest
   /// item exceeds send_batch_max_delay_ms, whichever comes first; workers
   /// drain up to recv_batch_size items per blocking pop. Per-edge FIFO
-  /// order is preserved. 1/1 restores the per-tuple (unbatched) protocol.
-  /// Micro-batching trades up to send_batch_max_delay_ms of per-tuple
-  /// latency for a large cut in broker lock/wake traffic. Workers pop
+  /// order is preserved. 1/1 runs the same buffers and batched broker
+  /// operations with one tuple in each push and pop. Micro-batching
+  /// trades up to send_batch_max_delay_ms of per-tuple latency for a large
+  /// cut in broker lock/wake traffic. Workers pop
   /// downstream queues before upstream ones (reverse topological order),
   /// so a sink's first line waits for about one recv batch of producer
   /// work, not for the producer's whole queue to drain.
@@ -109,6 +110,25 @@ class Mapping {
                             const RunOptions& options,
                             const LineSink& sink = nullptr) = 0;
   virtual std::string_view name() const = 0;
+};
+
+/// Thread-safe output collector of the threaded mappings: appends each line
+/// to the run's result and forwards it to the sink, one line at a time.
+class SharedOutput {
+ public:
+  SharedOutput(RunResult& result, const LineSink& sink)
+      : result_(result), sink_(sink) {}
+
+  void Log(std::string_view line) {
+    std::scoped_lock lock(mu_);
+    result_.output_lines.emplace_back(line);
+    if (sink_) sink_(result_.output_lines.back());
+  }
+
+ private:
+  std::mutex mu_;
+  RunResult& result_;
+  const LineSink& sink_;
 };
 
 /// Per-run fault-containment context shared by the three mappings

@@ -1,7 +1,6 @@
 #include "dataflow/multi_mapping.hpp"
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "common/clock.hpp"
@@ -17,24 +16,6 @@ struct Message {
   Kind kind = Kind::kData;
   std::string port;
   Value value;
-};
-
-/// Shared, thread-safe output collector.
-class SharedOutput {
- public:
-  SharedOutput(RunResult& result, const LineSink& sink)
-      : result_(result), sink_(sink) {}
-
-  void Log(std::string_view line) {
-    std::scoped_lock lock(mu_);
-    result_.output_lines.emplace_back(line);
-    if (sink_) sink_(result_.output_lines.back());
-  }
-
- private:
-  std::mutex mu_;
-  RunResult& result_;
-  const LineSink& sink_;
 };
 
 struct RankContext {

@@ -1,10 +1,11 @@
-// The Laminar wire protocol, in two flavours over the same frame codec:
+// The Laminar wire protocol: one HttpConnection over a frame codec, in two
+// modes (HttpConnection::Mode):
 //
-//  * Http1Connection — models Laminar 1.0's HTTP/1.1 usage: one request at a
-//    time, the response fully buffered server-side and delivered whole
-//    ("the engine ran the entire workflow, captured stdout, and sent the
-//    complete response back", paper §IV-E).
-//  * Http2Connection — models Laminar 2.0's HTTP/2 streaming: multiplexed
+//  * kBatch — models Laminar 1.0's HTTP/1.1 usage: one request at a time,
+//    the response fully buffered server-side and delivered whole ("the
+//    engine ran the entire workflow, captured stdout, and sent the complete
+//    response back", paper §IV-E).
+//  * kStreaming — models Laminar 2.0's HTTP/2 streaming: multiplexed
 //    streams, DATA frames forwarded to the client as they are produced,
 //    bounded frame size.
 //

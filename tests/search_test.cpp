@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "dataset/generator.hpp"
 #include "search/metrics.hpp"
 #include "search/search_service.hpp"
@@ -243,6 +244,50 @@ TEST_F(SearchServiceTest, ReindexAllRebuilds) {
   EXPECT_TRUE(service_.SemanticSearch("prime", SearchTarget::kPe).empty());
   ASSERT_TRUE(service_.ReindexAll().ok());
   EXPECT_FALSE(service_.SemanticSearch("prime", SearchTarget::kPe).empty());
+}
+
+TEST_F(SearchServiceTest, RebuildsEqualTheIncrementalIndex) {
+  // ReindexAll, serial and on a pool, must rebuild exactly the index that
+  // AddPe built one PE at a time: each query kind, asked for every PE,
+  // returns the same ids with the same scores.
+  using Ranking = std::vector<std::pair<int64_t, double>>;
+  const char* const kKinds[] = {"semantic", "llm", "literal", "spt"};
+  auto rankings = [&] {
+    std::vector<Ranking> out;
+    auto add = [&out](const auto& hits) {
+      Ranking& ranking = out.emplace_back();
+      for (const auto& hit : hits) ranking.emplace_back(hit.id, hit.score);
+    };
+    for (const auto& ex : ds_.examples()) {
+      add(service_.SemanticSearch(ex.query, SearchTarget::kPe, 10));
+      add(service_.CodeSearchLlm(ex.pe_code, SearchTarget::kPe, 10));
+      add(service_.LiteralSearch(ex.name, SearchTarget::kPe, 10));
+      Result<std::vector<RecommendationHit>> spt =
+          service_.CodeRecommendation(ex.pe_code, SearchTarget::kPe, 10);
+      EXPECT_TRUE(spt.ok()) << spt.status().ToString();
+      add(spt.value_or({}));
+    }
+    return out;
+  };
+  const std::vector<Ranking> incremental = rankings();
+  for (size_t i = 0; i < incremental.size(); ++i) {
+    ASSERT_FALSE(incremental[i].empty())
+        << kKinds[i % 4] << " query of " << ds_.examples()[i / 4].name;
+  }
+  auto expect_incremental = [&](const char* rebuild) {
+    const std::vector<Ranking> rebuilt = rankings();
+    ASSERT_EQ(rebuilt.size(), incremental.size());
+    for (size_t i = 0; i < rebuilt.size(); ++i) {
+      EXPECT_EQ(rebuilt[i], incremental[i])
+          << rebuild << ", " << kKinds[i % 4] << " query of "
+          << ds_.examples()[i / 4].name;
+    }
+  };
+  ASSERT_TRUE(service_.ReindexAll(nullptr).ok());
+  expect_incremental("serial rebuild");
+  ThreadPool pool(3);
+  ASSERT_TRUE(service_.ReindexAll(&pool).ok());
+  expect_incremental("rebuild on a 3-thread pool");
 }
 
 TEST_F(SearchServiceTest, StoredEmbeddingsPreferred) {

@@ -2,17 +2,20 @@
 // semantic search, streamed /execute, and the 428 resource-negotiation path —
 // must hold over BOTH transports: in-memory duplex pipes (the deterministic
 // test default) and real TCP loopback sockets through the epoll listener.
-// Plus TCP-only coverage: connection-cap rejection, reaping of dead
-// connections, large-body round trips (EAGAIN partial writes), a full
-// two-OS-process round trip against a spawned laminar_serve, and that
-// binary's refusal of flag values it cannot honour.
+// A cross-transport test drives one server over each with the same mixed
+// load and compares the answers. Plus TCP-only coverage: connection-cap
+// rejection, reaping of dead connections, large-body round trips (EAGAIN
+// partial writes), a full two-OS-process round trip against a spawned
+// laminar_serve, and that binary's refusal of flag values it cannot honour.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/connect.hpp"
@@ -129,6 +132,78 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Transport>& info) {
       return info.param == Transport::kPipe ? "Pipe" : "Tcp";
     });
+
+// ---- Pipe against TCP ----
+
+// Themed descriptions, so each semantic search ranks several PEs.
+const char* const kThemes[] = {
+    "detects anomalies in a numeric stream",
+    "computes a running average over a sliding window",
+    "filters tuples below a configurable threshold",
+    "joins two keyed streams on a session identifier",
+    "parses json payloads into typed records",
+    "deduplicates events by content hash",
+};
+
+TEST(TransportCrossParity, MixedLoadAnswersAlikeOverPipeAndTcp) {
+  // A fresh server behind each transport, driven in lockstep: 12 seed PEs,
+  // then 100 operations, 90% semantic searches and 10% registrations. Every
+  // search must return the same (id, score) list over both, and the same
+  // seeded workflow run must stream the same lines in the same order.
+  InProcessLaminar pipe = ConnectInProcess(FastServer());
+  Result<TcpLaminarServer> srv = ServeTcp(FastServer());
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  Result<TcpClient> tcp = ConnectTcp("127.0.0.1", srv->port());
+  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  LaminarClient* const clients[] = {pipe.client.get(), tcp->client.get()};
+
+  constexpr int kSeedPes = 12;
+  constexpr int kOps = 100;
+  int next_pe = 0;
+  size_t hits = 0;
+  for (int op = -kSeedPes; op < kOps; ++op) {
+    if (op < 0 || op % 10 == 9) {
+      const std::string n = std::to_string(next_pe);
+      const std::string code = "class MixPe" + n +
+                               "(IterativePE):\n"
+                               "    def _process(self, v):\n"
+                               "        return v + " + n + "\n";
+      const std::string description =
+          kThemes[next_pe % std::size(kThemes)] + (" variant " + n);
+      int64_t ids[2] = {0, 0};
+      for (int t = 0; t < 2; ++t) {
+        Result<PeInfo> pe = clients[t]->RegisterPe(code, "", description);
+        ASSERT_TRUE(pe.ok()) << pe.status().ToString();
+        ids[t] = pe->id;
+      }
+      EXPECT_EQ(ids[0], ids[1]) << "registration " << n;
+      ++next_pe;
+      continue;
+    }
+    const char* query = kThemes[op % std::size(kThemes)];
+    std::vector<std::pair<int64_t, double>> rankings[2];
+    for (int t = 0; t < 2; ++t) {
+      Result<std::vector<SearchHit>> answer =
+          clients[t]->SearchRegistrySemantic(query, "pe", 5);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      for (const SearchHit& hit : *answer) {
+        rankings[t].emplace_back(hit.id, hit.score);
+      }
+    }
+    EXPECT_EQ(rankings[0], rankings[1]) << "op " << op << ": " << query;
+    hits += rankings[0].size();
+  }
+  EXPECT_GT(hits, 0u);
+
+  const DemoWorkflow* demo = FindDemoWorkflow("isprime_wf");
+  RunOutcome runs[2];
+  for (int t = 0; t < 2; ++t) {
+    runs[t] = clients[t]->RunSpec(demo->spec, "simple", Value(200));
+    ASSERT_TRUE(runs[t].status.ok()) << runs[t].status.ToString();
+  }
+  EXPECT_FALSE(runs[0].lines.empty());
+  EXPECT_EQ(runs[0].lines, runs[1].lines);
+}
 
 // ---- TCP-only behaviour ----
 
