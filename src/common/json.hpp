@@ -1,9 +1,9 @@
 // JSON parsing into laminar::Value.
 //
-// The wire protocol, registry persistence and SPT-embedding storage
-// ('sptEmbedding' column is JSON, per the paper's Fig. 6 schema) all parse
-// through here. Strict-ish RFC 8259: rejects trailing garbage, accepts UTF-8
-// passthrough, supports \uXXXX escapes (with surrogate pairs).
+// The wire protocol and registry persistence (snapshots, WAL lines and
+// replication batches, whose rows are JSON objects) all parse through here.
+// Strict-ish RFC 8259: rejects trailing garbage, accepts UTF-8 passthrough,
+// supports \uXXXX escapes (with surrogate pairs).
 #pragma once
 
 #include <string_view>

@@ -88,7 +88,7 @@ Result<int64_t> Repository::CreatePe(const PeRecord& pe) {
   row["description"] = pe.description;
   row["descriptionEmbedding"] = pe.description_embedding;
   row["peCode"] = pe.code;
-  row["sptEmbedding"] = pe.spt_embedding;
+  if (!pe.spt_embedding.empty()) row["sptEmbedding"] = pe.spt_embedding;
   row["peType"] = pe.type;
   row["tenant"] = pe.tenant;
   return db_->Insert(kPeTable, std::move(row));
@@ -120,11 +120,21 @@ Status Repository::RemovePe(int64_t id) {
 }
 
 std::vector<PeRecord> Repository::AllPes() const {
+  const Table* table = db_->GetTable(kPeTable);
   std::vector<PeRecord> out;
-  for (const Row& row : db_->GetTable(kPeTable)->All()) {
-    out.push_back(RowToPe(row));
-  }
+  out.reserve(table->size());
+  table->ForEach([&](const Row& row) { out.push_back(RowToPe(row)); });
   return out;
+}
+
+void Repository::ForEachPeSummary(
+    const std::function<void(const PeSummary&)>& visit) const {
+  db_->GetTable(kPeTable)->ForEach([&](const Row& row) {
+    visit(PeSummary{row.GetInt("id"), row.at("peName").as_string(),
+                    row.at("description").as_string(),
+                    row.at("peType").as_string(),
+                    row.at("tenant").as_string()});
+  });
 }
 
 size_t Repository::PeCount() const {
@@ -139,7 +149,7 @@ Result<int64_t> Repository::CreateWorkflow(const WorkflowRecord& wf) {
   row["descriptionEmbedding"] = wf.description_embedding;
   row["workflowCode"] = wf.code;
   row["entryPoint"] = wf.entry_point;
-  row["sptEmbedding"] = wf.spt_embedding;
+  if (!wf.spt_embedding.empty()) row["sptEmbedding"] = wf.spt_embedding;
   row["tenant"] = wf.tenant;
   return db_->Insert(kWorkflowTable, std::move(row));
 }
@@ -181,11 +191,22 @@ Status Repository::RemoveWorkflow(int64_t id) {
 }
 
 std::vector<WorkflowRecord> Repository::AllWorkflows() const {
+  const Table* table = db_->GetTable(kWorkflowTable);
   std::vector<WorkflowRecord> out;
-  for (const Row& row : db_->GetTable(kWorkflowTable)->All()) {
-    out.push_back(RowToWorkflow(row));
-  }
+  out.reserve(table->size());
+  table->ForEach([&](const Row& row) { out.push_back(RowToWorkflow(row)); });
   return out;
+}
+
+void Repository::ForEachWorkflowSummary(
+    const std::function<void(const WorkflowSummary&)>& visit) const {
+  db_->GetTable(kWorkflowTable)->ForEach([&](const Row& row) {
+    visit(WorkflowSummary{row.GetInt("id"),
+                          row.at("workflowName").as_string(),
+                          row.at("description").as_string(),
+                          row.at("entryPoint").as_string(),
+                          row.at("tenant").as_string()});
+  });
 }
 
 size_t Repository::WorkflowCount() const {

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "registry/schema.hpp"
@@ -24,8 +26,11 @@ struct PeRecord {
   std::string description;
   std::string description_embedding;  ///< JSON float array
   std::string code;
-  std::string spt_embedding;  ///< JSON {hash: count}
-  std::string type;           ///< e.g. "IterativePE"
+  /// JSON {hash: count} of the Aroma features (Fig. 6). Registrations leave
+  /// it empty and CreatePe then writes no such column; rows stored with one
+  /// read it back here. Search rebuilds from `code`, never from this.
+  std::string spt_embedding;
+  std::string type;  ///< e.g. "IterativePE"
   /// Owning tenant namespace; empty means the default tenant (rows written
   /// before tenancy existed read back as default — Rows are schemaless, so
   /// old snapshots/WALs simply lack the column).
@@ -40,9 +45,28 @@ struct WorkflowRecord {
   std::string description_embedding;
   std::string code;
   std::string entry_point;
-  std::string spt_embedding;
+  std::string spt_embedding;  ///< as PeRecord::spt_embedding
   /// Owning tenant namespace; empty = default (see PeRecord::tenant).
   std::string tenant;
+};
+
+/// The columns a registry listing reads, viewed in the stored row for the
+/// length of one Repository::ForEach*Summary call: no code or embedding is
+/// copied.
+struct PeSummary {
+  int64_t id = 0;
+  std::string_view name;
+  std::string_view description;
+  std::string_view type;
+  std::string_view tenant;
+};
+
+struct WorkflowSummary {
+  int64_t id = 0;
+  std::string_view name;
+  std::string_view description;
+  std::string_view entry_point;
+  std::string_view tenant;
 };
 
 struct ExecutionRecord {
@@ -74,6 +98,9 @@ class Repository {
   Status UpdatePe(int64_t id, const Row& fields);
   Status RemovePe(int64_t id);
   std::vector<PeRecord> AllPes() const;
+  /// Visits every PE row's summary in place, ascending id order.
+  void ForEachPeSummary(
+      const std::function<void(const PeSummary&)>& visit) const;
   /// Rows in the PE table, every tenant's, without copying any.
   size_t PeCount() const;
 
@@ -84,6 +111,8 @@ class Repository {
   Status UpdateWorkflow(int64_t id, const Row& fields);
   Status RemoveWorkflow(int64_t id);
   std::vector<WorkflowRecord> AllWorkflows() const;
+  void ForEachWorkflowSummary(
+      const std::function<void(const WorkflowSummary&)>& visit) const;
   /// Rows in the workflow table, every tenant's, without copying any.
   size_t WorkflowCount() const;
 

@@ -24,6 +24,8 @@ Status CreateLaminarSchema(Database& db) {
         {"descriptionEmbedding", ColumnType::kClob, true},
         {"workflowCode", ColumnType::kClob, false},
         {"entryPoint", ColumnType::kClob, true},
+        // Fig. 6's SPT features. New rows leave it out, since search
+        // rebuilds them from the code; rows stored with it still load.
         {"sptEmbedding", ColumnType::kClob, true},
         // Owning tenant namespace; nullable so pre-tenancy snapshots/WALs
         // load unchanged (missing reads back as the default tenant).
@@ -41,7 +43,7 @@ Status CreateLaminarSchema(Database& db) {
         {"description", ColumnType::kClob, true},
         {"descriptionEmbedding", ColumnType::kClob, true},
         {"peCode", ColumnType::kClob, false},
-        {"sptEmbedding", ColumnType::kClob, true},
+        {"sptEmbedding", ColumnType::kClob, true},  // as for workflows
         {"peType", ColumnType::kString, true},
         {"tenant", ColumnType::kString, true},
     };

@@ -233,6 +233,10 @@ std::vector<Row> Table::All() const {
   return out;
 }
 
+void Table::ForEach(const std::function<void(const Row&)>& visit) const {
+  for (const auto& [id, row] : rows_) visit(row);
+}
+
 void Table::Clear() {
   ClearNoLog();
   if (wal_ != nullptr) wal_->Append(schema_.name, "clear", 0, nullptr);

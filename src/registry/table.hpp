@@ -110,6 +110,9 @@ class Table {
   std::vector<Row> Scan(const std::function<bool(const Row&)>& pred) const;
   /// All rows, ascending id order.
   std::vector<Row> All() const;
+  /// Calls `visit` on each stored row in place, ascending id order, copying
+  /// none. `visit` must not mutate the table.
+  void ForEach(const std::function<void(const Row&)>& visit) const;
 
   void Clear();
   TableStats stats() const {

@@ -98,21 +98,13 @@ SearchService::PreparedPe SearchService::PreparePe(
 SearchService::PreparedWorkflow SearchService::PrepareWorkflow(
     std::string name, std::string description,
     const std::string& stored_embedding_json, const std::string& code) const {
-  return PrepareWorkflow(std::move(name), std::move(description),
-                         stored_embedding_json, code, pycode::Lex(code));
-}
-
-SearchService::PreparedWorkflow SearchService::PrepareWorkflow(
-    std::string name, std::string description,
-    const std::string& stored_embedding_json, const std::string& code,
-    const Result<std::vector<pycode::Token>>& tokens) const {
   PreparedWorkflow prepared;
   prepared.name = std::move(name);
   prepared.description = std::move(description);
   prepared.text_embedding =
       TextEmbeddingFor(stored_embedding_json, prepared.description);
   ReaccEncodes().Inc();
-  prepared.code_embedding = reacc_.Encode(code, tokens);
+  prepared.code_embedding = reacc_.Encode(code);
   return prepared;
 }
 

@@ -73,10 +73,11 @@ class SearchService {
   /// Commit* then only upserts the precomputed rows, a few map/vector writes
   /// short enough to sit in the exclusive section. The committed state is
   /// identical to what AddPe/AddWorkflow build (same encoders, same feature
-  /// options), and the in-memory features keep the line occurrences that a
-  /// JSON round-trip through the sptEmbedding column would lose. They are
-  /// already in the flat form the Aroma index stores, built here off-lock,
-  /// so CommitPe only moves them in.
+  /// options). The features, with the line occurrences prune and rerank
+  /// need, exist only here and in the index: no registry column stores
+  /// them, and every rebuild featurizes the code again. They are already in
+  /// the flat form the Aroma index stores, built here off-lock, so CommitPe
+  /// only moves them in.
   struct PreparedPe {
     std::string name;
     std::string description;
@@ -93,11 +94,11 @@ class SearchService {
     embed::SparseVector code_embedding;
   };
   /// Each prepare lexes its code once and parses it at most once: the ReACC
-  /// encoder reads the tokens, the Aroma featurizer the tree. The forms
-  /// taking `parsed` (or `tokens`) read the caller's
-  /// pycode::ParseSnippet(code) (or pycode::Lex(code)) instead, so the
-  /// server's registration shares one parse with its class-name fallback
-  /// and its summary.
+  /// encoder reads the tokens, the Aroma featurizer the tree. A workflow's
+  /// code is only lexed, since workflows are not Aroma-indexed. The
+  /// PreparePe form taking `parsed` reads the caller's
+  /// pycode::ParseSnippet(code) instead, so the server's registration
+  /// shares one parse with its class-name fallback and its summary.
   PreparedPe PreparePe(std::string name, std::string description,
                        const std::string& stored_embedding_json,
                        std::string code) const;
@@ -108,10 +109,6 @@ class SearchService {
   PreparedWorkflow PrepareWorkflow(std::string name, std::string description,
                                    const std::string& stored_embedding_json,
                                    const std::string& code) const;
-  PreparedWorkflow PrepareWorkflow(
-      std::string name, std::string description,
-      const std::string& stored_embedding_json, const std::string& code,
-      const Result<std::vector<pycode::Token>>& tokens) const;
   /// Require external exclusive locking, like every index mutation.
   void CommitPe(int64_t pe_id, PreparedPe prepared);
   void CommitWorkflow(int64_t workflow_id, PreparedWorkflow prepared);

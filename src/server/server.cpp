@@ -64,18 +64,39 @@ Result<std::string> ResolveTenant(const net::HttpRequest& request,
 
 /// Normalizes a stored row tenant: rows written before tenancy existed have
 /// no tenant column and read back as "".
-std::string_view RowTenant(const std::string& stored) {
-  return stored.empty() ? kDefaultTenant : std::string_view(stored);
+std::string_view RowTenant(std::string_view stored) {
+  return stored.empty() ? kDefaultTenant : stored;
 }
 
 /// Visibility rule for registry rows: default-tenant rows are shared with
 /// everyone (the pre-tenancy registry keeps working for all callers), the
 /// default tenant sees everything (it doubles as the operator view), and
 /// otherwise rows are private to their owning tenant.
-bool TenantCanSee(const std::string& requester, const std::string& row_tenant) {
+bool TenantCanSee(const std::string& requester, std::string_view row_tenant) {
   if (requester == kDefaultTenant) return true;
   std::string_view owner = RowTenant(row_tenant);
   return owner == kDefaultTenant || owner == requester;
+}
+
+/// A PE's reply fields, from a record or from a summary read in place.
+template <typename Pe>
+Value PeJson(const Pe& pe) {
+  Value v = Value::MakeObject();
+  v["peId"] = pe.id;
+  v["peName"] = pe.name;
+  v["description"] = pe.description;
+  v["peType"] = pe.type;
+  return v;
+}
+
+template <typename Workflow>
+Value WorkflowJson(const Workflow& wf) {
+  Value v = Value::MakeObject();
+  v["workflowId"] = wf.id;
+  v["workflowName"] = wf.name;
+  v["description"] = wf.description;
+  v["entryPoint"] = wf.entry_point;
+  return v;
 }
 
 /// Why `field` of `body` is neither absent nor an integer in [lo, hi]; empty
@@ -387,28 +408,6 @@ int64_t LaminarServer::AuthUser(const net::HttpRequest& request) {
   return default_user_id_;
 }
 
-Value LaminarServer::PeToJson(const registry::PeRecord& pe,
-                              bool with_code) const {
-  Value v = Value::MakeObject();
-  v["peId"] = pe.id;
-  v["peName"] = pe.name;
-  v["description"] = pe.description;
-  v["peType"] = pe.type;
-  if (with_code) v["code"] = pe.code;
-  return v;
-}
-
-Value LaminarServer::WorkflowToJson(const registry::WorkflowRecord& wf,
-                                    bool with_code) const {
-  Value v = Value::MakeObject();
-  v["workflowId"] = wf.id;
-  v["workflowName"] = wf.name;
-  v["description"] = wf.description;
-  v["entryPoint"] = wf.entry_point;
-  if (with_code) v["code"] = wf.code;
-  return v;
-}
-
 Result<LaminarServer::PreparedPeReg> LaminarServer::PreparePeRegistration(
     const Value& pe_obj, const std::string& tenant) const {
   PreparedPeReg prepared;
@@ -434,15 +433,13 @@ Result<LaminarServer::PreparedPeReg> LaminarServer::PreparePeRegistration(
         codet5_.Summarize(parsed.tree, embed::DescriptionContext::kFullClass);
   }
   pe.type = pe_obj.GetString("type", "IterativePE");
-  // One encode + one SPT featurization, shared by the stored columns and
-  // the search indexes.
+  // One encode + one SPT featurization. The description embedding is also
+  // stored; the Aroma features live only in the index, which every rebuild
+  // re-derives from the code, so the row leaves its sptEmbedding column out.
   prepared.index = search_.PreparePe(pe.name, pe.description,
                                      /*stored_embedding_json=*/"", pe.code,
                                      parsed);
   pe.description_embedding = embed::ToJson(prepared.index.text_embedding);
-  if (prepared.index.has_features) {
-    pe.spt_embedding = spt::FeatureBagToJson(prepared.index.features);
-  }
   return prepared;
 }
 
@@ -462,12 +459,12 @@ Result<int64_t> LaminarServer::CommitPeRegistration(PreparedPeReg prepared) {
 
 void LaminarServer::ResetTenantRowCounts() {
   std::map<std::string, std::pair<int64_t, int64_t>> counts;
-  for (const registry::PeRecord& pe : repo_.AllPes()) {
+  repo_.ForEachPeSummary([&](const registry::PeSummary& pe) {
     ++counts[std::string(RowTenant(pe.tenant))].first;
-  }
-  for (const registry::WorkflowRecord& wf : repo_.AllWorkflows()) {
+  });
+  repo_.ForEachWorkflowSummary([&](const registry::WorkflowSummary& wf) {
     ++counts[std::string(RowTenant(wf.tenant))].second;
-  }
+  });
   admission_.ResetRowCounts(std::move(counts));
 }
 
@@ -1004,7 +1001,7 @@ Result<LaminarServer::Response> LaminarServer::RegisterPe(Call& c) {
       },
       [&]() -> Result<Response> {
         // Reply fields are taken before the commit consumes the record.
-        Value resp = PeToJson(prepared.record, /*with_code=*/false);
+        Value resp = PeJson(prepared.record);
         Result<int64_t> id = CommitPeRegistration(std::move(prepared));
         if (!id.ok()) return id.status();
         resp["peId"] = id.value();
@@ -1022,7 +1019,9 @@ Result<LaminarServer::Response> LaminarServer::GetPe(Call& c) {
                                   : pe.status()),
                 404);
   }
-  return Json(PeToJson(pe.value(), /*with_code=*/true));
+  Value resp = PeJson(pe.value());
+  resp["code"] = pe->code;
+  return Json(resp);
 }
 
 /// {id,description} -> {}
@@ -1093,17 +1092,12 @@ Result<LaminarServer::Response> LaminarServer::RegisterWorkflow(Call& c) {
           // §IV-C: workflow descriptions synthesized from their PEs.
           wf.description = codet5_.SummarizeWorkflow(wf.name, pe_descriptions);
         }
-        // The workflow's own code is lexed and parsed once too: the ReACC
-        // encode reads the tokens, the sptEmbedding column the tree.
-        const pycode::ParsedSnippet parsed = pycode::ParseSnippet(wf.code);
+        // Workflows are not Aroma-indexed, so their code is only lexed, for
+        // the ReACC encode.
         wf_index = search_.PrepareWorkflow(wf.name, wf.description,
                                            /*stored_embedding_json=*/"",
-                                           wf.code, parsed.tokens);
+                                           wf.code);
         wf.description_embedding = embed::ToJson(wf_index.text_embedding);
-        if (parsed.tree.ok()) {
-          wf.spt_embedding = spt::FeatureBagToJson(
-              search_.aroma().FeaturizeFlat(*parsed.tree.value()));
-        }
         return Status::Ok();
       },
       [&]() -> Result<Response> {
@@ -1146,7 +1140,9 @@ Result<LaminarServer::Response> LaminarServer::GetWorkflow(Call& c) {
                                   : wf.status()),
                 404);
   }
-  return Json(WorkflowToJson(wf.value(), /*with_code=*/true));
+  Value resp = WorkflowJson(wf.value());
+  resp["code"] = wf->code;
+  return Json(resp);
 }
 
 /// {id} -> {pes:[...]}
@@ -1154,7 +1150,7 @@ Result<LaminarServer::Response> LaminarServer::WorkflowPes(Call& c) {
   Value resp = Value::MakeObject();
   Value arr = Value::MakeArray();
   for (const registry::PeRecord& pe : repo_.PesOfWorkflow(c.body.GetInt("id"))) {
-    arr.push_back(PeToJson(pe, /*with_code=*/false));
+    arr.push_back(PeJson(pe));
   }
   resp["pes"] = std::move(arr);
   return Json(resp);
@@ -1236,15 +1232,13 @@ Result<LaminarServer::Response> LaminarServer::RemoveWorkflow(Call& c) {
 Result<LaminarServer::Response> LaminarServer::ListRegistry(Call& c) {
   Value resp = Value::MakeObject();
   Value pes = Value::MakeArray();
-  for (const registry::PeRecord& pe : repo_.AllPes()) {
-    if (!TenantCanSee(c.tenant, pe.tenant)) continue;
-    pes.push_back(PeToJson(pe, /*with_code=*/false));
-  }
+  repo_.ForEachPeSummary([&](const registry::PeSummary& pe) {
+    if (TenantCanSee(c.tenant, pe.tenant)) pes.push_back(PeJson(pe));
+  });
   Value wfs = Value::MakeArray();
-  for (const registry::WorkflowRecord& wf : repo_.AllWorkflows()) {
-    if (!TenantCanSee(c.tenant, wf.tenant)) continue;
-    wfs.push_back(WorkflowToJson(wf, /*with_code=*/false));
-  }
+  repo_.ForEachWorkflowSummary([&](const registry::WorkflowSummary& wf) {
+    if (TenantCanSee(c.tenant, wf.tenant)) wfs.push_back(WorkflowJson(wf));
+  });
   resp["pes"] = std::move(pes);
   resp["workflows"] = std::move(wfs);
   return Json(resp);

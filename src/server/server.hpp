@@ -182,9 +182,6 @@ class LaminarServer {
   /// Requires mu_ held exclusively (or constructor single-threadedness).
   void ResetTenantRowCounts();
 
-  Value PeToJson(const registry::PeRecord& pe, bool with_code) const;
-  Value WorkflowToJson(const registry::WorkflowRecord& wf,
-                       bool with_code) const;
   int64_t AuthUser(const net::HttpRequest& request);
   /// The hits `tenant` may see, serialized (requires mu_ held, so the
   /// repository lookups agree with the index results).

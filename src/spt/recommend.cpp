@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <limits>
 
-#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace laminar::spt {
@@ -254,31 +252,6 @@ std::string FeatureBagToJson(const FlatFeatures& features) {
   }
   out += '}';
   return out;
-}
-
-Result<FeatureBag> FeatureBagFromJson(std::string_view json_text) {
-  Result<Value> parsed = json::Parse(json_text);
-  if (!parsed.ok()) return parsed.status();
-  if (!parsed->is_object()) {
-    return Status::ParseError("sptEmbedding must be a JSON object");
-  }
-  FeatureBag bag;
-  for (const auto& [key, value] : parsed->as_object()) {
-    uint64_t h = 0;
-    auto [ptr, ec] = std::from_chars(key.data(), key.data() + key.size(), h);
-    if (ec != std::errc() || ptr != key.data() + key.size()) {
-      return Status::ParseError("bad feature hash key: " + key);
-    }
-    // Only integers in [1, UINT32_MAX]: a cast would wrap -1 or 2^32 + 1
-    // and coerce true or 2.7 into valid-looking counts.
-    const int64_t count = value.is_int() ? value.as_int() : 0;
-    if (count < 1 || count > std::numeric_limits<uint32_t>::max()) {
-      return Status::ParseError("bad feature count for " + key);
-    }
-    bag.counts[h] = static_cast<uint32_t>(count);
-    bag.total += static_cast<size_t>(count);
-  }
-  return bag;
 }
 
 }  // namespace laminar::spt

@@ -59,12 +59,11 @@ class AromaEngine {
   /// Indexes a snippet whose features were already extracted in flat form
   /// (FeaturizeFlat) — the two-phase registration path does that off-lock
   /// and hands the result here, so committing never reparses or sorts. The
-  /// features must come from FeaturizeFlat on *this* engine's options:
-  /// FeatureBagToJson drops the per-feature line occurrences that
-  /// prune/rerank need, so the in-memory form (not a JSON round-trip) is
-  /// required. Fails with InvalidArgument,
-  /// indexing nothing, unless the features are a well-formed flat document
-  /// with a line occurrence for every count, as FlatFeatures::From builds.
+  /// features must come from FeaturizeFlat on *this* engine's options, with
+  /// the per-feature line occurrences that prune/rerank need (a
+  /// FeatureBagToJson text has none). Fails with InvalidArgument, indexing
+  /// nothing, unless the features are a well-formed flat document with a
+  /// line occurrence for every count, as FlatFeatures::From builds.
   Status AddSnippetWithFeatures(int64_t id, std::string_view code,
                                 FlatFeatures features);
   bool RemoveSnippet(int64_t id);
@@ -85,8 +84,7 @@ class AromaEngine {
   Result<std::vector<Completion>> Complete(std::string_view partial_code,
                                            size_t k = 3) const;
 
-  /// Featurizes a snippet with this engine's options (for external storage,
-  /// e.g. the registry's sptEmbedding column).
+  /// Featurizes a snippet with this engine's options, as a feature bag.
   Result<FeatureBag> Featurize(std::string_view code) const;
   /// The same features in the flat form the index, prune and cluster
   /// stages read: FlatFeatures::From(Featurize(code)), built without the
@@ -103,12 +101,12 @@ class AromaEngine {
   std::unordered_map<int64_t, std::string> sources_;
 };
 
-/// Serializes a feature bag as the JSON object Laminar stores in the
-/// registry's 'sptEmbedding' column: {"<hash>":count,...} in ascending hash
-/// order. Both overloads write the same bytes for the same features.
+/// Serializes a feature bag as the JSON object of the paper's
+/// 'sptEmbedding' column (Fig. 6): {"<hash>":count,...} in ascending hash
+/// order. Both overloads write the same bytes for the same features. The
+/// server stores no such column (search rebuilds from the code); the
+/// traced benchmark replay still builds it.
 std::string FeatureBagToJson(const FeatureBag& bag);
 std::string FeatureBagToJson(const FlatFeatures& features);
-/// Parses the JSON produced by FeatureBagToJson.
-Result<FeatureBag> FeatureBagFromJson(std::string_view json_text);
 
 }  // namespace laminar::spt

@@ -1,5 +1,7 @@
 #include "spt/spt.hpp"
 
+#include <algorithm>
+
 #include "pycode/parser.hpp"
 
 namespace laminar::spt {
@@ -78,14 +80,19 @@ std::string SptNode::Label() const {
   // destroying robustness to partial snippets (the paper's 50/75/90% drop
   // experiments rely on local features surviving truncation).
   if (rule == "suite" || rule == "module") return "#";
+  // Every token's parent features name this label, so spelling all n
+  // elements of a wide node would make featurizing it O(n^2).
+  const size_t spelled = std::min(elems.size(), kMaxLabelElements);
   std::string label;
-  for (const SptElem& e : elems) {
+  for (size_t i = 0; i < spelled; ++i) {
+    const SptElem& e = elems[i];
     if (e.is_token && e.is_keyword) {
       label += e.text;
     } else {
       label += '#';
     }
   }
+  if (elems.size() > kMaxLabelElements) label += kTruncatedLabelMark;
   return label;
 }
 

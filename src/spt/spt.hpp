@@ -10,6 +10,7 @@
 // Labels are what make structural matching robust to renamed identifiers.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -37,12 +38,21 @@ struct SptElem {
   SptNodePtr child;
 };
 
+/// A label spells at most this many elements; the widest node of the
+/// generated corpora has 13.
+inline constexpr size_t kMaxLabelElements = 64;
+/// Ends the label of a wider node. No token spells '$' (the lexer rejects
+/// it), and no width is added, so two truncated wide nodes still match.
+inline constexpr char kTruncatedLabelMark = '$';
+
 struct SptNode {
   /// Grammar-rule name this node came from (diagnostic only).
   std::string rule;
   std::vector<SptElem> elems;
 
-  /// Aroma node label: keyword tokens verbatim, '#' per other element.
+  /// Aroma node label: keyword tokens verbatim, '#' per other element, over
+  /// the first kMaxLabelElements elements, then kTruncatedLabelMark if
+  /// there are more.
   std::string Label() const;
 
   size_t TreeSize() const;

@@ -416,18 +416,7 @@ TEST(AromaEngineEdge, RejectsMalformedFlatFeatures) {
   EXPECT_EQ(engine.size(), 2u);
 }
 
-TEST(FeatureBagJson, RoundTrips) {
-  Result<SptNodePtr> spt = SptFromSource("x = f(1)\n");
-  ASSERT_TRUE(spt.ok());
-  FeatureBag bag = ExtractFeatures(*spt.value());
-  std::string json_text = FeatureBagToJson(bag);
-  Result<FeatureBag> back = FeatureBagFromJson(json_text);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->counts, bag.counts);
-  EXPECT_EQ(back->total, bag.total);
-}
-
-/// The sptEmbedding column as it was built through Value, key by key.
+/// A feature bag's JSON as it was once built through Value, key by key.
 std::string ValueBuiltJson(const FeatureBag& bag) {
   std::vector<std::pair<uint64_t, uint32_t>> entries(bag.counts.begin(),
                                                      bag.counts.end());
@@ -457,29 +446,6 @@ TEST(FeatureBagJson, WrittenDirectlyMatchesTheValueBuiltBytes) {
     EXPECT_EQ(FeatureBagToJson(FlatFeatures::From(bag)), want);
   }
   EXPECT_EQ(FeatureBagToJson(FeatureBag{}), "{}");
-}
-
-TEST(FeatureBagJson, RejectsMalformed) {
-  EXPECT_FALSE(FeatureBagFromJson("not json").ok());
-  EXPECT_FALSE(FeatureBagFromJson("[1,2]").ok());
-  EXPECT_FALSE(FeatureBagFromJson(R"({"abc":1})").ok());
-  EXPECT_FALSE(FeatureBagFromJson(R"({"12":0})").ok());
-}
-
-TEST(FeatureBagJson, CountsMustBeIntegersInUint32Range) {
-  // A plain cast would turn the first four into valid-looking counts
-  // (4294967295, 1, 1, 2).
-  for (const char* bad : {R"({"12":-1})", R"({"12":4294967297})",
-                          R"({"12":true})", R"({"12":2.7})", R"({"12":"3"})",
-                          R"({"12":2.0})", R"({"12":null})"}) {
-    Result<FeatureBag> bag = FeatureBagFromJson(bad);
-    ASSERT_FALSE(bag.ok()) << bad;
-    EXPECT_EQ(bag.status().code(), StatusCode::kParseError) << bad;
-  }
-  Result<FeatureBag> max = FeatureBagFromJson(R"({"12":4294967295,"13":1})");
-  ASSERT_TRUE(max.ok());
-  EXPECT_EQ(max->counts.at(12), std::numeric_limits<uint32_t>::max());
-  EXPECT_EQ(max->total, size_t{4294967296});
 }
 
 // ---- Exact parity with the reference implementations ----

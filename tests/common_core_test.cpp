@@ -50,7 +50,7 @@ TEST(Result, MoveOnlyValue) {
 
 TEST(Hashing, Fnv1aIsStable) {
   // Known-stable values: these must never change across platforms/builds,
-  // since stored sptEmbeddings depend on them.
+  // since stored descriptionEmbedding dimensions depend on them.
   EXPECT_EQ(hashing::Fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(hashing::Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_NE(hashing::Fnv1a64("T:x"), hashing::Fnv1a64("T:y"));

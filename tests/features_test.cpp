@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "spt/features.hpp"
+#include "spt/recommend.hpp"
 
 namespace laminar::spt {
 namespace {
@@ -173,6 +175,35 @@ TEST(Features, OccurrencesTagLines) {
   }
   EXPECT_TRUE(line1);
   EXPECT_TRUE(line2);
+}
+
+/// Seconds AromaEngine::FeaturizeFlat takes on `code`, which must yield
+/// features.
+double FeaturizeSeconds(const std::string& code) {
+  const auto start = std::chrono::steady_clock::now();
+  Result<FlatFeatures> flat = AromaEngine().FeaturizeFlat(code);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(flat.ok()) << flat.status().ToString();
+  if (flat.ok()) {
+    EXPECT_GT(flat->total, 0u);
+  }
+  return took.count();
+}
+
+// Every token hashes its parent's label, so featurization is linear in a
+// node's width only while labels stay bounded: spelled in full, each of
+// these 100k-element nodes takes ~16 s in an unoptimized build.
+TEST(Features, HundredThousandTermSumFeaturizesInLinearTime) {
+  std::string code = "y = x";
+  for (int i = 1; i < 100'000; ++i) code += " + x";
+  EXPECT_LT(FeaturizeSeconds(code + "\n"), 5.0);
+}
+
+TEST(Features, HundredThousandArgumentCallFeaturizesInLinearTime) {
+  std::string code = "f(a0";
+  for (int i = 1; i < 100'000; ++i) code += ", a" + std::to_string(i);
+  EXPECT_LT(FeaturizeSeconds(code + ")\n"), 5.0);
 }
 
 // ---- scoring ----

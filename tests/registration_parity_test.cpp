@@ -3,11 +3,11 @@
 // tree to every step; this suite requires the result to equal what
 // separate CodeT5Sim::Summarize(code), ReaccSim::Encode(code) and
 // AromaEngine::Featurize(code) calls give, byte for byte:
-//   * the stored description, descriptionEmbedding and sptEmbedding columns
-//     of PEs registered through /pes/register (with and without name and
+//   * the stored description and descriptionEmbedding columns of PEs
+//     registered through /pes/register (with and without name and
 //     description; a PE sent without a name takes its class name),
 //     /registry/bulk_register and /workflows/register (member PEs, and the
-//     workflow's own columns);
+//     workflow's own columns), none of which stores an sptEmbedding column;
 //   * the semantic, llm and spt search results, compared with a search
 //     service indexed by the separate calls — before and after a restart,
 //     whose recovery rebuilds the indexes through ReindexAll.
@@ -38,7 +38,6 @@ namespace {
 struct Columns {
   std::string description;
   std::string description_embedding;
-  std::string spt_embedding;
 };
 
 /// A search service indexed by separate calls per PE and workflow, and the
@@ -68,7 +67,6 @@ class SeparateCalls {
     if (bag.ok() && bag->total > 0) {
       prepared.features = spt::FlatFeatures::From(bag.value());
       prepared.has_features = true;
-      columns.spt_embedding = spt::FeatureBagToJson(bag.value());
     }
     columns.description_embedding = embed::ToJson(prepared.text_embedding);
     service_.CommitPe(id, std::move(prepared));
@@ -87,10 +85,6 @@ class SeparateCalls {
         service_.text_encoder().Encode(columns.description);
     prepared.code_embedding = service_.code_encoder().Encode(code);
     columns.description_embedding = embed::ToJson(prepared.text_embedding);
-    if (!code.empty()) {
-      Result<spt::FeatureBag> bag = service_.aroma().Featurize(code);
-      if (bag.ok()) columns.spt_embedding = spt::FeatureBagToJson(bag.value());
-    }
     service_.CommitWorkflow(id, std::move(prepared));
     return columns;
   }
@@ -155,7 +149,14 @@ void ExpectColumns(const registry::PeRecord& row, const Columns& want) {
   EXPECT_EQ(row.description, want.description) << row.name;
   EXPECT_EQ(row.description_embedding, want.description_embedding)
       << row.name;
-  EXPECT_EQ(row.spt_embedding, want.spt_embedding) << row.name;
+}
+
+/// The stored row `id` of `table` has no sptEmbedding key.
+void ExpectNoSptColumn(registry::Repository& repo, const std::string& table,
+                       int64_t id) {
+  Result<registry::Row> row = repo.db().GetTable(table)->Get(id);
+  ASSERT_TRUE(row.ok());
+  EXPECT_FALSE(row->contains("sptEmbedding")) << table << " " << id;
 }
 
 class RegistrationParity : public ::testing::Test {
@@ -232,6 +233,7 @@ class RegistrationParity : public ::testing::Test {
       Result<registry::PeRecord> row = repo.GetPe(id);
       ASSERT_TRUE(row.ok());
       ExpectColumns(row.value(), want);
+      ExpectNoSptColumn(repo, registry::kPeTable, id);
     }
     for (const auto& [id, want] : expected_workflows_) {
       Result<registry::WorkflowRecord> row = repo.GetWorkflow(id);
@@ -239,8 +241,7 @@ class RegistrationParity : public ::testing::Test {
       EXPECT_EQ(row->description, want.description) << row->name;
       EXPECT_EQ(row->description_embedding, want.description_embedding)
           << row->name;
-      EXPECT_EQ(row->spt_embedding, want.spt_embedding) << row->name;
-      EXPECT_FALSE(row->spt_embedding.empty()) << row->name;
+      ExpectNoSptColumn(repo, registry::kWorkflowTable, id);
     }
     std::vector<std::string> text_queries;
     std::vector<std::string> code_queries;

@@ -118,5 +118,69 @@ TEST(Spt, OperatorsCountAsKeywords) {
   EXPECT_NE(FindLabel(*spt, "#*#"), nullptr) << ToDebugString(*spt);
 }
 
+/// A call of `args` arguments, `f(a0, a1, ...)`: its trailer node holds the
+/// parentheses, the arguments and the commas, 2 * args + 1 elements.
+std::string Call(size_t args) {
+  std::string code = "f(a0";
+  for (size_t i = 1; i < args; ++i) code += ", a" + std::to_string(i);
+  return code + ")\n";
+}
+
+std::string Repeat(std::string_view piece, size_t times) {
+  std::string out;
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+TEST(Spt, WideLabelSpellsItsFirst64ElementsThenAMark) {
+  // 32 arguments: 65 elements. The label spells "(", 31 (#, ",") pairs and
+  // the last argument, then the mark in place of ")".
+  SptNodePtr wide = Build(Call(32));
+  ASSERT_NE(wide, nullptr);
+  EXPECT_NE(FindLabel(*wide, "(" + Repeat("#,", 31) + "#$"), nullptr)
+      << ToDebugString(*wide);
+  // 31 arguments: 63 elements, spelled in full.
+  SptNodePtr narrow = Build(Call(31));
+  ASSERT_NE(narrow, nullptr);
+  EXPECT_NE(FindLabel(*narrow, "(" + Repeat("#,", 30) + "#)"), nullptr)
+      << ToDebugString(*narrow);
+}
+
+TEST(Spt, LabelsOfUpTo64ElementsAreSpelledInFull) {
+  // Nodes of every width up to 66, mixing keywords, other tokens and
+  // subtrees; each label is checked against the uncapped spelling.
+  SptNode node;
+  node.rule = "expr";
+  std::string full;
+  std::string spelled_at_cap;
+  for (size_t width = 1; width <= kMaxLabelElements + 2; ++width) {
+    SptElem elem;
+    switch (width % 3) {
+      case 0:
+        elem.is_token = true;
+        elem.is_keyword = true;
+        elem.text = width % 2 == 0 ? "lambda" : "**";
+        full += elem.text;
+        break;
+      case 1:
+        elem.is_token = true;
+        elem.text = "v" + std::to_string(width);
+        full += '#';
+        break;
+      default:
+        elem.child = std::make_unique<SptNode>();
+        full += '#';
+    }
+    node.elems.push_back(std::move(elem));
+    if (width <= kMaxLabelElements) {
+      EXPECT_EQ(node.Label(), full) << width;
+      EXPECT_EQ(node.Label().find('$'), std::string::npos) << width;
+    } else {
+      EXPECT_EQ(node.Label(), spelled_at_cap + "$") << width;
+    }
+    if (width == kMaxLabelElements) spelled_at_cap = full;
+  }
+}
+
 }  // namespace
 }  // namespace laminar::spt
