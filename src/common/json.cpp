@@ -291,8 +291,11 @@ class Parser {
       }
       // fall through to double on overflow
     }
-    double d = std::strtod(std::string(token).c_str(), nullptr);
-    return Value(d);
+    // A named Value, not a temporary: GCC 12 under ASan reads the move of
+    // a Value(double) temporary into Result as possibly uninitialized
+    // (-Wmaybe-uninitialized).
+    Value number(std::strtod(std::string(token).c_str(), nullptr));
+    return number;
   }
 
   std::string_view text_;

@@ -826,14 +826,15 @@ Result<LaminarServer::Response> LaminarServer::Execute(Call& c) {
   }
   req.mapping = body.GetString("mapping", "simple");
   if (body.contains("input")) req.run_options.input = body.at("input");
-  req.run_options.num_processes =
-      static_cast<int>(body.GetInt("processes", 4));
-  req.run_options.verbose = body.GetBool("verbose", false);
-  // Dynamic-mapping pool and data-plane knobs; defaults come from the
-  // RunOptions defaults so server and library cannot drift apart.
+  // The process count and the dynamic-mapping pool and data-plane knobs
+  // default to the RunOptions defaults, so server and library cannot drift
+  // apart.
   const dataflow::RunOptions defaults;
+  req.run_options.num_processes =
+      static_cast<int>(body.GetInt("processes", defaults.num_processes));
+  req.run_options.verbose = body.GetBool("verbose", false);
   req.run_options.max_workers =
-      static_cast<int>(body.GetInt("max_workers", 8));
+      static_cast<int>(body.GetInt("max_workers", defaults.max_workers));
   req.run_options.initial_workers = static_cast<int>(
       body.GetInt("initial_workers", defaults.initial_workers));
   req.run_options.send_batch_size = static_cast<int>(
@@ -1270,8 +1271,16 @@ Result<LaminarServer::Response> LaminarServer::SaveRegistry(Call& c) {
   return Json(Value::MakeObject());
 }
 
-/// {path} -> {pes,workflows}
+/// {path} -> {pes,workflows}. Refused with 409 on a server that keeps a
+/// WAL: a load is neither logged nor shipped to followers, and the live
+/// log's records past the file's sequence would be replayed over it.
 Result<LaminarServer::Response> LaminarServer::LoadRegistry(Call& c) {
+  if (!config_.wal_path.empty()) {
+    return Json(ErrorBody(Status::FailedPrecondition(
+                    "/registry/load is refused on a server with a WAL; "
+                    "restart it on the snapshot instead")),
+                409);
+  }
   if (Status st = db_.LoadFromFile(c.body.GetString("path")); !st.ok()) {
     return st;
   }

@@ -21,16 +21,16 @@ namespace {
 // ---------------------------------------------------------------------------
 #if LAMINAR_SIMD_X86
 
-// The min runs on bytes, then each group of bytes is widened to uint64_t
-// lanes and added to the sums.
-__attribute__((target("avx2"))) inline void AddWidened4(uint64_t* sums,
+// The min runs on bytes, then each group of eight bytes is widened to
+// uint32_t lanes and added to the sums.
+__attribute__((target("avx2"))) inline void AddWidened8(uint32_t* sums,
                                                        __m128i counts) {
   __m256i* at = reinterpret_cast<__m256i*>(sums);
-  _mm256_storeu_si256(at, _mm256_add_epi64(_mm256_loadu_si256(at),
-                                           _mm256_cvtepu8_epi64(counts)));
+  _mm256_storeu_si256(at, _mm256_add_epi32(_mm256_loadu_si256(at),
+                                           _mm256_cvtepu8_epi32(counts)));
 }
 
-__attribute__((target("avx2"))) void AddMinU8Avx2(uint64_t* sums,
+__attribute__((target("avx2"))) void AddMinU8Avx2(uint32_t* sums,
                                                   const uint8_t* counts,
                                                   size_t n, uint8_t q) {
   const __m128i qv = _mm_set1_epi8(static_cast<char>(q));
@@ -38,17 +38,15 @@ __attribute__((target("avx2"))) void AddMinU8Avx2(uint64_t* sums,
   for (; i + 16 <= n; i += 16) {
     const __m128i c = _mm_min_epu8(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(counts + i)), qv);
-    AddWidened4(sums + i, c);
-    AddWidened4(sums + i + 4, _mm_srli_si128(c, 4));
-    AddWidened4(sums + i + 8, _mm_srli_si128(c, 8));
-    AddWidened4(sums + i + 12, _mm_srli_si128(c, 12));
+    AddWidened8(sums + i, c);
+    AddWidened8(sums + i + 8, _mm_srli_si128(c, 8));
   }
   AddMinU8Scalar(sums + i, counts + i, n - i, q);
 }
 
 #endif  // LAMINAR_SIMD_X86
 
-using AddMinU8Fn = void (*)(uint64_t*, const uint8_t*, size_t, uint8_t);
+using AddMinU8Fn = void (*)(uint32_t*, const uint8_t*, size_t, uint8_t);
 
 struct KernelTable {
   AddMinU8Fn add_min_u8 = &AddMinU8Scalar;
@@ -121,7 +119,7 @@ void DotBatch(const float* query, const float* rows, size_t n_rows,
   }
 }
 
-void AddMinU8(uint64_t* sums, const uint8_t* counts, size_t n, uint8_t q) {
+void AddMinU8(uint32_t* sums, const uint8_t* counts, size_t n, uint8_t q) {
   Table()->add_min_u8(sums, counts, n, q);
 }
 

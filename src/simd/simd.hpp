@@ -5,12 +5,15 @@
 // (spt/index.hpp), one kernel call per column the query reads. The layer
 // detects AVX2 once and routes the kernel to it:
 //
-//   AddMinU8  sums[i] += min(q, counts[i]) over uint64_t sums and byte
+//   AddMinU8  sums[i] += min(q, counts[i]) over uint32_t sums and byte
 //             counts
 //
-// The portable fallback AddMinU8Scalar is also the reference the kernel
-// tests compare the AVX2 tier against (laminar_simd has no dependencies).
-// The kernel is integer arithmetic, so both tiers return the same sums.
+// The sums are 32 bits wide, so one 256-bit add widens eight counts; the
+// caller keeps every sum below 2^32 (SptIndex bounds a slot's sum by its
+// document's total). The portable fallback AddMinU8Scalar is also the
+// reference the kernel tests compare the AVX2 tier against (laminar_simd
+// has no dependencies). The kernel is integer arithmetic, so both tiers
+// return the same sums.
 //
 // Dot and DotBatch are one plain loop, not dispatched, so a float dot gives
 // the same bits whatever the host's vector unit. No server request runs
@@ -75,13 +78,13 @@ void DotBatch(const float* query, const float* rows, size_t n_rows,
               size_t dims, float* out);
 
 /// Portable reference for AddMinU8, and its scalar tier.
-inline void AddMinU8Scalar(uint64_t* sums, const uint8_t* counts, size_t n,
+inline void AddMinU8Scalar(uint32_t* sums, const uint8_t* counts, size_t n,
                            uint8_t q) {
   for (size_t i = 0; i < n; ++i) sums[i] += counts[i] < q ? counts[i] : q;
 }
 
 /// Dispatched sums[i] += min(q, counts[i]) for i < n (no alignment
 /// requirement on either pointer). Exact on every tier.
-void AddMinU8(uint64_t* sums, const uint8_t* counts, size_t n, uint8_t q);
+void AddMinU8(uint32_t* sums, const uint8_t* counts, size_t n, uint8_t q);
 
 }  // namespace laminar::simd

@@ -22,6 +22,14 @@ struct ClusterInput {
 /// joins the first leader it matches, so capping leaves the first
 /// `max_clusters` clusters, and their members, exactly as uncapped.
 /// Returns clusters as index lists into `inputs`, preserving order.
+///
+/// Each comparison gives JaccardSimilarity(leader, candidate) >=
+/// jaccard_threshold for any threshold (NaN included), but merges the two
+/// feature arrays only until that verdict is settled: it finds the least
+/// overlap that passes from the two totals, and stops once the overlap
+/// reaches it or what is left of either document could no longer reach it.
+/// That bound needs each input's `total` to equal the sum of its feature
+/// counts, as FlatFeatures::From builds it and AromaEngine checks it.
 std::vector<std::vector<size_t>> ClusterCandidates(
     const std::vector<ClusterInput>& inputs, double jaccard_threshold,
     size_t max_clusters);

@@ -423,9 +423,7 @@ uint64_t OverlapCount(const FlatFeatures& a, const FlatFeatures& b) {
 }
 
 double JaccardSimilarity(const FlatFeatures& a, const FlatFeatures& b) {
-  const double inter = static_cast<double>(OverlapCount(a, b));
-  const double uni = static_cast<double>(a.total + b.total) - inter;
-  return uni > 0 ? inter / uni : 0.0;
+  return JaccardOfOverlap(OverlapCount(a, b), a.total, b.total);
 }
 
 }  // namespace laminar::spt

@@ -120,4 +120,12 @@ double JaccardSimilarity(const FeatureBag& a, const FeatureBag& b);
 uint64_t OverlapCount(const FlatFeatures& a, const FlatFeatures& b);
 double JaccardSimilarity(const FlatFeatures& a, const FlatFeatures& b);
 
+/// JaccardSimilarity of two documents of totals `ta` and `tb` that overlap
+/// in `inter`: inter / (ta + tb - inter), or 0 when both are empty.
+inline double JaccardOfOverlap(uint64_t inter, uint64_t ta, uint64_t tb) {
+  const double i = static_cast<double>(inter);
+  const double uni = static_cast<double>(ta + tb) - i;
+  return uni > 0 ? i / uni : 0.0;
+}
+
 }  // namespace laminar::spt

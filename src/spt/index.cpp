@@ -18,12 +18,25 @@ constexpr uint64_t kPromote = 8;
 constexpr uint64_t kDemote = 16;
 constexpr uint32_t kColumnMax = std::numeric_limits<uint8_t>::max();
 
+/// The integer selection's histogram has a bucket per sum below this and
+/// one more for every larger sum, so its size does not grow with |q|.
+constexpr uint32_t kHistogramCap = 4096;
+
+/// A slot whose integer sum reached the selection threshold.
+struct Collected {
+  int64_t doc_id = 0;
+  uint32_t sum = 0;
+};
+
 /// Per-thread TopK scratch, shared by every index the thread queries: the
 /// slot-indexed sums, integer for overlap and containment, double for
-/// cosine. Every sum is zero between calls.
+/// cosine, then the integer selection's histogram of sums and the slots it
+/// collects. Every sum is zero between calls.
 struct Scratch {
-  std::vector<uint64_t> counts;
+  std::vector<uint32_t> counts;
   std::vector<double> dots;
+  std::vector<uint32_t> histogram;
+  std::vector<Collected> collected;
 };
 
 Scratch& ThreadScratch() {
@@ -206,16 +219,24 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
                                           Metric metric) const {
   if (k == 0) return {};
   if (metric == Metric::kContainment && query.total == 0) return {};
-  const size_t slots = slot_ids_.size();
+  const auto slots = static_cast<uint32_t>(slot_ids_.size());
+  // The histogram's top bucket: a sum cannot exceed |q|, and any larger one
+  // (a query whose total undercounts its features) is collected from it.
+  const auto top_bucket = static_cast<uint32_t>(
+      std::clamp<size_t>(query.total, 1, kHistogramCap));
+  // Everything the selection writes is allocated up front, so nothing
+  // between the first write to the sums and the pass that resets them can
+  // throw and leave them dirty.
   Scratch& s = ThreadScratch();
   if (s.counts.size() < slots) {
     s.counts.resize(slots, 0);
     s.dots.resize(slots, 0.0);
   }
-  // Allocated up front, so nothing between the first write to the sums and
-  // the walk that resets them can throw and leave them dirty.
+  if (s.histogram.size() <= top_bucket) s.histogram.resize(top_bucket + 1);
+  s.collected.clear();
+  s.collected.reserve(slots);
   std::vector<Hit> top;
-  top.reserve(std::min(k, slots));
+  top.reserve(std::min<size_t>(k, slots));
 
   // Sum each query feature's postings into a per-slot sum: pairs one at a
   // time, a column over every slot it covers.
@@ -251,39 +272,76 @@ std::vector<SptIndex::Hit> SptIndex::TopK(const FlatFeatures& query, size_t k,
   }
   postings_read_->Inc(read);
 
-  auto better = [](const Hit& a, const Hit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc_id < b.doc_id;
-  };
-  // Every slot with a non-zero sum gets its score, has the sum reset, and
-  // competes for a bounded heap whose front is the worst of the top k.
-  for (uint32_t slot = 0; slot < slots; ++slot) {
-    Hit hit;
-    if (metric == Metric::kCosine) {
+  if (metric == Metric::kCosine) {
+    // Every slot with a non-zero dot gets its score, has the dot reset,
+    // and competes for a bounded heap whose front is the worst of the top
+    // k.
+    auto better = [](const Hit& a, const Hit& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.doc_id < b.doc_id;
+    };
+    for (uint32_t slot = 0; slot < slots; ++slot) {
       double& dot = s.dots[slot];
       if (dot == 0.0) continue;
-      hit.score = dot / (query.norm * slot_norms_[slot]);
+      const Hit hit{slot_ids_[slot], dot / (query.norm * slot_norms_[slot])};
       dot = 0.0;
-    } else {
-      uint64_t& count = s.counts[slot];
-      if (count == 0) continue;
-      hit.score = static_cast<double>(count);
-      if (metric == Metric::kContainment) {
-        hit.score /= static_cast<double>(query.total);
+      if (top.size() < k) {
+        top.push_back(hit);
+        std::push_heap(top.begin(), top.end(), better);
+      } else if (better(hit, top.front())) {
+        std::pop_heap(top.begin(), top.end(), better);
+        top.back() = hit;
+        std::push_heap(top.begin(), top.end(), better);
       }
-      count = 0;
     }
-    hit.doc_id = slot_ids_[slot];
-    if (top.size() < k) {
-      top.push_back(hit);
-      std::push_heap(top.begin(), top.end(), better);
-    } else if (better(hit, top.front())) {
-      std::pop_heap(top.begin(), top.end(), better);
-      top.back() = hit;
-      std::push_heap(top.begin(), top.end(), better);
+    std::sort_heap(top.begin(), top.end(), better);
+    return top;
+  }
+
+  // Overlap is the sum and containment the sum over |q|, both monotone in
+  // the sum, so the top k are the k largest sums, ties by ascending id.
+  // Count the sums per bucket, then walk down from the top bucket to the
+  // smallest sum that, with every larger one, covers k slots (or to 1,
+  // when fewer than k sums are non-zero).
+  uint32_t* counts = s.counts.data();
+  uint32_t* histogram = s.histogram.data();
+  std::fill_n(histogram, top_bucket + 1, 0u);
+  for (uint32_t slot = 0; slot < slots; ++slot) {
+    ++histogram[std::min(counts[slot], top_bucket)];
+  }
+  uint32_t threshold = top_bucket;
+  for (size_t covered = histogram[top_bucket]; covered < k && threshold > 1;) {
+    covered += histogram[--threshold];
+  }
+  // Collect every slot at or above the threshold, and reset every sum.
+  for (uint32_t slot = 0; slot < slots; ++slot) {
+    if (counts[slot] >= threshold) {
+      s.collected.push_back(Collected{slot_ids_[slot], counts[slot]});
     }
   }
-  std::sort_heap(top.begin(), top.end(), better);
+  std::fill_n(counts, slots, 0u);
+
+  // Ids are unique, so (sum desc, id asc) orders the collected slots
+  // totally; the first k of them are the top k.
+  auto before = [](const Collected& a, const Collected& b) {
+    if (a.sum != b.sum) return a.sum > b.sum;
+    return a.doc_id < b.doc_id;
+  };
+  auto first = s.collected.begin();
+  auto last = s.collected.end();
+  if (s.collected.size() > k) {
+    std::nth_element(first, first + static_cast<std::ptrdiff_t>(k), last,
+                     before);
+    last = first + static_cast<std::ptrdiff_t>(k);
+  }
+  std::sort(first, last, before);
+  for (auto it = first; it != last; ++it) {
+    double score = static_cast<double>(it->sum);
+    if (metric == Metric::kContainment) {
+      score /= static_cast<double>(query.total);
+    }
+    top.push_back(Hit{it->doc_id, score});
+  }
   return top;
 }
 

@@ -31,17 +31,26 @@
 // q * d for cosine — into a score array indexed by slot. Pairs scatter one
 // at a time; a column adds min(q, d) over all its slots with one
 // dispatched integer kernel (simd::AddMinU8), and cosine reads its
-// non-zero bytes. Overlap and containment sum in uint64_t (a sum never
-// exceeds the query's total), cosine in double, with each slot's terms
-// added in query-feature order whatever the encoding. The array is
-// thread_local. One walk over every slot then gives each non-zero sum its
-// final score (cosine divides by |q| * |d|, containment by |q|), resets
-// it, and lets it compete for a bounded top-k heap ordered by (score desc,
-// id asc); a query reads the boilerplate columns, so nearly every slot
-// holds a sum anyway (DESIGN.md §3k). Every term is an integer, so the
-// sums are exact and independent of posting order: the returned
-// (id, score) lists equal the per-pair OverlapScore / CosineSimilarity /
-// ContainmentScore ranking bit for bit.
+// non-zero bytes. Overlap and containment sum in uint32_t, cosine in
+// double, with each slot's terms added in query-feature order whatever the
+// encoding. Each term min(q, d) is at most d, so a slot's sum is at most
+// its document's total: a document's total must stay below 2^32, and
+// AromaEngine refuses one that does not. The arrays are thread_local.
+//
+// Selection. A query reads the boilerplate columns, so nearly every slot
+// holds a sum (DESIGN.md §3k). Cosine walks every slot once, scoring each
+// non-zero dot (divided by |q| * |d|), resetting it, and pushing it
+// through a bounded top-k heap ordered by (score desc, id asc). Overlap and
+// containment (the sum over |q|) rise with the integer sum, so they select
+// by sum with no heap: one pass counts every sum into a histogram with a
+// bucket per sum up to min(|q|, 4096), the last bucket also holding every
+// larger sum; a walk down it finds the smallest sum the top k need; a
+// second pass collects every slot at or above that sum; then every sum is
+// reset. The collected slots are sorted by (sum desc, id asc) and cut to k.
+// Ids are unique, so that order is total and the k it keeps are the top k.
+// Every term is an integer, so the sums are exact and independent of
+// posting order: the returned (id, score) lists equal the per-pair
+// OverlapScore / CosineSimilarity / ContainmentScore ranking bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +94,8 @@ class SptIndex {
   };
 
   /// Adds (or replaces) a document. Its features must be distinct, as
-  /// FlatFeatures::From builds them.
+  /// FlatFeatures::From builds them, and their counts must sum below 2^32,
+  /// so that no slot's integer sum wraps in TopK.
   void Add(int64_t doc_id, FlatFeatures doc);
   bool Remove(int64_t doc_id);
   void Clear();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 #include "common/strings.hpp"
 
@@ -24,7 +25,8 @@ std::string ExtractLines(const std::string& source,
 /// The invariants Recommend's pruning relies on, which FlatFeatures::From
 /// always meets: features strictly ascending by hash with counts >= 1 that
 /// sum to `total`, and occurrences in ascending (line, feature) order, each
-/// naming a feature in range, exactly `count` of them per feature.
+/// naming a feature in range, exactly `count` of them per feature. The
+/// total must also fit SptIndex's 32-bit sums (see index.hpp).
 Status CheckFlat(const FlatFeatures& flat) {
   uint64_t total = 0;
   for (size_t i = 0; i < flat.features.size(); ++i) {
@@ -39,6 +41,9 @@ Status CheckFlat(const FlatFeatures& flat) {
   }
   if (total != flat.total) {
     return Status::InvalidArgument("total is not the sum of the counts");
+  }
+  if (total > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("total above 2^32 - 1");
   }
   std::vector<uint32_t> tagged(flat.features.size(), 0);
   const FlatFeatures::Occurrence* last = nullptr;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -399,6 +400,11 @@ TEST(AromaEngineEdge, RejectsMalformedFlatFeatures) {
   variant("occurrences out of order", [](FlatFeatures& f) {
     std::swap(f.occurrences.front(), f.occurrences.back());
   });
+  // TopK sums into 32 bits, and a slot's sum is at most its total.
+  variant("a total above 2^32 - 1", [](FlatFeatures& f) {
+    f.total += std::numeric_limits<uint32_t>::max() - f.features[0].count;
+    f.features[0].count = std::numeric_limits<uint32_t>::max();
+  });
 
   const auto before = engine.Search(code, 5, Metric::kOverlap);
   ASSERT_TRUE(before.ok());
@@ -409,6 +415,10 @@ TEST(AromaEngineEdge, RejectsMalformedFlatFeatures) {
       EXPECT_EQ(engine.size(), 1u) << what;
     }
   }
+  // Refused for its total, before the occurrences it would lack.
+  EXPECT_EQ(engine.AddSnippetWithFeatures(2, code, bad.back().second)
+                .message(),
+            "total above 2^32 - 1");
   const auto after = engine.Search(code, 5, Metric::kOverlap);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(reference::SameHits(after.value(), before.value()));
@@ -788,6 +798,172 @@ TEST(SptIndex, ChurnAcrossTheDensityThresholdsEqualsBruteForce) {
   EXPECT_GT(promoted_on_add, 0u);
   EXPECT_GT(demoted_on_add, 0u);
   EXPECT_GT(demoted_on_remove, 0u);
+}
+
+// Overlap and containment select by sum: a histogram walk finds the least
+// sum the top k need, and the slots at or above it are sorted by (sum desc,
+// id asc). Here 45 documents tie for the best overlap and 50 more tie where
+// the 100th hit falls, so k = 1, 5 and 100 all cut inside a tie; ids run
+// against slot order, and freed slots are reused.
+TEST(SptIndex, TiedSumsAtTheKthPlaceEqualBruteForce) {
+  Rng rng(0x5eed0032ULL);
+  std::vector<uint32_t> overlaps;
+  overlaps.insert(overlaps.end(), 45, 12);
+  for (uint32_t i = 0; i < 30; ++i) overlaps.push_back(7 + i % 5);
+  overlaps.insert(overlaps.end(), 50, 6);
+  for (uint32_t i = 0; i < 40; ++i) overlaps.push_back(1 + i % 5);
+  overlaps.insert(overlaps.end(), 10, 0);
+  rng.Shuffle(overlaps);
+  // Feature 1, in nearly every document, becomes a count column; 100..119
+  // are each in a few documents and stay pairs; 2 is not in the query.
+  FeatureBag query;
+  for (int i = 0; i < 8; ++i) query.Add(1);
+  for (uint64_t hash = 100; hash < 120; ++hash) {
+    for (int i = 0; i < 50; ++i) query.Add(hash);
+  }
+  std::map<int64_t, FeatureBag> bags;
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < overlaps.size(); ++i) {
+    const int64_t id = static_cast<int64_t>(overlaps.size() - i) * 3;
+    FeatureBag& bag = bags[id];
+    const uint32_t dense =
+        std::min(overlaps[i], static_cast<uint32_t>(1 + rng.NextBelow(8)));
+    for (uint32_t c = 0; c < dense; ++c) bag.Add(1);
+    const uint64_t sparse = 100 + rng.NextBelow(20);
+    for (uint32_t c = dense; c < overlaps[i]; ++c) bag.Add(sparse);
+    for (uint64_t c = 1 + rng.NextBelow(5); c > 0; --c) bag.Add(2);
+    ids.push_back(id);
+  }
+  SptIndex index;
+  for (int64_t id : ids) index.Add(id, FlatFeatures::From(bags[id]));
+  // Freed slots are reused last-freed first, so re-adding in removal
+  // order moves every removed document to another slot.
+  std::vector<int64_t> removed;
+  for (size_t i = 0; i < ids.size(); i += 3) {
+    ASSERT_TRUE(index.Remove(ids[i]));
+    removed.push_back(ids[i]);
+  }
+  for (int64_t id : removed) index.Add(id, FlatFeatures::From(bags[id]));
+  ASSERT_EQ(index.size(), bags.size());
+  EXPECT_GT(index.Stats().columns, 0u);
+
+  std::vector<std::pair<int64_t, const FeatureBag*>> live;
+  for (const auto& [id, bag] : bags) live.emplace_back(id, &bag);
+  const FlatFeatures flat_query = FlatFeatures::From(query);
+  for (Metric metric : {Metric::kOverlap, Metric::kContainment}) {
+    const Ranked all = Pairs(
+        reference::BruteForceTopK(live, query, live.size() + 1, metric));
+    ASSERT_EQ(all.size(), live.size() - 10);
+    // The ties are real: the top 45 share a score, and 50 scores equal
+    // the 100th straddle it.
+    EXPECT_EQ(all[44].second, all[0].second);
+    EXPECT_LT(all[45].second, all[0].second);
+    EXPECT_EQ(std::count_if(all.begin(), all.end(),
+                            [&](const auto& hit) {
+                              return hit.second == all[99].second;
+                            }),
+              50);
+    EXPECT_GT(all[74].second, all[75].second);
+    for (size_t k : {size_t{1}, size_t{5}, size_t{100}, index.size(),
+                     index.size() + 1}) {
+      const Ranked want(all.begin(), all.begin() + std::min(k, all.size()));
+      EXPECT_EQ(Pairs(index.TopK(flat_query, k, metric)), want)
+          << "metric " << static_cast<int>(metric) << " k " << k;
+    }
+  }
+}
+
+// The histogram has a bucket per sum up to min(|q|, 4096) and a last one
+// for every larger sum, collected and sorted like any other. Here the sums
+// straddle 4,096 (a count above 255 keeps a list pairs), and a query whose
+// total undercounts its features puts every sum in that last bucket.
+TEST(SptIndex, SumsPastTheHistogramCapEqualBruteForce) {
+  const uint32_t counts[] = {5000, 4500, 4097, 4096, 4096,
+                             4095, 300,  4097, 1,    5000};
+  std::map<int64_t, FeatureBag> bags;
+  SptIndex index;
+  for (size_t i = 0; i < std::size(counts); ++i) {
+    const auto id = static_cast<int64_t>(std::size(counts) - i);
+    FeatureBag& bag = bags[id];
+    for (uint32_t c = 0; c < counts[i]; ++c) bag.Add(7);
+    bag.Add(8 + i % 2);
+    index.Add(id, FlatFeatures::From(bag));
+  }
+  FeatureBag query;
+  for (int c = 0; c < 6000; ++c) query.Add(7);
+  query.Add(8);
+  const FlatFeatures flat_query = FlatFeatures::From(query);
+  FlatFeatures undercounted = flat_query;
+  undercounted.total = 1;
+
+  std::vector<std::pair<int64_t, const FeatureBag*>> live;
+  for (const auto& [id, bag] : bags) live.emplace_back(id, &bag);
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{8},
+                   index.size() + 1}) {
+    for (Metric metric : {Metric::kOverlap, Metric::kContainment}) {
+      EXPECT_EQ(Pairs(index.TopK(flat_query, k, metric)),
+                Pairs(reference::BruteForceTopK(live, query, k, metric)))
+          << "metric " << static_cast<int>(metric) << " k " << k;
+    }
+    EXPECT_EQ(Pairs(index.TopK(undercounted, k, Metric::kOverlap)),
+              Pairs(reference::BruteForceTopK(live, query, k,
+                                              Metric::kOverlap)))
+        << "undercounted query, k " << k;
+  }
+}
+
+// ClusterCandidates merges each pair only until its Jaccard verdict is
+// settled. Over seeded documents drawn from a shared pool of features, its
+// clusters (uncapped) must equal the reference clustering with the
+// hash-map Jaccard at thresholds below 0, at 0, between, at 1, above 1 and
+// NaN, and at Jaccard values the pairs themselves reach and the doubles
+// either side of them, where a verdict turns on one unit of overlap. One
+// document in four rounds has no features at all.
+TEST(Cluster, EarlyVerdictEqualsTheFullMergeClustering) {
+  Rng rng(0x5eed0033ULL);
+  size_t clusterings = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<FeatureBag> bags(24);
+    for (FeatureBag& bag : bags) {
+      const uint64_t keep = 2 + rng.NextBelow(7);  // of 8 features
+      for (uint64_t hash = 0; hash < 40; ++hash) {
+        if (rng.NextBelow(8) >= keep) continue;
+        for (uint64_t c = 1 + rng.NextBelow(3); c > 0; --c) bag.Add(hash);
+      }
+      for (uint64_t n = rng.NextBelow(8); n > 0; --n) {
+        bag.Add(1000 + rng.NextBelow(100));
+      }
+    }
+    if (round % 4 == 0) bags[rng.NextBelow(bags.size())] = FeatureBag{};
+    std::vector<FlatFeatures> flats;
+    for (const FeatureBag& bag : bags) flats.push_back(FlatFeatures::From(bag));
+    std::vector<const FeatureBag*> reference_inputs;
+    std::vector<ClusterInput> inputs;
+    for (size_t i = 0; i < bags.size(); ++i) {
+      reference_inputs.push_back(&bags[i]);
+      inputs.push_back(ClusterInput{static_cast<int64_t>(i), &flats[i]});
+    }
+
+    std::vector<double> thresholds = {
+        -1.0, 0.0, 0.45, 0.5, 1.0, 1.01,
+        std::numeric_limits<double>::quiet_NaN()};
+    for (int n = 0; n < 8; ++n) {
+      const size_t a = rng.NextBelow(bags.size());
+      const size_t b = (a + 1 + rng.NextBelow(bags.size() - 1)) % bags.size();
+      const double reached = JaccardSimilarity(flats[a], flats[b]);
+      thresholds.push_back(reached);
+      thresholds.push_back(std::nextafter(reached, 2.0));
+      thresholds.push_back(std::nextafter(reached, -1.0));
+    }
+    for (double threshold : thresholds) {
+      const auto want =
+          reference::ClusterCandidates(reference_inputs, threshold);
+      ASSERT_EQ(ClusterCandidates(inputs, threshold, inputs.size()), want)
+          << "round " << round << " threshold " << threshold;
+      ++clusterings;
+    }
+  }
+  EXPECT_EQ(clusterings, 40u * (7 + 24));
 }
 
 // The whole pipeline on 1,200 PEs under slot-reusing churn: Search (every

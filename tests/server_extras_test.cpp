@@ -177,6 +177,41 @@ TEST(ServerExtras, SaveAndLoadRoundTrip) {
   }
 }
 
+// On a server with a WAL a load would be neither logged nor shipped, and
+// the live log's records past the file's sequence (here the remove_all)
+// would be replayed over the loaded rows, so the server refuses it before
+// touching a row.
+TEST(ServerExtras, LoadIsRefusedOnAWalServer) {
+  ScratchDir dir;
+  server::ServerConfig config = FastServer();
+  config.wal_path = dir.File("wal.jsonl");
+  const std::string path = dir.File("saved.json");
+  InProcessLaminar laminar = ConnectInProcess(config);
+  ASSERT_TRUE(laminar.client->RegisterPe(PeCode("Alpha"), "Alpha", "").ok());
+  ASSERT_TRUE(laminar.client->SaveRegistry(path).ok());
+  ASSERT_TRUE(laminar.client->RemoveAll().ok());
+  Result<Value> before = laminar.client->GetStats();
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->at("wal").GetBool("enabled"));
+
+  Value body = Value::MakeObject();
+  body["path"] = path;
+  int http_status = 0;
+  Result<Value> load =
+      laminar.client->CallEndpoint("/registry/load", body, &http_status);
+  EXPECT_FALSE(load.ok());
+  EXPECT_EQ(http_status, 409);
+  EXPECT_NE(load.status().message().find("WAL"), std::string::npos)
+      << load.status().ToString();
+
+  Result<Value> after = laminar.client->GetStats();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->GetInt("pes"), 0);
+  EXPECT_EQ(after->at("wal").GetInt("appendedSeq"),
+            before->at("wal").GetInt("appendedSeq"));
+  EXPECT_FALSE(laminar.client->GetPeByName("Alpha").ok());
+}
+
 TEST(ServerExtras, SaveRequiresPath) {
   InProcessLaminar laminar = ConnectInProcess(FastServer());
   EXPECT_FALSE(laminar.client->SaveRegistry("").ok());

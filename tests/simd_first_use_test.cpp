@@ -22,11 +22,11 @@ TEST(SimdFirstUse, ConcurrentFirstCallsAgree) {
   for (size_t i = 0; i < counts.size(); ++i) {
     counts[i] = static_cast<uint8_t>(i * 37);
   }
-  std::vector<uint64_t> want(counts.size(), 0);
+  std::vector<uint32_t> want(counts.size(), 0);
   simd::AddMinU8Scalar(want.data(), counts.data(), counts.size(), kQuery);
 
-  std::vector<std::vector<uint64_t>> sums(
-      kThreads, std::vector<uint64_t>(counts.size(), 0));
+  std::vector<std::vector<uint32_t>> sums(
+      kThreads, std::vector<uint32_t>(counts.size(), 0));
   std::atomic<int> arrived{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {

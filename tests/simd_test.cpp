@@ -148,14 +148,14 @@ TEST(SimdKernels, AddMinU8ExactOnEveryTier) {
             : r == 1 ? 255
                      : static_cast<uint8_t>(rng.NextBelow(256));
       }
-      std::vector<uint64_t> start(n + off);
-      for (uint64_t& x : start) x = rng.NextU64() >> 1;
+      std::vector<uint32_t> start(n + off);
+      for (uint32_t& x : start) x = static_cast<uint32_t>(rng.NextU64() >> 33);
       for (uint8_t q : {uint8_t{0}, uint8_t{1}, uint8_t{7}, uint8_t{255}}) {
-        std::vector<uint64_t> want = start;
+        std::vector<uint32_t> want = start;
         simd::AddMinU8Scalar(want.data() + off, counts.data() + off, n, q);
         for (simd::Tier tier : AvailableTiers()) {
           ASSERT_EQ(simd::SetTier(tier), tier);
-          std::vector<uint64_t> got = start;
+          std::vector<uint32_t> got = start;
           simd::AddMinU8(got.data() + off, counts.data() + off, n, q);
           ASSERT_EQ(got, want) << "tier=" << simd::TierName(tier)
                                << " n=" << n << " off=" << off
